@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,15 @@ from .session import (
     ConfigError,
     CorruptLogError,
     SessionConfig,
-    VelocityCondition,
     config_from_dict,
     config_to_dict,
+    default_config_dict,
     replay,
     run_session,
     summary_rows,
 )
-from .staircase import convergence_target, new_staircase, record_response, \
-    default_config, threshold_estimate
+from .staircase import (convergence_target, default_config, new_staircase,
+                        record_response, threshold_estimate)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -105,15 +106,12 @@ def cmd_validate_convergence(args) -> int:
           f"(rule={args.rule}-down, ratio={args.ratio})")
     rng = np.random.default_rng(args.seed)
 
+    reference = default_config_dict()["reference_stiffness"]
+    stair = default_config(reference, down_rule=args.rule, down_up_ratio=args.ratio)
+
     # drift of the level under a constant-probability responder at the target
-    reference = 1.11
-    stair = default_config(reference)
-    wide = type(stair)(
-        reference_stiffness=reference, initial_level=reference,
-        up_step=stair.up_step, down_up_ratio=args.ratio, down_rule=args.rule,
-        reversal_limit=10**9, reversals_averaged=1,
-        level_floor=1e-9, level_cap=1e9,
-    )
+    wide = replace(stair, reversal_limit=10**9, reversals_averaged=1,
+                   level_floor=1e-9, level_cap=1e9)
     bernoulli = BernoulliObserver(p_different=target)
     state = new_staircase(wide)
     n_trials = 100_000
@@ -124,7 +122,7 @@ def cmd_validate_convergence(args) -> int:
     print(f"mean signed step per trial (up-step units): {drift:+.5f}")
 
     # threshold recovery with a Weibull observer whose target point is known
-    alpha = alpha_for_target(reference, 0.8315, beta=3.0)
+    alpha = alpha_for_target(reference, target, beta=3.0)
     observer = WeibullObserver(alpha=alpha, beta=3.0)
     thresholds = []
     tail_correct = tail_total = 0
@@ -159,35 +157,14 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     _check_overwrite([out], args.force)
     run = run_session(config)
-    # trace the first executed run
-    first_velocity = run.result.velocity_order[0]
-    events = [json.loads(line) for line in run.log_text.splitlines()]
-    rows = []
-    in_first_run = False
-    reversal_trials = set()
-    responded = []
-    for event in events:
-        if event["kind"] == "RunStarted":
-            if responded:
-                break
-            in_first_run = event["payload"]["velocity_deg_s"] == first_velocity
-        elif in_first_run and event["kind"] == "Responded" \
-                and not event["payload"]["catch"]:
-            responded.append(event["payload"])
-        elif in_first_run and event["kind"] == "Reversal":
-            reversal_trials.add(event["payload"]["trial"])
-    presented = {e["payload"]["trial"]: e["payload"] for e in events
-                 if e["kind"] == "Presented"}
-    for payload in responded:
-        trial = payload["trial"]
-        level_pct = 100.0 * presented[trial]["level"] / config.reference_stiffness
-        rows.append((trial, level_pct, payload["response"],
-                     int(trial in reversal_trials)))
+    rows = run.trials[0]  # the first executed run
     with open(out, "w", newline="") as fh:
         fh.write("trial,level_pct,response,reversal_flag\n")
-        for trial, pct, response, flag in rows:
-            fh.write(f"{trial},{pct!r},{response},{flag}\n")
-    print(f"wrote {out} ({len(rows)} trials, velocity {first_velocity} deg/s)")
+        for row in rows:
+            pct = 100.0 * row.level / config.reference_stiffness
+            fh.write(f"{row.trial},{pct!r},{row.response},{int(row.reversal)}\n")
+    print(f"wrote {out} ({len(rows)} trials, "
+          f"velocity {run.result.velocity_order[0]} deg/s)")
     return EXIT_OK
 
 
@@ -283,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="recompute results from an event log")
     p.add_argument("--log", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_replay)
 
     return parser

@@ -59,7 +59,12 @@ class WeibullObserver:
             raise ObserverConfigError("need 0 <= gamma < 1 - lapse <= 1")
 
     def p_different(self, delta_k: float, velocity: float) -> float:
-        return weibull_p_different(delta_k, velocity, self)
+        if delta_k < 0:
+            raise ValueError("delta_k must be nonnegative")
+        alpha = self.alpha * _scale_for(velocity, self.velocity_scaling)
+        return self.gamma + (1.0 - self.gamma - self.lapse) * (
+            1.0 - math.exp(-((delta_k / alpha) ** self.beta))
+        )
 
     def respond(
         self,
@@ -70,17 +75,6 @@ class WeibullObserver:
     ) -> Response:
         p = self.p_different(abs(k_second - k_first), velocity)
         return Response.DIFFERENT if rng.random() < p else Response.SAME
-
-
-def weibull_p_different(
-    delta_k: float, velocity: float, obs: WeibullObserver
-) -> float:
-    if delta_k < 0:
-        raise ValueError("delta_k must be nonnegative")
-    alpha = obs.alpha * _scale_for(velocity, obs.velocity_scaling)
-    return obs.gamma + (1.0 - obs.gamma - obs.lapse) * (
-        1.0 - math.exp(-((delta_k / alpha) ** obs.beta))
-    )
 
 
 def alpha_for_target(
@@ -127,24 +121,14 @@ class SdtObserver:
         velocity: float,
         rng: np.random.Generator,
     ) -> Response:
-        return sdt_respond(k_first, k_second, velocity, self, rng)
-
-
-def sdt_respond(
-    k_first: float,
-    k_second: float,
-    velocity: float,
-    obs: SdtObserver,
-    rng: np.random.Generator,
-) -> Response:
-    if k_first <= 0 or k_second <= 0:
-        raise ValueError("stiffness values must be positive")
-    sigma = obs.sigma * _scale_for(velocity, obs.velocity_scaling)
-    est_first = k_first + rng.normal(0.0, sigma)
-    est_second = k_second + rng.normal(0.0, sigma)
-    if abs(est_first - est_second) > obs.criterion + obs.bias:
-        return Response.DIFFERENT
-    return Response.SAME
+        if k_first <= 0 or k_second <= 0:
+            raise ValueError("stiffness values must be positive")
+        sigma = self.sigma * _scale_for(velocity, self.velocity_scaling)
+        est_first = k_first + rng.normal(0.0, sigma)
+        est_second = k_second + rng.normal(0.0, sigma)
+        if abs(est_first - est_second) > self.criterion + self.bias:
+            return Response.DIFFERENT
+        return Response.SAME
 
 
 @dataclass(frozen=True)

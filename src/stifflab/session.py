@@ -6,18 +6,21 @@ spring in random order, simulates one out-and-back exploration per interval
 (repeating rejected explorations without advancing the staircase), asks the
 observer for a Same/Different response, and feeds correctness into the
 staircase.  Every state change is an event; the full result is recomputable
-from the log alone, including manual response amendments.
+from the log alone, including manual response amendments.  The runner and
+``replay`` fold events through the same step function, ``_apply``, so a
+replayed log gives the runner's result by construction.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .observer import Response, observer_from_config
+from .observer import observer_from_config
 from .plant import (
     DeviceConfig,
     LimbConfig,
@@ -28,11 +31,15 @@ from .plant import (
 )
 from .staircase import (
     StaircaseConfig,
+    StaircaseState,
     ThresholdEstimate,
+    default_config,
     new_staircase,
     record_response,
     threshold_estimate,
 )
+
+_JSON = json.JSONEncoder(sort_keys=True)  # one line of the event log
 
 TRAINING_DURATION_S = 120.0
 BREAK_DURATION_S = 300.0
@@ -65,11 +72,11 @@ class SessionConfig:
     reference_stiffness: float
     staircase: StaircaseConfig
     velocities: tuple[VelocityCondition, ...]
-    trajectory_amplitude: float
-    led_window: float
     limb: LimbConfig
     device: DeviceConfig
     observer: dict
+    trajectory_amplitude: float = 90.0
+    led_window: float = 2.5
     velocity_tolerance: float = 5.0
     catch_trial_rate: float = 0.0
     plant_mode: str = "full"  # "full" simulates the plant, "ideal" skips it
@@ -86,8 +93,7 @@ class SessionConfig:
             raise ConfigError("repeat_cap must be at least 1")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     seq: int
     kind: str
     t_wall: float  # simulated session clock, seconds
@@ -114,34 +120,52 @@ class SessionResult:
     log_digest: str
 
 
+class TrialRow(NamedTuple):
+    """One staircase trial: what was presented and what it did."""
+
+    trial: int
+    level: float     # stiffness difference presented, mNm/deg
+    response: str
+    reversal: bool   # the response reversed the staircase
+
+
 @dataclass(frozen=True)
 class SessionRun:
     """Result of an executed session plus its serialized event log."""
 
     result: SessionResult
     log_text: str
+    trials: tuple[tuple[TrialRow, ...], ...]  # per run, in executed order
 
 
-_TOP_KEYS = {
-    "seed", "reference_stiffness", "staircase", "velocities", "trajectory",
-    "limb", "device", "observer", "velocity_tolerance", "catch_trial_rate",
-    "plant_mode", "repeat_cap",
-}
-_STAIRCASE_KEYS = {
-    "initial_level", "up_step", "down_up_ratio", "down_rule",
-    "reversal_limit", "reversals_averaged", "level_floor", "level_cap",
+_OPTION_KEYS = ("velocity_tolerance", "catch_trial_rate", "plant_mode", "repeat_cap")
+_TOP_KEYS = {"seed", "reference_stiffness", "staircase", "velocities",
+             "trajectory", "limb", "device", "observer", *_OPTION_KEYS}
+_STAIRCASE_KEYS = {  # key -> type it is read as
+    "initial_level": float, "up_step": float, "down_up_ratio": float,
+    "down_rule": int, "reversal_limit": int, "reversals_averaged": int,
+    "level_floor": float, "level_cap": float,
 }
 _TRAJECTORY_KEYS = {"amplitude", "led_window"}
 _LIMB_KEYS = {"inertia", "damping", "tracking_stiffness_gain",
               "tracking_damping_gain", "motor_noise_std", "muscle_torque_max"}
 _DEVICE_KEYS = {"encoder_counts_per_rev", "torque_limit", "control_rate"}
 _VELOCITY_KEYS = {"bpm", "deg_s"}
+_DEFAULTS = {f.name: f.default for f in fields(SessionConfig)
+             if f.default is not MISSING}
 
 
-def _reject_unknown(d: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _reject_unknown(d: dict, allowed, where: str) -> None:
+    unknown = sorted(d.keys() - allowed)
     if unknown:
         raise ConfigError(f"unknown key in {where}: {unknown[0]!r}")
+
+
+def _option(section: dict, key: str, name: str | None = None):
+    """``section[key]`` read as the type of the default of SessionConfig's
+    field ``name`` (``key`` when not given), or else that default."""
+    default = _DEFAULTS[name or key]
+    return type(default)(section.get(key, default))
 
 
 def config_from_dict(raw: dict) -> SessionConfig:
@@ -159,31 +183,18 @@ def config_from_dict(raw: dict) -> SessionConfig:
 
     stair_raw = dict(raw.get("staircase", {}))
     _reject_unknown(stair_raw, _STAIRCASE_KEYS, "staircase")
-    up_step = float(stair_raw.get("up_step", 0.1 * reference))
-    ratio = float(stair_raw.get("down_up_ratio", 0.7393))
     traj_raw = dict(raw.get("trajectory", {}))
     _reject_unknown(traj_raw, _TRAJECTORY_KEYS, "trajectory")
-    amplitude = float(traj_raw.get("amplitude", 90.0))
-    led_window = float(traj_raw.get("led_window", 2.5))
+    amplitude = _option(traj_raw, "amplitude", "trajectory_amplitude")
     device_raw = dict(raw.get("device", {}))
     _reject_unknown(device_raw, _DEVICE_KEYS, "device")
     device = DeviceConfig(**device_raw)
     limb_raw = dict(raw.get("limb", {}))
     _reject_unknown(limb_raw, _LIMB_KEYS, "limb")
     limb = LimbConfig(**limb_raw)
-
-    staircase = StaircaseConfig(
-        reference_stiffness=reference,
-        initial_level=float(stair_raw.get("initial_level", reference)),
-        up_step=up_step,
-        down_up_ratio=ratio,
-        down_rule=int(stair_raw.get("down_rule", 3)),
-        reversal_limit=int(stair_raw.get("reversal_limit", 10)),
-        reversals_averaged=int(stair_raw.get("reversals_averaged", 8)),
-        level_floor=float(stair_raw.get("level_floor", ratio * up_step)),
-        level_cap=float(stair_raw.get(
-            "level_cap", device.torque_limit / amplitude - reference)),
-    )
+    staircase = default_config(
+        reference, device.torque_limit, amplitude,
+        **{key: _STAIRCASE_KEYS[key](value) for key, value in stair_raw.items()})
 
     velocities = []
     for entry in velocities_raw:
@@ -199,15 +210,12 @@ def config_from_dict(raw: dict) -> SessionConfig:
         reference_stiffness=reference,
         staircase=staircase,
         velocities=tuple(velocities),
-        trajectory_amplitude=amplitude,
-        led_window=led_window,
         limb=limb,
         device=device,
         observer=observer,
-        velocity_tolerance=float(raw.get("velocity_tolerance", 5.0)),
-        catch_trial_rate=float(raw.get("catch_trial_rate", 0.0)),
-        plant_mode=str(raw.get("plant_mode", "full")),
-        repeat_cap=int(raw.get("repeat_cap", 5)),
+        trajectory_amplitude=amplitude,
+        led_window=_option(traj_raw, "led_window"),
+        **{key: _option(raw, key) for key in _OPTION_KEYS},
     )
 
 
@@ -224,10 +232,7 @@ def config_to_dict(config: SessionConfig) -> dict:
         "limb": asdict(config.limb),
         "device": asdict(config.device),
         "observer": config.observer,
-        "velocity_tolerance": config.velocity_tolerance,
-        "catch_trial_rate": config.catch_trial_rate,
-        "plant_mode": config.plant_mode,
-        "repeat_cap": config.repeat_cap,
+        **{key: getattr(config, key) for key in _OPTION_KEYS},
     }
 
 
@@ -249,18 +254,99 @@ def default_config_dict(seed: int = 0, plant_mode: str = "full") -> dict:
     }
 
 
+class _Run(NamedTuple):
+    """The active run: its staircase and the bookkeeping beside it."""
+
+    stair: StaircaseConfig
+    velocity: float
+    state: StaircaseState
+    trial_count: int = 0
+    tail_correct: int = 0
+    tail_total: int = 0  # staircase responses after the second reversal
+    rows: tuple[TrialRow, ...] = ()
+
+
+class _Fold(NamedTuple):
+    """Everything recomputable from the events applied so far."""
+
+    run: _Run | None = None  # None between runs
+    runs: tuple[RunResult, ...] = ()
+    trials: tuple[tuple[TrialRow, ...], ...] = ()  # rows of each finished run
+
+
+def _is_correct(response: str, catch: bool) -> bool:
+    return response == ("same" if catch else "different")
+
+
+def _apply(fold: _Fold, event: Event) -> _Fold:
+    """Fold one event into the session's recomputable state.
+
+    RunStarted, Responded and RunTerminated carry the information; every
+    other kind records what they imply and leaves the state as it is.  A run
+    yields its RunResult on the response that terminates its staircase.
+    """
+    kind, payload, run = event.kind, event.payload, fold.run
+    if kind == "Responded":
+        if run is None or run.state.terminated:
+            raise CorruptLogError("response outside an active run", event.seq)
+        if payload["catch"]:
+            return fold  # catch trials never drive the staircase
+        correct = _is_correct(payload["response"], catch=False)
+        before = run.state
+        tail = len(before.reversals) >= 2
+        state = record_response(before, correct, run.stair)
+        row = TrialRow(before.trial_index, before.level, payload["response"],
+                       len(state.reversals) > len(before.reversals))
+        run = _Run(run.stair, run.velocity, state, run.trial_count + 1,
+                   run.tail_correct + int(tail and correct),
+                   run.tail_total + int(tail), run.rows + (row,))
+        if not state.terminated:
+            return _Fold(run, fold.runs, fold.trials)
+        result = RunResult(
+            velocity=run.velocity,
+            threshold=threshold_estimate(state, run.stair),
+            trial_count=run.trial_count,
+            reversal_levels=tuple(r.level_at_reversal for r in state.reversals),
+            proportion_correct_tail=run.tail_correct / run.tail_total
+            if run.tail_total else None,
+        )
+        return _Fold(run, fold.runs + (result,), fold.trials + (run.rows,))
+    if kind == "RunStarted":
+        if run is not None:
+            raise CorruptLogError("run started inside another run", event.seq)
+        stair = StaircaseConfig(**payload["staircase"])
+        run = _Run(stair, payload["velocity_deg_s"], new_staircase(stair))
+        return fold._replace(run=run)
+    if kind == "RunTerminated":
+        if run is None or not run.state.terminated:
+            raise CorruptLogError("run terminated before the staircase did",
+                                  event.seq)
+        return fold._replace(run=None)
+    if kind == "SessionEnded" and run is not None:
+        raise CorruptLogError("session ended inside a run", event.seq)
+    return fold
+
+
+def _session_result(fold: _Fold, log_text: str) -> SessionResult:
+    return SessionResult(runs=fold.runs,
+                         velocity_order=tuple(r.velocity for r in fold.runs),
+                         log_digest=_digest(log_text))
+
+
 class _Recorder:
-    """Monotone event sink with a simulated wall clock."""
+    """Monotone event sink with a simulated wall clock; every event it
+    emits is folded into ``fold``."""
 
     def __init__(self):
         self.events: list[Event] = []
         self.clock = 0.0
+        self.fold = _Fold()
 
-    def emit(self, kind: str, payload: dict) -> Event:
+    def emit(self, kind: str, payload: dict) -> None:
         event = Event(seq=len(self.events), kind=kind,
                       t_wall=self.clock, payload=payload)
         self.events.append(event)
-        return event
+        self.fold = _apply(self.fold, event)
 
 
 def _run_intervals(
@@ -314,22 +400,17 @@ def _run_intervals(
 def _run_staircase_run(
     config: SessionConfig,
     condition: VelocityCondition,
+    observer,
     rec: _Recorder,
     rng: np.random.Generator,
-) -> RunResult:
-    observer = observer_from_config(config.observer)
-    stair = config.staircase
+) -> None:
     rec.emit("RunStarted", {
         "velocity_deg_s": condition.deg_s,
         "bpm": condition.bpm,
-        "staircase": asdict(stair),
+        "staircase": asdict(config.staircase),
     })
-    state = new_staircase(stair)
-    tail_correct = 0
-    tail_total = 0
-    staircase_trials = 0
-
-    while not state.terminated:
+    while not rec.fold.run.state.terminated:
+        state = rec.fold.run.state
         is_catch = config.catch_trial_rate > 0 and rng.random() < config.catch_trial_rate
         k_ref = config.reference_stiffness
         k_comp = k_ref if is_catch else k_ref + state.level
@@ -345,101 +426,74 @@ def _run_staircase_run(
         })
         digests = _run_intervals(springs, config, condition, rec, rng,
                                  state.trial_index)
-        response = observer.respond(springs[0], springs[1], condition.deg_s, rng)
-        correct = (response is Response.SAME) if is_catch \
-            else (response is Response.DIFFERENT)
+        response = observer.respond(springs[0], springs[1], condition.deg_s, rng).value
         rec.clock += RESPONSE_DURATION_S
         rec.emit("Responded", {
             "trial": state.trial_index,
             "catch": is_catch,
-            "response": response.value,
-            "correct": correct,
+            "response": response,
+            "correct": _is_correct(response, is_catch),
             "recording_digests": digests,
         })
-        if is_catch:
-            continue  # catch trials never drive the staircase
-
-        staircase_trials += 1
-        if len(state.reversals) >= 2:
-            tail_total += 1
-            tail_correct += int(correct)
-        before = state
-        state = record_response(state, correct, stair)
-        if state.level != before.level or state.last_move_direction != before.last_move_direction:
+        after = rec.fold.run.state
+        if after.level != state.level or after.last_move_direction != state.last_move_direction:
             rec.emit("StaircaseMoved", {
-                "trial": before.trial_index,
-                "direction": state.last_move_direction.value,
-                "level_before": before.level,
-                "level_after": state.level,
+                "trial": state.trial_index,
+                "direction": after.last_move_direction.value,
+                "level_before": state.level,
+                "level_after": after.level,
             })
-        if len(state.reversals) > len(before.reversals):
-            reversal = state.reversals[-1]
+        if len(after.reversals) > len(state.reversals):
+            reversal = after.reversals[-1]
             rec.emit("Reversal", {
                 "trial": reversal.trial_index,
-                "index": len(state.reversals),
+                "index": len(after.reversals),
                 "level": reversal.level_at_reversal,
                 "new_direction": reversal.new_direction.value,
             })
 
-    estimate = threshold_estimate(state, stair)
-    levels = tuple(r.level_at_reversal for r in state.reversals)
-    tail = tail_correct / tail_total if tail_total else None
-    rec.emit("RunTerminated", {
-        "velocity_deg_s": condition.deg_s,
-        "trials": staircase_trials,
-        "reversal_levels": list(levels),
-        "threshold_absolute": estimate.absolute,
-        "threshold_pct": estimate.percent_of_reference,
-        "proportion_correct_tail": tail,
-    })
-    return RunResult(
-        velocity=condition.deg_s,
-        threshold=estimate,
-        trial_count=staircase_trials,
-        reversal_levels=levels,
-        proportion_correct_tail=tail,
-    )
+    result = rec.fold.runs[-1]
+    rec.emit("RunTerminated", {**_run_summary(result),
+                               "reversal_levels": list(result.reversal_levels)})
+
+
+def _run_summary(run: RunResult) -> dict:
+    return {
+        "velocity_deg_s": run.velocity,
+        "trials": run.trial_count,
+        "threshold_absolute": run.threshold.absolute,
+        "threshold_pct": run.threshold.percent_of_reference,
+        "proportion_correct_tail": run.proportion_correct_tail,
+    }
 
 
 def run_session(config: SessionConfig) -> SessionRun:
     """Execute the full protocol and return results plus the event log."""
     rng = np.random.default_rng(config.seed)
+    observer = observer_from_config(config.observer)
     rec = _Recorder()
     rec.emit("SessionStarted", {"config": config_to_dict(config)})
     order = [int(i) for i in rng.permutation(len(config.velocities))]
-    runs = []
     for position, index in enumerate(order):
-        condition = config.velocities[index]
         rec.emit("Metadata", {"note": "training", "duration_s": TRAINING_DURATION_S})
         rec.clock += TRAINING_DURATION_S
-        runs.append(_run_staircase_run(config, condition, rec, rng))
+        _run_staircase_run(config, config.velocities[index], observer, rec, rng)
         if position < len(order) - 1:
             rec.emit("Metadata", {"note": "break", "duration_s": BREAK_DURATION_S})
             rec.clock += BREAK_DURATION_S
-    velocity_order = tuple(config.velocities[i].deg_s for i in order)
+    runs = rec.fold.runs
     rec.emit("SessionEnded", {
-        "velocity_order": list(velocity_order),
-        "runs": [{
-            "velocity_deg_s": r.velocity,
-            "threshold_pct": r.threshold.percent_of_reference,
-            "threshold_absolute": r.threshold.absolute,
-            "trials": r.trial_count,
-            "reversals": len(r.reversal_levels),
-            "proportion_correct_tail": r.proportion_correct_tail,
-        } for r in runs],
+        "velocity_order": [r.velocity for r in runs],
+        "runs": [{**_run_summary(r), "reversals": len(r.reversal_levels)}
+                 for r in runs],
     })
     log_text = serialize_log(rec.events)
-    result = SessionResult(
-        runs=tuple(runs),
-        velocity_order=velocity_order,
-        log_digest=_digest(log_text),
-    )
-    return SessionRun(result=result, log_text=log_text)
+    return SessionRun(result=_session_result(rec.fold, log_text),
+                      log_text=log_text, trials=rec.fold.trials)
 
 
 def serialize_log(events: list[Event]) -> str:
-    lines = [json.dumps(e.to_dict(), sort_keys=True)
-             for e in events]
+    lines = [_JSON.encode(e.to_dict()) for e in events]
     return "\n".join(lines) + "\n"
 
 
@@ -473,16 +527,17 @@ def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> st
         t_wall=events[-1].t_wall,
         payload={"target_seq": target_seq, "update": dict(payload_update)},
     )
-    return log_text + json.dumps(amendment.to_dict(), sort_keys=True) + "\n"
+    return log_text + _JSON.encode(amendment.to_dict()) + "\n"
 
 
 def replay(log_text: str) -> SessionResult:
     """Recompute the session result from the event log alone.
 
-    Every staircase transition and threshold is rederived from Responded
-    events (after amendment resolution).  For unamended logs the result must
-    match the recorded summary; a mismatch or malformed sequence raises
-    CorruptLogError with the offending sequence number.
+    The log's events, after amendment resolution, are folded exactly as the
+    runner folded them while emitting.  For unamended logs the logged
+    correctness and thresholds must match the recomputed ones; a mismatch or
+    malformed sequence raises CorruptLogError with the offending sequence
+    number.
     """
     events = parse_log(log_text)
     if not events:
@@ -491,15 +546,14 @@ def replay(log_text: str) -> SessionResult:
         if event.seq != i:
             raise CorruptLogError("sequence gap", event.seq)
 
-    amended = False
-    payloads = {e.seq: dict(e.payload) for e in events}
+    amended: dict[int, dict] = {}  # seq -> payload after its amendments
     for event in events:
         if event.kind == "Amendment":
-            amended = True
             target = event.payload.get("target_seq")
-            if target not in payloads:
+            if target not in range(len(events)):
                 raise CorruptLogError("amendment targets missing event", event.seq)
-            payloads[target].update(event.payload["update"])
+            amended.setdefault(int(target), dict(events[target].payload)) \
+                .update(event.payload["update"])
 
     if events[0].kind != "SessionStarted":
         raise CorruptLogError("log does not start with SessionStarted", 0)
@@ -507,56 +561,23 @@ def replay(log_text: str) -> SessionResult:
         raise CorruptLogError("missing SessionEnded terminator",
                               events[-1].seq)
 
-    runs: list[RunResult] = []
-    velocity_order: list[float] = []
-    state = None
-    stair = None
-    velocity = None
-    tail_correct = tail_total = staircase_trials = 0
-
+    fold = _Fold()
     for event in events:
-        payload = payloads[event.seq]
-        if event.kind == "RunStarted":
-            stair = StaircaseConfig(**payload["staircase"])
-            state = new_staircase(stair)
-            velocity = payload["velocity_deg_s"]
-            velocity_order.append(velocity)
-            tail_correct = tail_total = staircase_trials = 0
-        elif event.kind == "Responded":
-            if state is None or state.terminated:
-                raise CorruptLogError("response outside an active run", event.seq)
-            if payload["catch"]:
-                continue
-            staircase_trials += 1
-            if len(state.reversals) >= 2:
-                tail_total += 1
-                tail_correct += int(payload["correct"])
-            state = record_response(state, payload["correct"], stair)
-        elif event.kind == "RunTerminated":
-            if state is None or not state.terminated:
-                raise CorruptLogError("run terminated before the staircase did",
-                                      event.seq)
-            estimate = threshold_estimate(state, stair)
-            levels = tuple(r.level_at_reversal for r in state.reversals)
-            tail = tail_correct / tail_total if tail_total else None
-            runs.append(RunResult(
-                velocity=velocity,
-                threshold=estimate,
-                trial_count=staircase_trials,
-                reversal_levels=levels,
-                proportion_correct_tail=tail,
-            ))
-            if not amended and abs(estimate.percent_of_reference
-                                   - payload["threshold_pct"]) > 0:
-                raise CorruptLogError("recomputed threshold disagrees with log",
-                                      event.seq)
-            state = None
-
-    return SessionResult(
-        runs=tuple(runs),
-        velocity_order=tuple(velocity_order),
-        log_digest=_digest(log_text),
-    )
+        if event.seq in amended:
+            event = event._replace(payload=amended[event.seq])
+        fold = _apply(fold, event)
+        if amended:
+            continue
+        payload = event.payload
+        if event.kind == "Responded" and \
+                payload["correct"] != _is_correct(payload["response"], payload["catch"]):
+            raise CorruptLogError("logged correctness disagrees with the response",
+                                  event.seq)
+        if event.kind == "RunTerminated" and \
+                fold.runs[-1].threshold.percent_of_reference != payload["threshold_pct"]:
+            raise CorruptLogError("recomputed threshold disagrees with log",
+                                  event.seq)
+    return _session_result(fold, log_text)
 
 
 def sdt_rates(log_text: str) -> tuple[float, float]:

@@ -13,7 +13,7 @@ All operations are pure: they return new state values and never mutate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class Direction(str, enum.Enum):
@@ -81,8 +81,7 @@ def default_config(
     reference_stiffness: float,
     torque_limit: float = 300.0,
     amplitude: float = 90.0,
-    reversal_limit: int = 10,
-    reversals_averaged: int = 8,
+    **overrides,
 ) -> StaircaseConfig:
     """Standard configuration for a given reference stiffness.
 
@@ -91,21 +90,24 @@ def default_config(
     three-down rule, ten reversals with the last eight averaged.  The floor
     is one down step above zero so the pair never becomes identical; the cap
     is set by the torque the device can render at full deflection.
+
+    Keyword ``overrides`` replace any of these; the floor follows an
+    overridden up step or ratio unless it is overridden itself.
     """
-    up_step = 0.1 * reference_stiffness
-    ratio = 0.7393
-    cap = torque_limit / amplitude - reference_stiffness
-    return StaircaseConfig(
-        reference_stiffness=reference_stiffness,
-        initial_level=reference_stiffness,
-        up_step=up_step,
-        down_up_ratio=ratio,
-        down_rule=3,
-        reversal_limit=reversal_limit,
-        reversals_averaged=reversals_averaged,
-        level_floor=ratio * up_step,
-        level_cap=cap,
-    )
+    up_step = overrides.get("up_step", 0.1 * reference_stiffness)
+    ratio = overrides.get("down_up_ratio", 0.7393)
+    params = {
+        "initial_level": reference_stiffness,
+        "up_step": up_step,
+        "down_up_ratio": ratio,
+        "down_rule": 3,
+        "reversal_limit": 10,
+        "reversals_averaged": 8,
+        "level_floor": ratio * up_step,
+        "level_cap": torque_limit / amplitude - reference_stiffness,
+    }
+    params.update(overrides)
+    return StaircaseConfig(reference_stiffness=reference_stiffness, **params)
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,8 @@ def record_response(
 
     trial_index = state.trial_index + 1
     if intended is None:
-        return replace(
-            state, consecutive_correct=consecutive, trial_index=trial_index
-        )
+        return StaircaseState(state.level, consecutive, state.last_move_direction,
+                              state.reversals, trial_index, terminated=False)
 
     if intended is Direction.DOWN:
         target = state.level - config.down_step

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from stifflab.cli import main
-from stifflab.session import default_config_dict, replay
+from stifflab.session import (
+    config_from_dict,
+    default_config_dict,
+    parse_log,
+    replay,
+    run_session,
+)
 
 
 @pytest.fixture
@@ -81,6 +87,12 @@ class TestValidateConvergence:
     def test_too_few_runs(self, capsys):
         assert main(["validate-convergence", "--runs", "50"]) == 2
 
+    def test_overridden_rule_and_ratio_pass(self, capsys):
+        # threshold recovery must aim at the overridden target, not 0.8315
+        assert main(["validate-convergence", "--runs", "300", "--seed", "1",
+                     "--rule", "3", "--ratio", "1.0"]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_overridden_ratio_reports_new_target(self, capsys):
         code = main(["validate-convergence", "--runs", "100", "--seed", "0",
                      "--ratio", "1.0", "--rule", "3"])
@@ -99,6 +111,21 @@ class TestTrace:
         assert lines[0] == "trial,level_pct,response,reversal_flag"
         flags = [int(line.split(",")[3]) for line in lines[1:]]
         assert sum(flags) == 10
+
+    def test_levels_are_those_presented_in_the_first_run(self, tmp_path):
+        raw = default_config_dict(seed=3, plant_mode="ideal")
+        path = write_config(tmp_path, raw)
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", path, "--out", str(out)]) == 0
+        events = parse_log(run_session(config_from_dict(raw)).log_text)
+        second_run = [e.seq for e in events if e.kind == "RunStarted"][1]
+        presented = [(e.payload["trial"], e.payload["level"])
+                     for e in events[:second_run]
+                     if e.kind == "Presented" and not e.payload["catch"]]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(int(r[0]), float(r[1])) for r in rows] == \
+            [(trial, 100.0 * level / raw["reference_stiffness"])
+             for trial, level in presented]
 
     def test_always_correct_is_non_increasing(self, tmp_path):
         raw = default_config_dict(seed=0, plant_mode="ideal")

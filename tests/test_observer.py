@@ -15,24 +15,22 @@ from stifflab.observer import (
     inverse_normal_cdf,
     normal_cdf,
     observer_from_config,
-    sdt_respond,
-    weibull_p_different,
 )
 
 
 class TestWeibull:
     def test_zero_difference_gives_floor(self):
         obs = WeibullObserver(alpha=1.0, beta=2.0, gamma=0.05, lapse=0.02)
-        assert weibull_p_different(0.0, 67.5, obs) == pytest.approx(0.05)
+        assert obs.p_different(0.0, 67.5) == pytest.approx(0.05)
 
     def test_large_difference_approaches_ceiling(self):
         obs = WeibullObserver(alpha=1.0, beta=2.0, gamma=0.05, lapse=0.02)
-        assert weibull_p_different(1e6, 67.5, obs) == pytest.approx(0.98)
+        assert obs.p_different(1e6, 67.5) == pytest.approx(0.98)
 
     def test_monotone_and_bounded_on_grid(self):
         obs = WeibullObserver(alpha=1.3, beta=3.0, gamma=0.05, lapse=0.02)
         grid = np.linspace(0.0, 10.0, 500)
-        values = [weibull_p_different(d, 67.5, obs) for d in grid]
+        values = [obs.p_different(d, 67.5) for d in grid]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert all(0.05 <= v <= 0.98 for v in values)
 
@@ -40,23 +38,23 @@ class TestWeibull:
         # place the 83.15% point at delta_k = 1.1684
         alpha = alpha_for_target(1.1684, 0.8315, beta=2.0, gamma=0.05, lapse=0.02)
         obs = WeibullObserver(alpha=alpha, beta=2.0, gamma=0.05, lapse=0.02)
-        assert weibull_p_different(1.1684, 67.5, obs) == pytest.approx(
+        assert obs.p_different(1.1684, 67.5) == pytest.approx(
             0.8315, abs=1e-9)
 
     def test_velocity_scaling_shifts_alpha(self):
         obs = WeibullObserver(alpha=1.0, beta=2.0, gamma=0.0, lapse=0.0,
                               velocity_scaling={112.5: 0.5})
         # halving alpha at the fast velocity makes the same delta easier
-        assert weibull_p_different(0.5, 112.5, obs) > \
-            weibull_p_different(0.5, 67.5, obs)
+        assert obs.p_different(0.5, 112.5) > \
+            obs.p_different(0.5, 67.5)
         # unlisted velocities fall back to a unit multiplier
-        assert weibull_p_different(0.5, 99.0, obs) == \
-            weibull_p_different(0.5, 67.5, obs)
+        assert obs.p_different(0.5, 99.0) == \
+            obs.p_different(0.5, 67.5)
 
     def test_negative_delta_rejected(self):
         obs = WeibullObserver(alpha=1.0, beta=2.0)
         with pytest.raises(ValueError):
-            weibull_p_different(-0.1, 67.5, obs)
+            obs.p_different(-0.1, 67.5)
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0, "beta": 2.0},
@@ -73,13 +71,13 @@ class TestSdt:
         obs = SdtObserver(sigma=1e-12, criterion=0.1)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sdt_respond(1.0, 2.0, 67.5, obs, rng) is Response.DIFFERENT
+            assert obs.respond(1.0, 2.0, 67.5, rng) is Response.DIFFERENT
 
     def test_noise_free_same(self):
         obs = SdtObserver(sigma=1e-12, criterion=0.1)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert sdt_respond(1.5, 1.5, 67.5, obs, rng) is Response.SAME
+            assert obs.respond(1.5, 1.5, 67.5, rng) is Response.SAME
 
     def test_false_alarm_rate_matches_closed_form(self):
         # estimate difference ~ N(0, sqrt(2) sigma); P(Different) follows
@@ -90,14 +88,14 @@ class TestSdt:
         rng = np.random.default_rng(42)
         n = 1_000_000
         hits = sum(
-            sdt_respond(2.0, 2.0, 67.5, obs, rng) is Response.DIFFERENT
+            obs.respond(2.0, 2.0, 67.5, rng) is Response.DIFFERENT
             for _ in range(n))
         assert hits / n == pytest.approx(expected, abs=0.003)
 
     def test_nonpositive_stiffness_rejected(self):
         obs = SdtObserver(sigma=1.0, criterion=0.5)
         with pytest.raises(ValueError):
-            sdt_respond(0.0, 1.0, 67.5, obs, np.random.default_rng(0))
+            obs.respond(0.0, 1.0, 67.5, np.random.default_rng(0))
 
 
 class TestBernoulli:

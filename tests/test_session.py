@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,43 @@ class TestReplay:
         assert amended.runs[0].reversal_levels != \
             run.result.runs[0].reversal_levels
 
+    def test_amending_response_alone_moves_staircase(self):
+        run = run_session(ideal_config(seed=14))
+        events = parse_log(run.log_text)
+        target = next(e for e in events if e.kind == "Responded")
+        flipped = "same" if target.payload["response"] == "different" \
+            else "different"
+        response_only = replay(append_amendment(
+            run.log_text, target.seq, {"response": flipped}))
+        both = replay(append_amendment(run.log_text, target.seq, {
+            "response": flipped, "correct": not target.payload["correct"]}))
+        assert response_only.runs != run.result.runs
+        assert response_only.runs == both.runs
+
+    def test_flipped_correct_rejected(self):
+        run = run_session(ideal_config(seed=19))
+        lines = run.log_text.splitlines()
+        for i, line in enumerate(lines):
+            event = json.loads(line)
+            if event["kind"] == "Responded":
+                event["payload"]["correct"] = not event["payload"]["correct"]
+                lines[i] = json.dumps(event, sort_keys=True)
+                break
+        with pytest.raises(CorruptLogError, match="correct"):
+            replay("\n".join(lines) + "\n")
+
+    def test_run_without_termination_rejected(self):
+        run = run_session(ideal_config(seed=20))
+        lines = [line for line in run.log_text.splitlines()
+                 if '"kind": "RunTerminated"' not in line]
+        renumbered = []
+        for seq, line in enumerate(lines):
+            event = json.loads(line)
+            event["seq"] = seq
+            renumbered.append(json.dumps(event, sort_keys=True))
+        with pytest.raises(CorruptLogError, match="inside"):
+            replay("\n".join(renumbered) + "\n")
+
     def test_truncated_log_rejected(self):
         run = run_session(ideal_config(seed=15))
         lines = run.log_text.splitlines()
@@ -259,3 +298,43 @@ class TestSummary:
             assert row["threshold_pct"] == \
                 result.threshold.percent_of_reference
             assert row["seed"] == 18
+
+
+# sha256 of reference logs: a change to any of these bytes must be deliberate
+PINNED_IDEAL = {
+    0: "df3bb1d339eb0d77869acabc1b79e1265d456a6e3d2ab59d75610d6a6299b600",
+    1: "de2da816285d77d4502a586066fcc7342872936ed2c8e9bba5b3ce770f33fa67",
+    2: "8106b387017250015daac8489d46e129b37435cfcc28aec79155dd6e62ed8bd4",
+    3: "b4e72b48e1a0e4b12678edce4411d1af42af9699ff44d2c61da1e051998be8a8",
+    4: "2a7309ccd642a1d1df8cb4715ed20b0750cc51ddb2b55b6a5e5e95a274681ec1",
+}
+PINNED_FULL_SEED0_BLANKED = \
+    "61c0451688c581b13ed953799550cc2ca9a7dd988b32a9a8a091330688df339d"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestOneSourceOfTruth:
+    def test_default_config_file_matches_default_config_dict(self):
+        path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+        assert json.loads(path.read_text()) == default_config_dict()
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_IDEAL))
+    def test_ideal_log_bytes_pinned(self, seed):
+        assert _sha256(run_session(ideal_config(seed=seed)).log_text) == \
+            PINNED_IDEAL[seed]
+
+    def test_full_log_pinned_without_recording_digests(self):
+        # recording digests hash plant floats bit for bit; everything else
+        # in the log is pinned
+        text = run_session(config_from_dict(default_config_dict(seed=0))).log_text
+        lines = []
+        for line in text.splitlines():
+            event = json.loads(line)
+            if event["kind"] == "Responded":
+                digests = event["payload"]["recording_digests"]
+                event["payload"]["recording_digests"] = ["" for _ in digests]
+            lines.append(json.dumps(event, sort_keys=True))
+        assert _sha256("\n".join(lines) + "\n") == PINNED_FULL_SEED0_BLANKED
