@@ -56,14 +56,18 @@ def _load_config(path: str, seed: int | None) -> SessionConfig:
     return config_from_dict(raw)
 
 
-def _session_worker(args: tuple[dict, int]) -> tuple[int, str, list[dict]]:
-    raw, seed = args
-    raw = dict(raw)
-    raw["seed"] = seed
-    config = config_from_dict(raw)
-    run = run_session(config)
-    rows = summary_rows(f"session_{seed:08d}", config, run.result)
-    return seed, run.log_text, rows
+def _session_worker(args: tuple[dict, list[int]]) -> list[tuple[str, list[dict]]]:
+    """(log, summary rows) of each of the consecutive seeds' sessions, in
+    seed order; the sessions share one exploration memo."""
+    raw, seeds = args
+    memo: dict = {}
+    outputs = []
+    for seed in seeds:
+        config = config_from_dict({**raw, "seed": seed})
+        run = run_session(config, memo)
+        rows = summary_rows(f"session_{seed:08d}", config, run.result)
+        outputs.append((run.log_text, rows))
+    return outputs
 
 
 def cmd_simulate(args) -> int:
@@ -76,17 +80,17 @@ def cmd_simulate(args) -> int:
     _check_overwrite([*paths, summary_path], args.force)
 
     raw = config_to_dict(config)
-    jobs = [(raw, s) for s in seeds]
     workers = int(os.environ.get("STIFFLAB_THREADS", "0"))
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1 and len(seeds) > 1:
+        size = -(-len(seeds) // workers)  # one contiguous chunk per worker
+        chunks = [(raw, seeds[i:i + size]) for i in range(0, len(seeds), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_session_worker, jobs))
+            outputs = [o for chunk in pool.map(_session_worker, chunks) for o in chunk]
     else:
-        outputs = [_session_worker(job) for job in jobs]
-    outputs.sort(key=lambda item: item[0])  # collector merges in seed order
+        outputs = _session_worker((raw, seeds))
 
     all_rows = []
-    for (seed, log_text, rows), path in zip(outputs, paths):
+    for (log_text, rows), path in zip(outputs, paths):
         path.write_text(log_text)
         all_rows.extend(rows)
     with open(summary_path, "w", newline="") as fh:

@@ -178,9 +178,15 @@ def simulate_exploration(
     ref = min_jerk_trajectory(plan)
     n = len(ref.time)
     dt = 1.0 / plan.sample_rate
+    half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     inertia, damping = limb.inertia, limb.damping
     kp, kd = limb.tracking_stiffness_gain, limb.tracking_damping_gain
     k_si = spring.k * _MNM / _DEG  # Nm/rad
+    neg_k = -spring.k
+    resolution = 360.0 / device.encoder_counts_per_rev
+    torque_max = device.torque_limit
+    torque_min = -torque_max
+    deg, mnm, floor = _DEG, _MNM, math.floor
 
     # feedforward: inverse dynamics of the reference against the nominal spring
     tau_ff = (inertia * ref.acceleration * _DEG
@@ -189,67 +195,80 @@ def simulate_exploration(
     noise = (rng.normal(0.0, limb.motor_noise_std, size=n)
              if limb.motor_noise_std > 0 else np.zeros(n))
 
+    # The loop runs on Python floats, with quantize_angle, spring_torque and
+    # the RK4 derivative written out in place; every operation keeps the
+    # order of those definitions, so the series are bit for bit theirs.
+    # (RK4 of this linear ODE as one affine map x' = M x + N u would be
+    # faster but rounds differently, and the logged digests and rejected
+    # velocities would change in their last bits.)
     theta = 0.0  # deg
     omega = 0.0  # deg/s
-    angle = np.empty(n)
-    q_angle = np.empty(n)
-    tau_dev = np.empty(n)   # mNm
-    tau_mus = np.empty(n)   # mNm
+    angle: list[float] = []
+    q_angle: list[float] = []
+    tau_dev: list[float] = []   # mNm
+    tau_mus: list[float] = []   # mNm
     led: list[float] = []
-    big_t = plan.beat_duration
-    stroke_seen = [False, False]
+    big_t, amplitude, led_window = plan.beat_duration, plan.amplitude, plan.led_window
+    out_seen = back_seen = False
     path_length = 0.0
-    limit = 10.0 * plan.amplitude
+    limit = 10.0 * amplitude
+    last = n - 1
 
-    for i in range(n):
-        theta_q = quantize_angle(theta, device)
-        t_dev = spring_torque(spring, theta_q, device)  # mNm
-        t_mus = (tau_ff[i]
-                 + kp * (ref.angle[i] - theta) * _DEG
-                 + kd * (ref.velocity[i] - omega) * _DEG
-                 + noise[i])  # Nm
+    for i, (t, ff, a_ref, v_ref, w) in enumerate(zip(
+            ref.time.tolist(), tau_ff.tolist(), ref.angle.tolist(),
+            ref.velocity.tolist(), noise.tolist())):
+        theta_q = floor(theta / resolution) * resolution
+        t_dev = neg_k * theta_q  # mNm, saturated at the device limit
+        if t_dev < torque_min:
+            t_dev = torque_min
+        elif t_dev > torque_max:
+            t_dev = torque_max
+        t_mus = ff + kp * (a_ref - theta) * deg + kd * (v_ref - omega) * deg + w  # Nm
 
-        angle[i] = theta
-        q_angle[i] = theta_q
-        tau_dev[i] = t_dev
-        tau_mus[i] = t_mus / _MNM
+        angle.append(theta)
+        q_angle.append(theta_q)
+        tau_dev.append(t_dev)
+        tau_mus.append(t_mus / mnm)
 
-        stroke = 0 if ref.time[i] <= big_t else 1
-        target = plan.amplitude if stroke == 0 else 0.0
-        if not stroke_seen[stroke] and abs(theta - target) < plan.led_window:
-            stroke_seen[stroke] = True
-            led.append(float(ref.time[i]))
+        if t <= big_t:  # out stroke, towards the pronation target
+            if not out_seen and abs(theta - amplitude) < led_window:
+                out_seen = True
+                led.append(t)
+        elif not back_seen and abs(theta) < led_window:
+            back_seen = True
+            led.append(t)
 
         if abs(theta) > limit:
             raise UnstableIntegrationError(
-                f"angle {theta:.1f} deg exceeds 10x amplitude at t={ref.time[i]:.3f}s"
+                f"angle {theta:.1f} deg exceeds 10x amplitude at t={t:.3f}s"
             )
-        if i == n - 1:
+        if i == last:
             break
 
-        # constant inputs over the step (zero-order hold)
-        tau_const = t_mus + t_dev * _MNM  # Nm
-
-        def deriv(th, om):
-            return om, (tau_const - damping * om * _DEG) / inertia / _DEG
-
-        d1t, d1o = deriv(theta, omega)
-        d2t, d2o = deriv(theta + 0.5 * dt * d1t, omega + 0.5 * dt * d1o)
-        d3t, d3o = deriv(theta + 0.5 * dt * d2t, omega + 0.5 * dt * d2o)
-        d4t, d4o = deriv(theta + dt * d3t, omega + dt * d3o)
-        new_theta = theta + dt / 6.0 * (d1t + 2 * d2t + 2 * d3t + d4t)
-        omega = omega + dt / 6.0 * (d1o + 2 * d2o + 2 * d3o + d4o)
+        # constant inputs over the step (zero-order hold); d(theta)/dt is
+        # omega, d(omega)/dt is (tau - damping * omega) / inertia
+        tau_const = t_mus + t_dev * mnm  # Nm
+        d1o = (tau_const - damping * omega * deg) / inertia / deg
+        d2t = omega + half_dt * d1o
+        d2o = (tau_const - damping * d2t * deg) / inertia / deg
+        d3t = omega + half_dt * d2o
+        d3o = (tau_const - damping * d3t * deg) / inertia / deg
+        d4t = omega + dt * d3o
+        d4o = (tau_const - damping * d4t * deg) / inertia / deg
+        new_theta = theta + sixth_dt * (omega + 2 * d2t + 2 * d3t + d4t)
+        omega = omega + sixth_dt * (d1o + 2 * d2o + 2 * d3o + d4o)
         path_length += abs(new_theta - theta)
         theta = new_theta
 
-    activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
+    tau_mus_arr = np.array(tau_mus)
+    activation = np.clip(np.abs(tau_mus_arr) / limb.muscle_torque_max, 0.0, 1.0)
     duration = ref.time[-1]
     return TrialRecording(
         time=ref.time,
-        angle=angle,
-        quantized_angle=q_angle,
-        commanded_torque=tau_dev,
-        muscle_torque=tau_mus,
+        angle=np.array(angle),
+        quantized_angle=np.array(q_angle),
+        commanded_torque=np.array(tau_dev),
+        muscle_torque=tau_mus_arr,
         activation=activation,
         led_events=tuple(led),
         achieved_mean_velocity=path_length / duration,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ from .plant import (
     simulate_exploration,
 )
 from .staircase import (
+    InvalidConfigError,
     StaircaseConfig,
     StaircaseState,
     ThresholdEstimate,
@@ -168,13 +170,22 @@ def _option(section: dict, key: str, name: str | None = None):
     return type(default)(section.get(key, default))
 
 
+def _seed(value) -> int:
+    """A seed is a nonnegative integer; 1.9 or -1 is an error, not 1 or a
+    NumPy failure at run time.  Integral floats such as 3.0 are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer() or value < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(raw: dict) -> SessionConfig:
     """Parse and validate a session config document; unknown keys rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
     try:
-        seed = int(raw["seed"])
+        seed = _seed(raw["seed"])
         reference = float(raw["reference_stiffness"])
         velocities_raw = raw["velocities"]
         observer = dict(raw["observer"])
@@ -200,10 +211,25 @@ def config_from_dict(raw: dict) -> SessionConfig:
     for entry in velocities_raw:
         entry = dict(entry)
         _reject_unknown(entry, _VELOCITY_KEYS, "velocities")
+        if "bpm" not in entry:
+            raise ConfigError("missing required key in velocities: 'bpm'")
         bpm = float(entry["bpm"])
+        if not 0.0 < bpm < math.inf:
+            raise ConfigError(f"velocities: bpm must be positive and finite, got {bpm}")
         deg_s = float(entry.get("deg_s", amplitude * bpm / 60.0))
         velocities.append(VelocityCondition(bpm=bpm, deg_s=deg_s))
 
+    # a scaling key is looked up by exact velocity: one naming no configured
+    # velocity would silently leave that velocity unscaled
+    configured = {v.deg_s for v in velocities}
+    for key in observer.get("velocity_scaling", {}):
+        try:
+            matched = float(key) in configured
+        except ValueError:
+            matched = False
+        if not matched:
+            raise ConfigError(f"observer.velocity_scaling key {key!r} matches no "
+                              f"configured deg_s {sorted(configured)}")
     observer_from_config(observer)  # validate now, construct again at run time
     return SessionConfig(
         seed=seed,
@@ -349,6 +375,40 @@ class _Recorder:
         self.fold = _apply(self.fold, event)
 
 
+class _Exploration(NamedTuple):
+    """What a session reads of one simulated exploration."""
+
+    accepted: bool  # passed the achieved-velocity check
+    digest: str     # the recording's digest when accepted, else ""
+    achieved_mean_velocity: float
+    led_events: int
+
+
+def _explore(spring: SpringParam, plan: TrajectoryPlan, config: SessionConfig,
+             rng: np.random.Generator, memo: dict) -> _Exploration:
+    """Simulate one exploration, or recall it from ``memo``.
+
+    Without motor noise the plant draws no random numbers, so an exploration
+    is a pure function of its frozen inputs: ``memo`` maps (spring, plan,
+    limb, device, velocity tolerance) to its outcome, and each is simulated
+    once per memo.  Noisy explorations are always simulated, never stored.
+    """
+    key = None
+    if config.limb.motor_noise_std == 0:
+        key = (spring, plan, config.limb, config.device, config.velocity_tolerance)
+        known = memo.get(key)
+        if known is not None:
+            return known
+    recording = simulate_exploration(spring, plan, config.limb, config.device, rng)
+    accepted = achieved_velocity_ok(recording, plan, config.velocity_tolerance)
+    outcome = _Exploration(accepted, recording.digest() if accepted else "",
+                           float(recording.achieved_mean_velocity),
+                           len(recording.led_events))
+    if key is not None:
+        memo[key] = outcome
+    return outcome
+
+
 def _run_intervals(
     springs: tuple[float, float],
     config: SessionConfig,
@@ -356,6 +416,7 @@ def _run_intervals(
     rec: _Recorder,
     rng: np.random.Generator,
     trial_index: int,
+    memo: dict,
 ) -> list[str]:
     """Simulate both intervals, repeating rejected explorations.
 
@@ -376,18 +437,17 @@ def _run_intervals(
             digests.append("ideal")
             continue
         for attempt in range(1, config.repeat_cap + 1):
-            recording = simulate_exploration(
-                SpringParam(k=k), plan, config.limb, config.device, rng)
+            outcome = _explore(SpringParam(k=k), plan, config, rng, memo)
             rec.clock += exploration_time
-            if achieved_velocity_ok(recording, plan, config.velocity_tolerance):
-                digests.append(recording.digest())
+            if outcome.accepted:
+                digests.append(outcome.digest)
                 break
             rec.emit("ExplorationRejected", {
                 "trial": trial_index,
                 "interval": interval,
                 "attempt": attempt,
-                "achieved_mean_velocity": float(recording.achieved_mean_velocity),
-                "led_events": len(recording.led_events),
+                "achieved_mean_velocity": outcome.achieved_mean_velocity,
+                "led_events": outcome.led_events,
             })
         else:
             raise RepeatLimitError(
@@ -403,6 +463,7 @@ def _run_staircase_run(
     observer,
     rec: _Recorder,
     rng: np.random.Generator,
+    memo: dict,
 ) -> None:
     rec.emit("RunStarted", {
         "velocity_deg_s": condition.deg_s,
@@ -425,7 +486,7 @@ def _run_staircase_run(
             "k_second": springs[1],
         })
         digests = _run_intervals(springs, config, condition, rec, rng,
-                                 state.trial_index)
+                                 state.trial_index, memo)
         response = observer.respond(springs[0], springs[1], condition.deg_s, rng).value
         rec.clock += RESPONSE_DURATION_S
         rec.emit("Responded", {
@@ -467,8 +528,15 @@ def _run_summary(run: RunResult) -> dict:
     }
 
 
-def run_session(config: SessionConfig) -> SessionRun:
-    """Execute the full protocol and return results plus the event log."""
+def run_session(config: SessionConfig,
+                memo: dict | None = None) -> SessionRun:
+    """Execute the full protocol and return results plus the event log.
+
+    ``memo`` holds the noise-free explorations simulated so far; sessions
+    given the same dict share them.  Without one the session gets its own.
+    """
+    if memo is None:
+        memo = {}
     rng = np.random.default_rng(config.seed)
     observer = observer_from_config(config.observer)
     rec = _Recorder()
@@ -477,7 +545,8 @@ def run_session(config: SessionConfig) -> SessionRun:
     for position, index in enumerate(order):
         rec.emit("Metadata", {"note": "training", "duration_s": TRAINING_DURATION_S})
         rec.clock += TRAINING_DURATION_S
-        _run_staircase_run(config, config.velocities[index], observer, rec, rng)
+        _run_staircase_run(config, config.velocities[index], observer, rec, rng,
+                           memo)
         if position < len(order) - 1:
             rec.emit("Metadata", {"note": "break", "duration_s": BREAK_DURATION_S})
             rec.clock += BREAK_DURATION_S
@@ -498,13 +567,32 @@ def serialize_log(events: list[Event]) -> str:
 
 
 def parse_log(text: str) -> list[Event]:
+    """The log's events, one per nonblank line.
+
+    A line that is not JSON, or not an object with exactly an integer
+    ``seq``, a string ``kind``, a numeric ``t_wall`` and an object
+    ``payload``, raises CorruptLogError naming its line (and its seq when
+    that is readable).
+    """
     events = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        events.append(Event(seq=d["seq"], kind=d["kind"],
-                            t_wall=d["t_wall"], payload=d["payload"]))
+        try:
+            d = json.loads(line)
+            event = Event(d["seq"], d["kind"], d["t_wall"], d["payload"])
+        except json.JSONDecodeError as exc:
+            raise CorruptLogError(f"line {number} is not JSON: {exc.msg}") from None
+        except (KeyError, TypeError):  # not an object, or a key missing
+            event = None
+        if event is None or len(d) != 4 or type(event.seq) is not int \
+                or type(event.kind) is not str or type(event.payload) is not dict \
+                or type(event.t_wall) not in (int, float):
+            seq = event.seq if event is not None and type(event.seq) is int else None
+            raise CorruptLogError(f"line {number} is not an event with an integer "
+                                  "seq, a string kind, a numeric t_wall and an "
+                                  "object payload", seq)
+        events.append(event)
     return events
 
 
@@ -549,11 +637,12 @@ def replay(log_text: str) -> SessionResult:
     amended: dict[int, dict] = {}  # seq -> payload after its amendments
     for event in events:
         if event.kind == "Amendment":
-            target = event.payload.get("target_seq")
-            if target not in range(len(events)):
+            target, update = event.payload.get("target_seq"), event.payload.get("update")
+            if type(target) is not int or not 0 <= target < len(events):
                 raise CorruptLogError("amendment targets missing event", event.seq)
-            amended.setdefault(int(target), dict(events[target].payload)) \
-                .update(event.payload["update"])
+            if type(update) is not dict:
+                raise CorruptLogError("amendment update is not an object", event.seq)
+            amended.setdefault(target, dict(events[target].payload)).update(update)
 
     if events[0].kind != "SessionStarted":
         raise CorruptLogError("log does not start with SessionStarted", 0)
@@ -565,18 +654,25 @@ def replay(log_text: str) -> SessionResult:
     for event in events:
         if event.seq in amended:
             event = event._replace(payload=amended[event.seq])
-        fold = _apply(fold, event)
-        if amended:
-            continue
-        payload = event.payload
-        if event.kind == "Responded" and \
-                payload["correct"] != _is_correct(payload["response"], payload["catch"]):
-            raise CorruptLogError("logged correctness disagrees with the response",
-                                  event.seq)
-        if event.kind == "RunTerminated" and \
-                fold.runs[-1].threshold.percent_of_reference != payload["threshold_pct"]:
-            raise CorruptLogError("recomputed threshold disagrees with log",
-                                  event.seq)
+        try:
+            fold = _apply(fold, event)
+            if amended:
+                continue
+            payload = event.payload
+            if event.kind == "Responded" and \
+                    payload["correct"] != _is_correct(payload["response"], payload["catch"]):
+                raise CorruptLogError("logged correctness disagrees with the response",
+                                      event.seq)
+            if event.kind == "RunTerminated" and \
+                    fold.runs[-1].threshold.percent_of_reference != payload["threshold_pct"]:
+                raise CorruptLogError("recomputed threshold disagrees with log",
+                                      event.seq)
+        except KeyError as exc:
+            raise CorruptLogError(f"{event.kind} payload lacks {exc.args[0]!r}",
+                                  event.seq) from None
+        except (TypeError, InvalidConfigError) as exc:
+            raise CorruptLogError(f"malformed {event.kind} payload: {exc}",
+                                  event.seq) from None
     return _session_result(fold, log_text)
 
 

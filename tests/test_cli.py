@@ -75,6 +75,47 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda r: r["velocities"][0].update(bpm=0), "bpm"),
+        (lambda r: r["velocities"][1].update(bpm=-75), "bpm"),
+        (lambda r: r["velocities"][0].pop("bpm"), "bpm"),
+        (lambda r: r.update(seed=1.9), "seed"),
+        (lambda r: r.update(seed=-1), "seed"),
+        (lambda r: r["observer"]["velocity_scaling"].update({"112": 0.9}),
+         "velocity_scaling"),
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
+        raw = default_config_dict(plant_mode="ideal")
+        mutate(raw)
+        path = write_config(tmp_path, raw)
+        assert main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert match in capsys.readouterr().err
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, config_path, capsys):
+        assert main(["simulate", "--config", config_path, "--seed", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_worker_processes_write_the_serial_bytes(self, tmp_path, monkeypatch):
+        raw = default_config_dict(seed=4, plant_mode="full")
+        raw["staircase"] = {"reversal_limit": 4, "reversals_averaged": 4}
+        path = write_config(tmp_path, raw)
+        outs = {}
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("STIFFLAB_THREADS", threads)
+            outs[threads] = tmp_path / f"threads_{threads}"
+            assert main(["simulate", "--config", path, "--sessions", "3",
+                         "--out", str(outs[threads])]) == 0
+        names = sorted(p.name for p in outs[None].iterdir())
+        assert names == sorted(p.name for p in outs["2"].iterdir())
+        assert len(names) == 4  # three logs and summary.csv
+        for name in names:
+            assert (outs[None] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
 
 class TestValidateConvergence:
     def test_passes_at_default_parameters(self, capsys):
@@ -182,6 +223,28 @@ class TestReplayCommand:
         log = next(out.glob("session_*.jsonl"))
         assert main(["replay", "--log", str(log)]) == 0
         assert "threshold" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["truncated-line",
+                                        "responded-without-correct",
+                                        "list-payload"])
+    def test_malformed_log_exits_2(self, tmp_path, config_path, capsys, damage):
+        out = tmp_path / "out"
+        main(["simulate", "--config", config_path, "--out", str(out)])
+        log = next(out.glob("session_*.jsonl"))
+        lines = log.read_text().splitlines()
+        events = [json.loads(line) for line in lines]
+        if damage == "truncated-line":
+            lines[5] = lines[5][:30]
+        elif damage == "responded-without-correct":
+            i = next(i for i, e in enumerate(events) if e["kind"] == "Responded")
+            del events[i]["payload"]["correct"]
+            lines[i] = json.dumps(events[i], sort_keys=True)
+        else:
+            events[2]["payload"] = ["not", "an", "object"]
+            lines[2] = json.dumps(events[2], sort_keys=True)
+        log.write_text("\n".join(lines) + "\n")
+        assert main(["replay", "--log", str(log)]) == 2
+        assert "corrupt log" in capsys.readouterr().err
 
     def test_corrupt_log(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

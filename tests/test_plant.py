@@ -8,6 +8,7 @@ from stifflab.plant import (
     LimbConfig,
     SpringParam,
     TrajectoryPlan,
+    TrialRecording,
     UnstableIntegrationError,
     achieved_velocity_ok,
     min_jerk_trajectory,
@@ -225,6 +226,94 @@ class TestSimulation:
                           "muscle_torque,activation")
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert data.shape == (len(rec.time), 6)
+
+
+def _reference_exploration(spring, plan, limb, device, rng):
+    """simulate_exploration as first written: NumPy scalar indexing, the
+    quantize_angle/spring_torque helpers and a per-step derivative closure.
+    The kernel must reproduce it bit for bit."""
+    ref = min_jerk_trajectory(plan)
+    n = len(ref.time)
+    dt = 1.0 / plan.sample_rate
+    deg, mnm = np.pi / 180.0, 1e-3
+    inertia, damping = limb.inertia, limb.damping
+    kp, kd = limb.tracking_stiffness_gain, limb.tracking_damping_gain
+    k_si = spring.k * mnm / deg
+    tau_ff = (inertia * ref.acceleration * deg + damping * ref.velocity * deg
+              + k_si * ref.angle * deg)
+    noise = (rng.normal(0.0, limb.motor_noise_std, size=n)
+             if limb.motor_noise_std > 0 else np.zeros(n))
+    theta = omega = path_length = 0.0
+    angle, q_angle, tau_dev, tau_mus = (np.empty(n) for _ in range(4))
+    led, stroke_seen = [], [False, False]
+    for i in range(n):
+        theta_q = quantize_angle(theta, device)
+        t_dev = spring_torque(spring, theta_q, device)
+        t_mus = (tau_ff[i] + kp * (ref.angle[i] - theta) * deg
+                 + kd * (ref.velocity[i] - omega) * deg + noise[i])
+        angle[i], q_angle[i], tau_dev[i], tau_mus[i] = theta, theta_q, t_dev, t_mus / mnm
+        stroke = 0 if ref.time[i] <= plan.beat_duration else 1
+        target = plan.amplitude if stroke == 0 else 0.0
+        if not stroke_seen[stroke] and abs(theta - target) < plan.led_window:
+            stroke_seen[stroke] = True
+            led.append(float(ref.time[i]))
+        if abs(theta) > 10.0 * plan.amplitude:
+            raise UnstableIntegrationError(
+                f"angle {theta:.1f} deg exceeds 10x amplitude at t={ref.time[i]:.3f}s")
+        if i == n - 1:
+            break
+        tau_const = t_mus + t_dev * mnm
+
+        def deriv(th, om):
+            return om, (tau_const - damping * om * deg) / inertia / deg
+
+        d1t, d1o = deriv(theta, omega)
+        d2t, d2o = deriv(theta + 0.5 * dt * d1t, omega + 0.5 * dt * d1o)
+        d3t, d3o = deriv(theta + 0.5 * dt * d2t, omega + 0.5 * dt * d2o)
+        d4t, d4o = deriv(theta + dt * d3t, omega + dt * d3o)
+        new_theta = theta + dt / 6.0 * (d1t + 2 * d2t + 2 * d3t + d4t)
+        omega = omega + dt / 6.0 * (d1o + 2 * d2o + 2 * d3o + d4o)
+        path_length += abs(new_theta - theta)
+        theta = new_theta
+    return TrialRecording(
+        time=ref.time, angle=angle, quantized_angle=q_angle,
+        commanded_torque=tau_dev, muscle_torque=tau_mus,
+        activation=np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0),
+        led_events=tuple(led), achieved_mean_velocity=path_length / ref.time[-1])
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("bpm", [45.0, 75.0])
+    @pytest.mark.parametrize("k", [0.0, 1.11, 2.22, 30.0])
+    def test_bit_identical(self, k, bpm, noise):
+        args = (SpringParam(k=k), plan_for_bpm(bpm),
+                LimbConfig(motor_noise_std=noise), DeviceConfig())
+        fast = simulate_exploration(*args, np.random.default_rng(3))
+        slow = _reference_exploration(*args, np.random.default_rng(3))
+        assert fast.digest() == slow.digest()
+        assert fast.led_events == slow.led_events
+        assert fast.achieved_mean_velocity == slow.achieved_mean_velocity
+
+    def test_bit_identical_when_saturated_and_coarse(self):
+        # a 2 mNm limit saturates the spring on most of the stroke and a
+        # 7-count encoder makes every quantization step visible
+        args = (SpringParam(k=1.41), plan_for_bpm(60.0), LimbConfig(),
+                DeviceConfig(encoder_counts_per_rev=7, torque_limit=2.0))
+        fast = simulate_exploration(*args, np.random.default_rng(0))
+        slow = _reference_exploration(*args, np.random.default_rng(0))
+        assert np.any(np.abs(fast.commanded_torque) == 2.0)
+        assert fast.digest() == slow.digest()
+
+    def test_same_instability_diagnosis(self):
+        args = (SpringParam(k=1.11), plan_for_bpm(45.0),
+                LimbConfig(tracking_stiffness_gain=1e7, tracking_damping_gain=0.0),
+                DeviceConfig())
+        with pytest.raises(UnstableIntegrationError) as fast:
+            simulate_exploration(*args, np.random.default_rng(0))
+        with pytest.raises(UnstableIntegrationError) as slow:
+            _reference_exploration(*args, np.random.default_rng(0))
+        assert str(fast.value) == str(slow.value)
 
 
 class TestVelocityCheck:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stifflab.observer import alpha_for_target
+from stifflab.plant import simulate_exploration
 from stifflab.session import (
     ConfigError,
     CorruptLogError,
@@ -26,6 +27,18 @@ def ideal_config(seed=0, **overrides):
     raw = default_config_dict(seed=seed, plant_mode="ideal")
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+def full_config(seed=0, **overrides):
+    raw = default_config_dict(seed=seed, plant_mode="full")
+    raw.update(overrides)
+    return config_from_dict(raw)
+
+
+def noisy_config(seed=0, **overrides):
+    """Motor noise 0.3 Nm and 10% catch trials, as in the noisy benchmark."""
+    return full_config(seed, limb={"motor_noise_std": 0.3}, catch_trial_rate=0.1,
+                       **overrides)
 
 
 class TestConfig:
@@ -52,6 +65,33 @@ class TestConfig:
         del raw["observer"]
         with pytest.raises(ConfigError, match="observer"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("bpm", [0, -45, float("inf")])
+    def test_nonpositive_bpm_rejected(self, bpm):
+        raw = default_config_dict()
+        raw["velocities"][0]["bpm"] = bpm
+        with pytest.raises(ConfigError, match="bpm"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("seed", [1.9, -1, "3", True])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict(default_config_dict(seed=seed))
+
+    def test_integral_float_seed_accepted(self):
+        assert config_from_dict(default_config_dict(seed=3.0)).seed == 3
+
+    @pytest.mark.parametrize("key", ["112", "112.50001", "fast"])
+    def test_velocity_scaling_key_must_name_a_velocity(self, key):
+        raw = default_config_dict()
+        raw["observer"]["velocity_scaling"] = {"67.5": 1.0, key: 0.847}
+        with pytest.raises(ConfigError, match="velocity_scaling"):
+            config_from_dict(raw)
+
+    def test_velocity_scaling_key_may_be_written_as_any_equal_number(self):
+        raw = default_config_dict()
+        raw["observer"]["velocity_scaling"] = {"67.50": 1.0, "1.125e2": 0.847}
+        config_from_dict(raw)
 
     def test_staircase_defaults(self):
         config = ideal_config()
@@ -286,6 +326,60 @@ class TestReplay:
         with pytest.raises(CorruptLogError):
             replay("")
 
+    def test_line_cut_mid_json_rejected_with_its_line(self):
+        lines = run_session(ideal_config(seed=19)).log_text.splitlines()
+        lines[7] = lines[7][:25]
+        with pytest.raises(CorruptLogError, match="line 8 is not JSON"):
+            replay("\n".join(lines) + "\n")
+
+    def test_responded_without_correct_rejected_with_its_seq(self):
+        events = [json.loads(line) for line in
+                  run_session(ideal_config(seed=20)).log_text.splitlines()]
+        target = next(e for e in events if e["kind"] == "Responded")
+        del target["payload"]["correct"]
+        text = "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
+        with pytest.raises(CorruptLogError, match="correct") as err:
+            replay(text)
+        assert err.value.seq == target["seq"]
+
+    @pytest.mark.parametrize("payload", [[], "x", None, 3])
+    def test_non_object_payload_rejected_with_its_seq(self, payload):
+        events = [json.loads(line) for line in
+                  run_session(ideal_config(seed=21)).log_text.splitlines()]
+        events[4]["payload"] = payload
+        text = "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
+        with pytest.raises(CorruptLogError, match="object payload") as err:
+            replay(text)
+        assert err.value.seq == 4
+
+    @pytest.mark.parametrize("line", ['[1, 2]', '{"seq": 0, "kind": "x"}',
+                                      '{"seq": "0", "kind": "SessionStarted", '
+                                      '"t_wall": 0.0, "payload": {}}'])
+    def test_line_that_is_no_event_rejected(self, line):
+        with pytest.raises(CorruptLogError, match="line 1"):
+            replay(line + "\n")
+
+    def test_missing_run_staircase_rejected(self):
+        events = [json.loads(line) for line in
+                  run_session(ideal_config(seed=22)).log_text.splitlines()]
+        target = next(e for e in events if e["kind"] == "RunStarted")
+        target["payload"]["staircase"] = {"up_step": 1.0}
+        text = "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
+        with pytest.raises(CorruptLogError, match="malformed RunStarted"):
+            replay(text)
+
+    @pytest.mark.parametrize("update", [{"target_seq": 1.0, "update": {}},
+                                        {"target_seq": 1, "update": ["x"]},
+                                        {"target_seq": 1}])
+    def test_malformed_amendment_rejected(self, update):
+        text = run_session(ideal_config(seed=23)).log_text
+        n = len(text.splitlines())
+        line = json.dumps({"seq": n, "kind": "Amendment", "t_wall": 0.0,
+                           "payload": update}, sort_keys=True)
+        with pytest.raises(CorruptLogError, match="amendment") as err:
+            replay(text + line + "\n")
+        assert err.value.seq == n
+
 
 class TestSummary:
     def test_rows_match_runs(self):
@@ -310,6 +404,11 @@ PINNED_IDEAL = {
 }
 PINNED_FULL_SEED0_BLANKED = \
     "61c0451688c581b13ed953799550cc2ca9a7dd988b32a9a8a091330688df339d"
+# full logs with their recording digests: the plant's float arrays bit for bit
+PINNED_FULL_SEED0 = \
+    "fb313daf2085e638f9d0d0121b72f8960091e54fd673005f67a4f5f6e8a41bed"
+PINNED_NOISY_SEED0 = \
+    "44533cebc27ff09000a935e158cc3acd64356069b0f0eb184bd755851d81de5f"
 
 
 def _sha256(text):
@@ -338,3 +437,47 @@ class TestOneSourceOfTruth:
                 event["payload"]["recording_digests"] = ["" for _ in digests]
             lines.append(json.dumps(event, sort_keys=True))
         assert _sha256("\n".join(lines) + "\n") == PINNED_FULL_SEED0_BLANKED
+
+    def test_full_log_pinned(self):
+        assert _sha256(run_session(full_config(seed=0)).log_text) == \
+            PINNED_FULL_SEED0
+
+    def test_noisy_log_pinned(self):
+        assert _sha256(run_session(noisy_config(seed=0)).log_text) == \
+            PINNED_NOISY_SEED0
+
+
+def _explorations(log_text):
+    """Explorations behind a full-plant log: two per trial plus rejections."""
+    events = parse_log(log_text)
+    return sum(2 if e.kind == "Responded" else 1 for e in events
+               if e.kind in ("Responded", "ExplorationRejected"))
+
+
+class TestExplorationMemo:
+    SHORT = {"staircase": {"reversal_limit": 4, "reversals_averaged": 4}}
+
+    def test_shared_memo_writes_the_logs_of_separate_sessions(self):
+        memo = {}
+        shared = [run_session(full_config(seed=s), memo).log_text for s in range(3)]
+        separate = [run_session(full_config(seed=s)).log_text for s in range(3)]
+        assert shared == separate
+        # noise-free explorations repeat (k, bpm) within and across sessions
+        assert 0 < len(memo) < sum(_explorations(t) for t in shared) / 2
+
+    def test_noisy_config_never_hits_the_memo(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: calls.append(a[0]) or simulate_exploration(*a))
+        memo = {}
+        run = run_session(noisy_config(seed=1, **self.SHORT), memo)
+        assert memo == {}
+        assert len(calls) == _explorations(run.log_text)
+        assert any(e.kind == "ExplorationRejected" for e in parse_log(run.log_text))
+
+    def test_noise_free_session_simulates_each_exploration_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: calls.append(a[:4]) or simulate_exploration(*a))
+        run_session(full_config(seed=1, **self.SHORT))
+        assert calls and len(calls) == len(set(calls))
