@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -70,7 +71,17 @@ def _session_worker(args: tuple[dict, list[int]]) -> list[tuple[str, list[dict]]
     return outputs
 
 
+def _worker_count() -> int:
+    threads = os.environ.get("STIFFLAB_THREADS", "0")
+    try:
+        return int(threads)
+    except ValueError:
+        raise ConfigError(
+            f"STIFFLAB_THREADS must be an integer, got {threads!r}") from None
+
+
 def cmd_simulate(args) -> int:
+    workers = _worker_count()
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -80,7 +91,6 @@ def cmd_simulate(args) -> int:
     _check_overwrite([*paths, summary_path], args.force)
 
     raw = config_to_dict(config)
-    workers = int(os.environ.get("STIFFLAB_THREADS", "0"))
     if workers > 1 and len(seeds) > 1:
         size = -(-len(seeds) // workers)  # one contiguous chunk per worker
         chunks = [(raw, seeds[i:i + size]) for i in range(0, len(seeds), size)]
@@ -173,8 +183,12 @@ def cmd_trace(args) -> int:
 
 
 def cmd_emg_demo(args) -> int:
-    if args.duration <= 0:
-        print("error: --duration must be positive", file=sys.stderr)
+    emg_rate = 2000.0
+    # nan and inf have no sample count; a duration under half a sample has none
+    n = round(args.duration * emg_rate) if math.isfinite(args.duration) else 0
+    if n < 1:
+        print(f"error: --duration must be finite and round to at least one "
+              f"{emg_rate:g} Hz sample, got {args.duration}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,8 +203,6 @@ def cmd_emg_demo(args) -> int:
         plant.SpringParam(k=1.11), plan, plant.LimbConfig(),
         plant.DeviceConfig(), rng)
 
-    emg_rate = 2000.0
-    n = int(round(args.duration * emg_rate))
     t = np.arange(n) / emg_rate
     cycle = recording.time[-1]
     activation = np.interp(t % cycle, recording.time, recording.activation)

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+_CHUNK = 8192  # samples per Python-float pass of the section recurrence
+
 
 class EmptySignalError(ValueError):
     pass
@@ -150,17 +152,26 @@ def frequency_response(spec: FilterSpec, freqs: np.ndarray) -> np.ndarray:
 
 
 def _sos_forward(samples: np.ndarray, spec: FilterSpec) -> np.ndarray:
+    """Causal DF2T section cascade, each section in place over one copy.
+
+    The recurrence runs on Python floats (the same IEEE doubles, in the same
+    operation order, as NumPy scalars) one chunk of ``_CHUNK`` samples at a
+    time, so the float lists never hold more than one chunk; ``z1``/``z2``
+    carry over from one chunk to the next.
+    """
     y = np.array(samples, dtype=np.float64, copy=True)
     for b0, b1, b2, _, a1, a2 in spec.sections:
         z1 = 0.0
         z2 = 0.0
-        out = np.empty_like(y)
-        for i, x in enumerate(y):
-            v = b0 * x + z1
-            z1 = b1 * x - a1 * v + z2
-            z2 = b2 * x - a2 * v
-            out[i] = v
-        y = out
+        for start in range(0, y.size, _CHUNK):
+            chunk = y[start:start + _CHUNK]
+            out = []
+            for x in chunk.tolist():
+                v = b0 * x + z1
+                z1 = b1 * x - a1 * v + z2
+                z2 = b2 * x - a2 * v
+                out.append(v)
+            chunk[:] = out
     return y
 
 

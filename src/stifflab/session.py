@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -179,6 +180,19 @@ def _seed(value) -> int:
     return int(value)
 
 
+@contextmanager
+def _section(where: str):
+    """Turn the validation error of a sub-object built inside the block (a
+    ValueError such as ObserverConfigError, or a TypeError from a wrongly
+    typed value) into a ConfigError naming the config section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def config_from_dict(raw: dict) -> SessionConfig:
     """Parse and validate a session config document; unknown keys rejected."""
     if not isinstance(raw, dict):
@@ -186,11 +200,16 @@ def config_from_dict(raw: dict) -> SessionConfig:
     _reject_unknown(raw, _TOP_KEYS, "config")
     try:
         seed = _seed(raw["seed"])
-        reference = float(raw["reference_stiffness"])
+        with _section("reference_stiffness"):
+            reference = float(raw["reference_stiffness"])
         velocities_raw = raw["velocities"]
-        observer = dict(raw["observer"])
+        with _section("observer"):
+            observer = dict(raw["observer"])
     except KeyError as exc:
         raise ConfigError(f"missing required key: {exc.args[0]!r}") from None
+    if not 0.0 < reference < math.inf:
+        raise ConfigError(
+            f"reference_stiffness must be positive and finite, got {reference}")
 
     stair_raw = dict(raw.get("staircase", {}))
     _reject_unknown(stair_raw, _STAIRCASE_KEYS, "staircase")
@@ -199,13 +218,16 @@ def config_from_dict(raw: dict) -> SessionConfig:
     amplitude = _option(traj_raw, "amplitude", "trajectory_amplitude")
     device_raw = dict(raw.get("device", {}))
     _reject_unknown(device_raw, _DEVICE_KEYS, "device")
-    device = DeviceConfig(**device_raw)
+    with _section("device"):
+        device = DeviceConfig(**device_raw)
     limb_raw = dict(raw.get("limb", {}))
     _reject_unknown(limb_raw, _LIMB_KEYS, "limb")
-    limb = LimbConfig(**limb_raw)
-    staircase = default_config(
-        reference, device.torque_limit, amplitude,
-        **{key: _STAIRCASE_KEYS[key](value) for key, value in stair_raw.items()})
+    with _section("limb"):
+        limb = LimbConfig(**limb_raw)
+    with _section("staircase"):
+        staircase = default_config(
+            reference, device.torque_limit, amplitude,
+            **{key: _STAIRCASE_KEYS[key](value) for key, value in stair_raw.items()})
 
     velocities = []
     for entry in velocities_raw:
@@ -217,6 +239,9 @@ def config_from_dict(raw: dict) -> SessionConfig:
         if not 0.0 < bpm < math.inf:
             raise ConfigError(f"velocities: bpm must be positive and finite, got {bpm}")
         deg_s = float(entry.get("deg_s", amplitude * bpm / 60.0))
+        # runs, summary rows and velocity_scaling are keyed by deg_s
+        if any(v.deg_s == deg_s for v in velocities):
+            raise ConfigError(f"velocities: deg_s {deg_s} appears twice")
         velocities.append(VelocityCondition(bpm=bpm, deg_s=deg_s))
 
     # a scaling key is looked up by exact velocity: one naming no configured
@@ -230,7 +255,8 @@ def config_from_dict(raw: dict) -> SessionConfig:
         if not matched:
             raise ConfigError(f"observer.velocity_scaling key {key!r} matches no "
                               f"configured deg_s {sorted(configured)}")
-    observer_from_config(observer)  # validate now, construct again at run time
+    with _section("observer"):
+        observer_from_config(observer)  # validate now, construct again at run time
     return SessionConfig(
         seed=seed,
         reference_stiffness=reference,

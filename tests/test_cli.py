@@ -83,6 +83,15 @@ class TestSimulate:
         (lambda r: r.update(seed=-1), "seed"),
         (lambda r: r["observer"]["velocity_scaling"].update({"112": 0.9}),
          "velocity_scaling"),
+        (lambda r: r["observer"].update(family="weibul"),
+         "unknown observer family: 'weibul'"),
+        (lambda r: r["observer"].update(alpha=-1), "alpha and beta must be positive"),
+        (lambda r: r.update(limb={"inertia": 0}), "inertia must be positive"),
+        (lambda r: r.update(device={"control_rate": 0}),
+         "torque_limit and control_rate must be positive"),
+        (lambda r: r.update(staircase={"up_step": -1}), "up_step must be positive"),
+        (lambda r: r["velocities"].append({"bpm": 45, "deg_s": 67.5}),
+         "deg_s 67.5 appears twice"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -90,12 +99,23 @@ class TestSimulate:
         path = write_config(tmp_path, raw)
         assert main(["simulate", "--config", path,
                      "--out", str(tmp_path / "o")]) == 2
-        assert match in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
+        assert not (tmp_path / "o").exists()
 
     def test_negative_seed_flag_exits_2(self, tmp_path, config_path, capsys):
         assert main(["simulate", "--config", config_path, "--seed", "-1",
                      "--out", str(tmp_path / "o")]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_non_integer_thread_count_exits_2(self, tmp_path, config_path,
+                                              capsys, monkeypatch):
+        monkeypatch.setenv("STIFFLAB_THREADS", "two")
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "error: STIFFLAB_THREADS must be an integer, got 'two'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_worker_processes_write_the_serial_bytes(self, tmp_path, monkeypatch):
         raw = default_config_dict(seed=4, plant_mode="full")
@@ -214,6 +234,14 @@ class TestEmgDemo:
 
     def test_bad_duration(self):
         assert main(["emg-demo", "--duration", "0"]) == 2
+
+    @pytest.mark.parametrize("duration", ["0.0001", "nan", "inf"])
+    def test_duration_without_samples_exits_2(self, tmp_path, capsys, duration):
+        # 0.0001 s rounds to zero 2 kHz samples; nan and inf have no count
+        out = tmp_path / "emg"
+        assert main(["emg-demo", "--duration", duration, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --duration")
+        assert not out.exists()
 
 
 class TestReplayCommand:

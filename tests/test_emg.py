@@ -3,6 +3,7 @@ import pytest
 from scipy import signal as sps
 
 from stifflab.emg import (
+    _CHUNK,
     BandOutOfRangeError,
     EmgSignal,
     EmptySignalError,
@@ -129,6 +130,38 @@ class TestApplyFilter:
         a = apply_filter(EmgSignal(FS, x), spec).samples
         b = apply_filter(EmgSignal(FS, x.copy()), spec).samples
         assert np.array_equal(a, b)
+
+
+def _reference_sos_forward(samples, spec):
+    """_sos_forward as first written: one sample at a time over NumPy
+    scalars.  The chunked Python-float loop must reproduce it bit for bit."""
+    y = np.array(samples, dtype=np.float64, copy=True)
+    for b0, b1, b2, _, a1, a2 in spec.sections:
+        z1 = 0.0
+        z2 = 0.0
+        out = np.empty_like(y)
+        for i, x in enumerate(y):
+            v = b0 * x + z1
+            z1 = b1 * x - a1 * v + z2
+            z2 = b2 * x - a2 * v
+            out[i] = v
+        y = out
+    return y
+
+
+class TestBitExactRecurrence:
+    @pytest.mark.parametrize("fs,fc", [(2000.0, 5.5), (48000.0, 1.0), (48.0, 23.0)])
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 120000])
+    def test_matches_reference_loop(self, fs, fc, n):
+        spec = design_butterworth_lowpass(fc, fs)
+        x = np.random.default_rng(n).standard_normal(n) + 0.3
+        # raw noise and a rectified, reversed (negative-stride) view of it
+        for samples in (x, np.abs(x)[::-1]):
+            forward = _reference_sos_forward(samples, spec)
+            both = _reference_sos_forward(forward[::-1], spec)[::-1]
+            for mode, expected in (("forward", forward), ("forward_backward", both)):
+                got = apply_filter(EmgSignal(fs, samples), spec, mode=mode).samples
+                assert got.tobytes() == expected.tobytes(), mode
 
 
 class TestStages:

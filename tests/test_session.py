@@ -78,6 +78,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict(default_config_dict(seed=seed))
 
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda r: r.update(reference_stiffness=0), "reference_stiffness"),
+        (lambda r: r.update(reference_stiffness="stiff"), "reference_stiffness"),
+        (lambda r: r.update(observer=["weibull"]), "observer"),
+        (lambda r: r["observer"].update(beta="steep"), "observer"),
+        (lambda r: r.update(limb={"damping": "low"}), "limb"),
+        (lambda r: r.update(staircase={"down_rule": "three"}), "staircase"),
+        (lambda r: r["velocities"].append({"bpm": 45}), "appears twice"),
+    ])
+    def test_sub_object_errors_are_config_errors(self, mutate, match):
+        raw = default_config_dict()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(raw)
+
     def test_integral_float_seed_accepted(self):
         assert config_from_dict(default_config_dict(seed=3.0)).seed == 3
 
