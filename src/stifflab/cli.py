@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -237,7 +238,11 @@ def cmd_replay(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused: parsing
+    leaves it unchanged, and each parse returns a fresh namespace.  It holds
+    no command function; ``main`` looks the command up when it runs."""
     parser = argparse.ArgumentParser(
         prog="stifflab",
         description="Simulated stiffness-discrimination experiments",
@@ -250,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate-convergence",
                        help="check the staircase converges to its target")
@@ -258,25 +262,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rule", type=int, default=3)
     p.add_argument("--ratio", type=float, default=0.7393)
-    p.set_defaults(func=cmd_validate_convergence)
 
     p = sub.add_parser("trace", help="per-trial staircase trace for one run")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("emg-demo", help="synthesize EMG and envelopes")
     p.add_argument("--duration", type=float, default=10.0)
     p.add_argument("--out", default="emg_out")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_emg_demo)
 
     p = sub.add_parser("replay", help="recompute results from an event log")
     p.add_argument("--log", required=True)
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
@@ -287,8 +287,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    command = {"simulate": cmd_simulate,
+               "validate-convergence": cmd_validate_convergence,
+               "trace": cmd_trace, "emg-demo": cmd_emg_demo,
+               "replay": cmd_replay}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, FileExistsError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,6 +43,7 @@ from .staircase import (
 )
 
 _JSON = json.JSONEncoder(sort_keys=True)  # one line of the event log
+_raw_decode = json.JSONDecoder().raw_decode  # a line as json.loads reads it, bar padding
 
 TRAINING_DURATION_S = 120.0
 BREAK_DURATION_S = 300.0
@@ -166,18 +167,32 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
 
 def _option(section: dict, key: str, name: str | None = None):
     """``section[key]`` read as the type of the default of SessionConfig's
-    field ``name`` (``key`` when not given), or else that default."""
+    field ``name`` (``key`` when not given), or else that default.  An int
+    field takes only an integral number."""
     default = _DEFAULTS[name or key]
-    return type(default)(section.get(key, default))
+    value = section.get(key, default)
+    return _integer(value, key) if type(default) is int else type(default)(value)
 
 
-def _seed(value) -> int:
-    """A seed is a nonnegative integer; 1.9 or -1 is an error, not 1 or a
-    NumPy failure at run time.  Integral floats such as 3.0 are accepted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer() or value < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {value!r}")
-    return int(value)
+def _integer(value, where: str) -> int:
+    """An integer field takes only integral numbers: 3.0 reads as 3, while
+    2.9 is an error rather than a silent 2 (a 2-down rule, say)."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _reject_booleans(value, where: str) -> None:
+    """No config field is true or false, and a number check would take them
+    as 1 and 0 (``limb.inertia: true`` as an inertia of 1)."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} must not be a boolean, got {value!r}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_booleans(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            _reject_booleans(item, f"{where}[{index}]")
 
 
 @contextmanager
@@ -198,8 +213,9 @@ def config_from_dict(raw: dict) -> SessionConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
+    _reject_booleans(raw, "")
     try:
-        seed = _seed(raw["seed"])
+        seed = _integer(raw["seed"], "seed")
         with _section("reference_stiffness"):
             reference = float(raw["reference_stiffness"])
         velocities_raw = raw["velocities"]
@@ -207,6 +223,8 @@ def config_from_dict(raw: dict) -> SessionConfig:
             observer = dict(raw["observer"])
     except KeyError as exc:
         raise ConfigError(f"missing required key: {exc.args[0]!r}") from None
+    if seed < 0:  # NumPy would refuse it only at run time
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     if not 0.0 < reference < math.inf:
         raise ConfigError(
             f"reference_stiffness must be positive and finite, got {reference}")
@@ -218,6 +236,9 @@ def config_from_dict(raw: dict) -> SessionConfig:
     amplitude = _option(traj_raw, "amplitude", "trajectory_amplitude")
     device_raw = dict(raw.get("device", {}))
     _reject_unknown(device_raw, _DEVICE_KEYS, "device")
+    if "encoder_counts_per_rev" in device_raw:
+        device_raw["encoder_counts_per_rev"] = _integer(
+            device_raw["encoder_counts_per_rev"], "device.encoder_counts_per_rev")
     with _section("device"):
         device = DeviceConfig(**device_raw)
     limb_raw = dict(raw.get("limb", {}))
@@ -227,7 +248,9 @@ def config_from_dict(raw: dict) -> SessionConfig:
     with _section("staircase"):
         staircase = default_config(
             reference, device.torque_limit, amplitude,
-            **{key: _STAIRCASE_KEYS[key](value) for key, value in stair_raw.items()})
+            **{key: _integer(value, f"staircase.{key}")
+               if _STAIRCASE_KEYS[key] is int else float(value)
+               for key, value in stair_raw.items()})
 
     velocities = []
     for entry in velocities_raw:
@@ -343,15 +366,16 @@ def _apply(fold: _Fold, event: Event) -> _Fold:
             raise CorruptLogError("response outside an active run", event.seq)
         if payload["catch"]:
             return fold  # catch trials never drive the staircase
-        correct = _is_correct(payload["response"], catch=False)
+        response = payload["response"]
+        correct = response == "different"  # _is_correct on a staircase trial
         before = run.state
         tail = len(before.reversals) >= 2
         state = record_response(before, correct, run.stair)
-        row = TrialRow(before.trial_index, before.level, payload["response"],
+        row = TrialRow(before.trial_index, before.level, response,
                        len(state.reversals) > len(before.reversals))
         run = _Run(run.stair, run.velocity, state, run.trial_count + 1,
-                   run.tail_correct + int(tail and correct),
-                   run.tail_total + int(tail), run.rows + (row,))
+                   run.tail_correct + (tail and correct),
+                   run.tail_total + tail, run.rows + (row,))
         if not state.terminated:
             return _Fold(run, fold.runs, fold.trials)
         result = RunResult(
@@ -499,10 +523,9 @@ def _run_staircase_run(
     while not rec.fold.run.state.terminated:
         state = rec.fold.run.state
         is_catch = config.catch_trial_rate > 0 and rng.random() < config.catch_trial_rate
-        k_ref = config.reference_stiffness
-        k_comp = k_ref if is_catch else k_ref + state.level
         reference_first = rng.random() < 0.5
-        springs = (k_ref, k_comp) if reference_first else (k_comp, k_ref)
+        springs = _springs(config.reference_stiffness, state.level, is_catch,
+                           reference_first)
         rec.emit("Presented", {
             "trial": state.trial_index,
             "level": state.level,
@@ -544,6 +567,14 @@ def _run_staircase_run(
                                "reversal_levels": list(result.reversal_levels)})
 
 
+def _springs(reference: float, level: float, catch: bool,
+             reference_first: bool) -> tuple[float, float]:
+    """(k_first, k_second) of a trial: the reference and a comparison
+    ``level`` above it (equal to it on a catch trial), in presented order."""
+    comparison = reference if catch else reference + level
+    return (reference, comparison) if reference_first else (comparison, reference)
+
+
 def _run_summary(run: RunResult) -> dict:
     return {
         "velocity_deg_s": run.velocity,
@@ -551,6 +582,15 @@ def _run_summary(run: RunResult) -> dict:
         "threshold_absolute": run.threshold.absolute,
         "threshold_pct": run.threshold.percent_of_reference,
         "proportion_correct_tail": run.proportion_correct_tail,
+    }
+
+
+def _session_summary(runs: tuple[RunResult, ...]) -> dict:
+    """The SessionEnded payload of a session whose runs gave ``runs``."""
+    return {
+        "velocity_order": [r.velocity for r in runs],
+        "runs": [{**_run_summary(r), "reversals": len(r.reversal_levels)}
+                 for r in runs],
     }
 
 
@@ -576,12 +616,7 @@ def run_session(config: SessionConfig,
         if position < len(order) - 1:
             rec.emit("Metadata", {"note": "break", "duration_s": BREAK_DURATION_S})
             rec.clock += BREAK_DURATION_S
-    runs = rec.fold.runs
-    rec.emit("SessionEnded", {
-        "velocity_order": [r.velocity for r in runs],
-        "runs": [{**_run_summary(r), "reversals": len(r.reversal_levels)}
-                 for r in runs],
-    })
+    rec.emit("SessionEnded", _session_summary(rec.fold.runs))
     log_text = serialize_log(rec.events)
     return SessionRun(result=_session_result(rec.fold, log_text),
                       log_text=log_text, trials=rec.fold.trials)
@@ -605,7 +640,12 @@ def parse_log(text: str) -> list[Event]:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
+            d, end = _raw_decode(line)
+        except json.JSONDecodeError:
+            end = None
+        try:
+            if end != len(line):  # padding, a BOM, trailing data or an error:
+                d = json.loads(line)  # read or reject it as json.loads does
             event = Event(d["seq"], d["kind"], d["t_wall"], d["payload"])
         except json.JSONDecodeError as exc:
             raise CorruptLogError(f"line {number} is not JSON: {exc.msg}") from None
@@ -648,58 +688,86 @@ def replay(log_text: str) -> SessionResult:
     """Recompute the session result from the event log alone.
 
     The log's events, after amendment resolution, are folded exactly as the
-    runner folded them while emitting.  For unamended logs the logged
-    correctness and thresholds must match the recomputed ones; a mismatch or
-    malformed sequence raises CorruptLogError with the offending sequence
-    number.
+    runner folded them while emitting.  For unamended logs, what the runner
+    logged from the fold must match the recomputed fold: each presented
+    level and spring pair, each response's correctness, each run's threshold
+    and the SessionEnded summary.  A mismatch or malformed sequence raises
+    CorruptLogError with the offending sequence number.
     """
     events = parse_log(log_text)
     if not events:
         raise CorruptLogError("empty log")
+    amendments, ended = [], False
     for i, event in enumerate(events):
         if event.seq != i:
             raise CorruptLogError("sequence gap", event.seq)
+        if event.kind == "Amendment":
+            amendments.append(event)
+        elif event.kind == "SessionEnded":
+            ended = True
 
     amended: dict[int, dict] = {}  # seq -> payload after its amendments
-    for event in events:
-        if event.kind == "Amendment":
-            target, update = event.payload.get("target_seq"), event.payload.get("update")
-            if type(target) is not int or not 0 <= target < len(events):
-                raise CorruptLogError("amendment targets missing event", event.seq)
-            if type(update) is not dict:
-                raise CorruptLogError("amendment update is not an object", event.seq)
-            amended.setdefault(target, dict(events[target].payload)).update(update)
+    for event in amendments:
+        target, update = event.payload.get("target_seq"), event.payload.get("update")
+        if type(target) is not int or not 0 <= target < len(events):
+            raise CorruptLogError("amendment targets missing event", event.seq)
+        if type(update) is not dict:
+            raise CorruptLogError("amendment update is not an object", event.seq)
+        amended.setdefault(target, dict(events[target].payload)).update(update)
 
     if events[0].kind != "SessionStarted":
         raise CorruptLogError("log does not start with SessionStarted", 0)
-    if not any(e.kind == "SessionEnded" for e in events):
+    if not ended:
         raise CorruptLogError("missing SessionEnded terminator",
                               events[-1].seq)
 
     fold = _Fold()
-    for event in events:
-        if event.seq in amended:
-            event = event._replace(payload=amended[event.seq])
-        try:
+    checked = not amended  # an amendment changes what follows it
+    event = events[0]
+    try:
+        if checked:  # springs are checked against the configured reference
+            reference = event.payload["config"]["reference_stiffness"]
+        for event in events:
+            if event.seq in amended:
+                event = event._replace(payload=amended[event.seq])
             fold = _apply(fold, event)
-            if amended:
-                continue
-            payload = event.payload
-            if event.kind == "Responded" and \
-                    payload["correct"] != _is_correct(payload["response"], payload["catch"]):
-                raise CorruptLogError("logged correctness disagrees with the response",
-                                      event.seq)
-            if event.kind == "RunTerminated" and \
-                    fold.runs[-1].threshold.percent_of_reference != payload["threshold_pct"]:
-                raise CorruptLogError("recomputed threshold disagrees with log",
-                                      event.seq)
-        except KeyError as exc:
-            raise CorruptLogError(f"{event.kind} payload lacks {exc.args[0]!r}",
-                                  event.seq) from None
-        except (TypeError, InvalidConfigError) as exc:
-            raise CorruptLogError(f"malformed {event.kind} payload: {exc}",
-                                  event.seq) from None
+            if checked:
+                _check_logged(event, fold, reference)
+    except KeyError as exc:
+        raise CorruptLogError(f"{event.kind} payload lacks {exc.args[0]!r}",
+                              event.seq) from None
+    except (TypeError, InvalidConfigError) as exc:
+        raise CorruptLogError(f"malformed {event.kind} payload: {exc}",
+                              event.seq) from None
     return _session_result(fold, log_text)
+
+
+def _check_logged(event: Event, fold: _Fold, reference: float) -> None:
+    """Raise CorruptLogError where what ``event`` logs differs from what the
+    runner would have logged from ``fold``, the fold after ``event``."""
+    kind, payload, run = event.kind, event.payload, fold.run
+    if kind == "Presented":
+        if run is None or run.state.terminated:
+            raise CorruptLogError("presentation outside an active run", event.seq)
+        level = run.state.level
+        springs = _springs(reference, level, payload["catch"],
+                           payload["reference_first"])
+        if payload["level"] != level or \
+                (payload["k_first"], payload["k_second"]) != springs:
+            raise CorruptLogError("presented level or springs disagree with the "
+                                  "recomputed staircase", event.seq)
+    elif kind == "Responded":
+        if payload["correct"] != _is_correct(payload["response"], payload["catch"]):
+            raise CorruptLogError("logged correctness disagrees with the response",
+                                  event.seq)
+    elif kind == "RunTerminated":
+        if fold.runs[-1].threshold.percent_of_reference != payload["threshold_pct"]:
+            raise CorruptLogError("recomputed threshold disagrees with log",
+                                  event.seq)
+    elif kind == "SessionEnded":
+        if payload != _session_summary(fold.runs):
+            raise CorruptLogError("SessionEnded summary disagrees with the "
+                                  "recomputed runs", event.seq)
 
 
 def sdt_rates(log_text: str) -> tuple[float, float]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stifflab.cli import main
+from stifflab.cli import build_parser, main
 from stifflab.session import (
     config_from_dict,
     default_config_dict,
@@ -92,6 +96,13 @@ class TestSimulate:
         (lambda r: r.update(staircase={"up_step": -1}), "up_step must be positive"),
         (lambda r: r["velocities"].append({"bpm": 45, "deg_s": 67.5}),
          "deg_s 67.5 appears twice"),
+        (lambda r: r.update(staircase={"down_rule": 2.9}),
+         "staircase.down_rule must be an integer, got 2.9"),
+        (lambda r: r.update(repeat_cap=2.5), "repeat_cap must be an integer"),
+        (lambda r: r.update(limb={"inertia": True}),
+         "limb.inertia must not be a boolean"),
+        (lambda r: r.update(staircase={"down_rule": True}),
+         "staircase.down_rule must not be a boolean"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -293,3 +304,55 @@ class TestUsage:
 
     def test_unknown_command(self):
         assert main(["teleport"]) == 2
+
+
+class TestParserReuse:
+    def test_one_process_matches_separate_processes(self, tmp_path, config_path,
+                                                    capsys):
+        out = tmp_path / "out"
+        log = str(out / "session_00000001.jsonl")
+        calls = [
+            ["simulate", "--config", config_path, "--out", str(out), "--force"],
+            ["simulate"],  # --config missing: a usage error
+            ["replay", "--log", log],
+            ["replay", "--log", str(tmp_path / "missing.jsonl")],
+            ["replay", "--log", log],
+        ]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("STIFFLAB_THREADS", None)
+        separate = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "stifflab.cli", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            separate.append((done.returncode, done.stdout))
+        assert [code for code, _ in in_process] == [0, 2, 0, 2, 0]
+        assert in_process == separate
+        assert in_process[2][1] and in_process[2] == in_process[4]
+
+    def test_namespaces_hold_only_their_subcommands_options(self):
+        parser = build_parser()
+        assert parser is build_parser()
+        simulate = vars(parser.parse_args(["simulate", "--config", "c.json"]))
+        replay_args = vars(parser.parse_args(["replay", "--log", "x.jsonl"]))
+        trace = vars(parser.parse_args(["trace", "--config", "c.json",
+                                        "--out", "t.csv"]))
+        assert set(replay_args) == {"command", "log"}
+        assert set(simulate) == {"command", "config", "sessions", "out", "seed",
+                                 "force"}
+        assert trace["seed"] is None and not trace["force"]
+        assert vars(parser.parse_args(["simulate", "--config", "c.json"])) == simulate
+
+    def test_commands_are_looked_up_when_main_runs(self, monkeypatch, capsys):
+        # a wrapper installed after the parser was built still runs
+        assert main(["replay", "--help"]) == 0
+        calls = []
+        monkeypatch.setattr("stifflab.cli.cmd_replay",
+                            lambda args: calls.append(args.log) or 0)
+        assert main(["replay", "--log", "x.jsonl"]) == 0
+        assert calls == ["x.jsonl"]

@@ -1,15 +1,19 @@
+import functools
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stifflab.observer import alpha_for_target
 from stifflab.plant import simulate_exploration
 from stifflab.session import (
     ConfigError,
     CorruptLogError,
+    Event,
     RepeatLimitError,
     append_amendment,
     config_from_dict,
@@ -95,6 +99,58 @@ class TestConfig:
 
     def test_integral_float_seed_accepted(self):
         assert config_from_dict(default_config_dict(seed=3.0)).seed == 3
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda r: r.update(staircase={"down_rule": 2.9}),
+         "staircase.down_rule must be an integer, got 2.9"),
+        (lambda r: r.update(staircase={"reversal_limit": 10.9}),
+         "staircase.reversal_limit"),
+        (lambda r: r.update(staircase={"reversals_averaged": "8"}),
+         "staircase.reversals_averaged"),
+        (lambda r: r.update(staircase={"down_rule": float("inf")}),
+         "staircase.down_rule"),
+        (lambda r: r.update(repeat_cap=2.5), "repeat_cap must be an integer"),
+        (lambda r: r.update(device={"encoder_counts_per_rev": 4096.5}),
+         "device.encoder_counts_per_rev"),
+    ])
+    def test_integer_fields_take_only_integral_numbers(self, mutate, match):
+        raw = default_config_dict()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(raw)
+
+    def test_integral_floats_read_as_integers(self):
+        raw = default_config_dict()
+        raw.update(staircase={"down_rule": 2.0, "reversal_limit": 12.0,
+                              "reversals_averaged": 6.0},
+                   repeat_cap=4.0, device={"encoder_counts_per_rev": 2048.0})
+        config = config_from_dict(raw)
+        read = (config.staircase.down_rule, config.staircase.reversal_limit,
+                config.staircase.reversals_averaged, config.repeat_cap,
+                config.device.encoder_counts_per_rev)
+        assert read == (2, 12, 6, 4, 2048)
+        assert all(type(value) is int for value in read)
+
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda r: r.update(limb={"inertia": True}), "limb.inertia"),
+        (lambda r: r.update(staircase={"down_rule": True}), "staircase.down_rule"),
+        (lambda r: r.update(staircase={"up_step": True}), "staircase.up_step"),
+        (lambda r: r.update(reference_stiffness=True), "reference_stiffness"),
+        (lambda r: r["velocities"][1].update(bpm=True), r"velocities\[1\].bpm"),
+        (lambda r: r.update(trajectory={"amplitude": True}),
+         "trajectory.amplitude"),
+        (lambda r: r.update(device={"torque_limit": True}), "device.torque_limit"),
+        (lambda r: r["observer"].update(alpha=True), "observer.alpha"),
+        (lambda r: r["observer"]["velocity_scaling"].update({"67.5": True}),
+         r"observer.velocity_scaling.67\.5"),
+        (lambda r: r.update(catch_trial_rate=False), "catch_trial_rate"),
+        (lambda r: r.update(repeat_cap=True), "repeat_cap"),
+    ])
+    def test_booleans_rejected_in_numeric_fields(self, mutate, match):
+        raw = default_config_dict()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=match + " must not be a boolean"):
+            config_from_dict(raw)
 
     @pytest.mark.parametrize("key", ["112", "112.50001", "fast"])
     def test_velocity_scaling_key_must_name_a_velocity(self, key):
@@ -337,6 +393,79 @@ class TestReplay:
         with pytest.raises(CorruptLogError, match="disagrees"):
             replay("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("field,edit", [
+        ("velocity_deg_s", lambda v: v + 1.0),
+        ("trials", lambda v: v + 1),
+        ("threshold_absolute", lambda v: v * 1.01),
+        ("threshold_pct", lambda v: v + 1.0),
+        ("proportion_correct_tail", lambda v: 0.5 if v != 0.5 else 0.6),
+        ("reversals", lambda v: v - 1),
+    ])
+    def test_edited_session_summary_rejected(self, field, edit):
+        events = _events(ideal_config(seed=24))
+        ended = events[-1]
+        assert ended["kind"] == "SessionEnded"
+        summary = ended["payload"]["runs"][0]
+        summary[field] = edit(summary[field])
+        with pytest.raises(CorruptLogError, match="SessionEnded") as err:
+            replay(_log(events))
+        assert err.value.seq == ended["seq"]
+
+    def test_reordered_velocity_order_rejected(self):
+        events = _events(ideal_config(seed=24))
+        events[-1]["payload"]["velocity_order"].reverse()
+        with pytest.raises(CorruptLogError, match="SessionEnded") as err:
+            replay(_log(events))
+        assert err.value.seq == events[-1]["seq"]
+
+    @pytest.mark.parametrize("field", ["k_first", "k_second", "level"])
+    def test_edited_presentation_rejected(self, field):
+        events = _events(ideal_config(seed=25))
+        presented = next(e for e in events if e["kind"] == "Presented")
+        presented["payload"][field] += 0.01
+        with pytest.raises(CorruptLogError, match="presented") as err:
+            replay(_log(events))
+        assert err.value.seq == presented["seq"]
+
+    def test_flipped_presentation_order_rejected(self):
+        events = _events(ideal_config(seed=25))
+        presented = next(e for e in events if e["kind"] == "Presented")
+        presented["payload"]["reference_first"] = \
+            not presented["payload"]["reference_first"]
+        with pytest.raises(CorruptLogError, match="presented") as err:
+            replay(_log(events))
+        assert err.value.seq == presented["seq"]
+
+    def test_catch_trial_must_present_the_reference_twice(self):
+        events = _events(ideal_config(seed=26, catch_trial_rate=0.3))
+        presented = next(e for e in events if e["kind"] == "Presented"
+                         and e["payload"]["catch"])
+        payload = presented["payload"]
+        assert payload["k_first"] == payload["k_second"]
+        payload["k_first" if payload["reference_first"] else "k_second"] += \
+            payload["level"]
+        with pytest.raises(CorruptLogError, match="presented") as err:
+            replay(_log(events))
+        assert err.value.seq == presented["seq"]
+
+    def test_springs_checked_against_the_configured_reference(self):
+        events = _events(ideal_config(seed=27))
+        events[0]["payload"]["config"]["reference_stiffness"] = 1.2
+        first = next(e for e in events if e["kind"] == "Presented")
+        with pytest.raises(CorruptLogError, match="presented") as err:
+            replay(_log(events))
+        assert err.value.seq == first["seq"]
+
+    def test_presentation_outside_a_run_rejected(self):
+        events = _events(ideal_config(seed=28))
+        presented = next(e for e in events if e["kind"] == "Presented")
+        events.insert(1, json.loads(json.dumps(presented)))
+        for seq, event in enumerate(events):
+            event["seq"] = seq
+        with pytest.raises(CorruptLogError, match="outside an active run") as err:
+            replay(_log(events))
+        assert err.value.seq == 1
+
     def test_empty_log_rejected(self):
         with pytest.raises(CorruptLogError):
             replay("")
@@ -394,6 +523,106 @@ class TestReplay:
         with pytest.raises(CorruptLogError, match="amendment") as err:
             replay(text + line + "\n")
         assert err.value.seq == n
+
+
+def _events(config):
+    return [json.loads(line) for line in run_session(config).log_text.splitlines()]
+
+
+def _log(events):
+    return "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
+
+
+def _reference_parse_log(text):
+    """The plain parser parse_log must stay equivalent to: one json.loads
+    per nonblank line, then the same event checks."""
+    events = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+            event = Event(d["seq"], d["kind"], d["t_wall"], d["payload"])
+        except json.JSONDecodeError as exc:
+            raise CorruptLogError(f"line {number} is not JSON: {exc.msg}") from None
+        except (KeyError, TypeError):
+            event = None
+        if event is None or len(d) != 4 or type(event.seq) is not int \
+                or type(event.kind) is not str or type(event.payload) is not dict \
+                or type(event.t_wall) not in (int, float):
+            seq = event.seq if event is not None and type(event.seq) is int else None
+            raise CorruptLogError(f"line {number} is not an event with an integer "
+                                  "seq, a string kind, a numeric t_wall and an "
+                                  "object payload", seq)
+        events.append(event)
+    return events
+
+
+def _parsed(parse, text):
+    """The events, or the CorruptLogError's message and seq."""
+    try:
+        return parse(text)
+    except CorruptLogError as exc:
+        return str(exc), exc.seq
+
+
+@functools.cache
+def _small_log():
+    return run_session(ideal_config(seed=30)).log_text
+
+
+SHORT_STAIRCASE = {"reversal_limit": 4, "reversals_averaged": 4}
+
+
+class TestParseEquivalence:
+    @pytest.mark.parametrize("make", [
+        lambda: run_session(ideal_config(seed=31)).log_text,
+        lambda: run_session(full_config(seed=32, staircase=SHORT_STAIRCASE)).log_text,
+        lambda: run_session(noisy_config(seed=33, staircase=SHORT_STAIRCASE)).log_text,
+        lambda: append_amendment(_small_log(), 5, {"note": "checked"}),
+    ])
+    def test_valid_logs_parse_to_the_same_events(self, make):
+        text = make()
+        events = parse_log(text)
+        assert events == _reference_parse_log(text)
+        assert all(type(e) is Event for e in events)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda line: " " + line,
+        lambda line: line + " ",
+        lambda line: "\t" + line + "\t",
+        lambda line: "\ufeff" + line,
+        lambda line: line + "\ufeff",
+        lambda line: "1, 2",
+        lambda line: line + "}",
+        lambda line: line[:-1],
+        lambda line: "NaN",
+        lambda line: line.replace('"t_wall": 0.0', '"t_wall": NaN'),
+        lambda line: "[]",
+        lambda line: '{"seq": 2, "kind": "Metadata", "t_wall": 0.0}',
+        lambda line: line + "\n\x0c\n",
+        lambda line: "\x0c" + line,
+        lambda line: "",
+    ])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_mutated_line_reads_as_json_loads_reads_it(self, mutate, index):
+        lines = _small_log().splitlines()
+        lines[index] = mutate(lines[index])
+        text = "\n".join(lines) + "\n"
+        assert _parsed(parse_log, text) == _parsed(_reference_parse_log, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(0, 6),
+           prefix=st.text(" \t\ufeff\x0c{}[],:\"0123456789.eEaNI-", max_size=4),
+           suffix=st.text(" \t\ufeff\x0c{}[],:\"0123456789.eEaNI-", max_size=4),
+           cut=st.integers(0, 3))
+    def test_any_padding_or_cut_reads_as_json_loads_reads_it(self, index, prefix,
+                                                            suffix, cut):
+        lines = _small_log().splitlines()[:7]
+        line = lines[index]
+        lines[index] = prefix + line[:len(line) - cut] + suffix
+        text = "\n".join(lines) + "\n"
+        assert _parsed(parse_log, text) == _parsed(_reference_parse_log, text)
 
 
 class TestSummary:
