@@ -1,7 +1,9 @@
 """Batch front end: simulate sessions, validate staircase convergence,
 trace a single run, and exercise the EMG pipeline.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error.
+Exit codes: 0 success, 1 validation failure, 2 usage or config error,
+including a config whose explorations cannot be met (the repeat cap is
+reached, or the plant integration is unstable).
 Every command is deterministic under --seed.  Output files are never
 overwritten without --force.
 """
@@ -27,6 +29,7 @@ from .session import (
     SUMMARY_COLUMNS,
     ConfigError,
     CorruptLogError,
+    RepeatLimitError,
     SessionConfig,
     config_from_dict,
     config_to_dict,
@@ -293,8 +296,8 @@ def main(argv=None) -> int:
                "replay": cmd_replay}[args.command]
     try:
         return command(args)
-    except (ConfigError, FileExistsError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, FileExistsError, FileNotFoundError, json.JSONDecodeError,
+            RepeatLimitError, plant.UnstableIntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

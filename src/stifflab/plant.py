@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,14 @@ class UnstableIntegrationError(RuntimeError):
     """Angle exceeded 10x amplitude; tracking gains are likely bad."""
 
 
+def _require_finite(config) -> None:
+    """Reject a NaN or infinite float field: NaN passes every range check
+    (each comparison with it is false) and infinity every positivity check."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     encoder_counts_per_rev: int = 4096  # 1024 lines x 4 quadrature
@@ -31,6 +39,7 @@ class DeviceConfig:
     control_rate: float = 1000.0        # Hz
 
     def __post_init__(self):
+        _require_finite(self)
         if self.encoder_counts_per_rev < 4:
             raise ValueError("encoder_counts_per_rev must be at least 4")
         if self.torque_limit <= 0 or self.control_rate <= 0:
@@ -54,8 +63,10 @@ class TrajectoryPlan:
     led_window: float = 2.5  # deg
 
     def __post_init__(self):
-        if self.amplitude <= 0 or self.beat_duration <= 0 or self.led_window <= 0:
-            raise ValueError("amplitude, beat_duration and led_window must be positive")
+        _require_finite(self)
+        if min(self.amplitude, self.beat_duration, self.sample_rate, self.led_window) <= 0:
+            raise ValueError("amplitude, beat_duration, sample_rate and led_window "
+                             "must be positive")
 
     @property
     def mean_speed(self) -> float:
@@ -78,6 +89,7 @@ class LimbConfig:
     muscle_torque_max: float = 500.0    # mNm, activation normalizer
 
     def __post_init__(self):
+        _require_finite(self)
         if self.inertia <= 0:
             raise ValueError("inertia must be positive")
         if min(self.damping, self.tracking_stiffness_gain,
@@ -150,15 +162,6 @@ class TrialRecording:
         h.update(np.float64(self.achieved_mean_velocity).tobytes())
         return h.hexdigest()
 
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.time, self.angle, self.quantized_angle,
-                                self.commanded_torque, self.muscle_torque,
-                                self.activation])
-        np.savetxt(
-            path, data, delimiter=",", comments="",
-            header="time,angle,quantized_angle,commanded_torque,muscle_torque,activation",
-        )
-
 
 def simulate_exploration(
     spring: SpringParam,
@@ -195,83 +198,77 @@ def simulate_exploration(
     noise = (rng.normal(0.0, limb.motor_noise_std, size=n)
              if limb.motor_noise_std > 0 else np.zeros(n))
 
-    # The loop runs on Python floats, with quantize_angle, spring_torque and
-    # the RK4 derivative written out in place; every operation keeps the
-    # order of those definitions, so the series are bit for bit theirs.
-    # (RK4 of this linear ODE as one affine map x' = M x + N u would be
-    # faster but rounds differently, and the logged digests and rejected
+    # The loop runs on Python floats and keeps only the state; the recorded
+    # series are derived from it afterwards.  quantize_angle, spring_torque
+    # and the RK4 derivative are written out in place, and every operation
+    # keeps the order of those definitions, so the series are bit for bit
+    # theirs.  (RK4 of this linear ODE as one affine map x' = M x + N u would
+    # be faster but rounds differently, and the logged digests and rejected
     # velocities would change in their last bits.)
-    theta = 0.0  # deg
-    omega = 0.0  # deg/s
+    theta = omega = 0.0  # deg, deg/s
     angle: list[float] = []
-    q_angle: list[float] = []
-    tau_dev: list[float] = []   # mNm
-    tau_mus: list[float] = []   # mNm
-    led: list[float] = []
-    big_t, amplitude, led_window = plan.beat_duration, plan.amplitude, plan.led_window
-    out_seen = back_seen = False
-    path_length = 0.0
-    limit = 10.0 * amplitude
-    last = n - 1
-
-    for i, (t, ff, a_ref, v_ref, w) in enumerate(zip(
-            ref.time.tolist(), tau_ff.tolist(), ref.angle.tolist(),
-            ref.velocity.tolist(), noise.tolist())):
-        theta_q = floor(theta / resolution) * resolution
-        t_dev = neg_k * theta_q  # mNm, saturated at the device limit
-        if t_dev < torque_min:
-            t_dev = torque_min
-        elif t_dev > torque_max:
-            t_dev = torque_max
-        t_mus = ff + kp * (a_ref - theta) * deg + kd * (v_ref - omega) * deg + w  # Nm
-
-        angle.append(theta)
-        q_angle.append(theta_q)
-        tau_dev.append(t_dev)
-        tau_mus.append(t_mus / mnm)
-
-        if t <= big_t:  # out stroke, towards the pronation target
-            if not out_seen and abs(theta - amplitude) < led_window:
-                out_seen = True
-                led.append(t)
-        elif not back_seen and abs(theta) < led_window:
-            back_seen = True
-            led.append(t)
-
-        if abs(theta) > limit:
+    velocity: list[float] = []
+    angle_append, velocity_append = angle.append, velocity.append
+    try:
+        for ff, a_ref, v_ref, w in zip(tau_ff.tolist(), ref.angle.tolist(),
+                                       ref.velocity.tolist(), noise.tolist()):
+            t_dev = neg_k * (floor(theta / resolution) * resolution)  # mNm
+            if t_dev < torque_min:
+                t_dev = torque_min
+            elif t_dev > torque_max:
+                t_dev = torque_max
+            angle_append(theta)
+            velocity_append(omega)
+            # muscle plus device torque, held over the step; d(theta)/dt is
+            # omega, d(omega)/dt is (tau - damping * omega) / inertia.  The
+            # step after the last sample is taken and dropped.
+            tau_const = (ff + kp * (a_ref - theta) * deg
+                         + kd * (v_ref - omega) * deg + w + t_dev * mnm)  # Nm
+            d1o = (tau_const - damping * omega * deg) / inertia / deg
+            d2t = omega + half_dt * d1o
+            d2o = (tau_const - damping * d2t * deg) / inertia / deg
+            d3t = omega + half_dt * d2o
+            d3o = (tau_const - damping * d3t * deg) / inertia / deg
+            d4t = omega + dt * d3o
+            d4o = (tau_const - damping * d4t * deg) / inertia / deg
+            theta = theta + sixth_dt * (omega + 2.0 * d2t + 2.0 * d3t + d4t)
+            omega = omega + sixth_dt * (d1o + 2.0 * d2o + 2.0 * d3o + d4o)
+    finally:
+        # the first sample past the limit, also when the loop stopped later
+        # on an angle too large to quantize
+        theta_arr = np.array(angle)
+        beyond = np.flatnonzero(np.abs(theta_arr) > 10.0 * plan.amplitude)
+        if beyond.size:
+            i = beyond[0]
             raise UnstableIntegrationError(
-                f"angle {theta:.1f} deg exceeds 10x amplitude at t={t:.3f}s"
-            )
-        if i == last:
-            break
+                f"angle {angle[i]:.1f} deg exceeds 10x amplitude "
+                f"at t={ref.time[i]:.3f}s") from None
 
-        # constant inputs over the step (zero-order hold); d(theta)/dt is
-        # omega, d(omega)/dt is (tau - damping * omega) / inertia
-        tau_const = t_mus + t_dev * mnm  # Nm
-        d1o = (tau_const - damping * omega * deg) / inertia / deg
-        d2t = omega + half_dt * d1o
-        d2o = (tau_const - damping * d2t * deg) / inertia / deg
-        d3t = omega + half_dt * d2o
-        d3o = (tau_const - damping * d3t * deg) / inertia / deg
-        d4t = omega + dt * d3o
-        d4o = (tau_const - damping * d4t * deg) / inertia / deg
-        new_theta = theta + sixth_dt * (omega + 2 * d2t + 2 * d3t + d4t)
-        omega = omega + sixth_dt * (d1o + 2 * d2o + 2 * d3o + d4o)
-        path_length += abs(new_theta - theta)
-        theta = new_theta
-
-    tau_mus_arr = np.array(tau_mus)
-    activation = np.clip(np.abs(tau_mus_arr) / limb.muscle_torque_max, 0.0, 1.0)
-    duration = ref.time[-1]
+    # the series as the loop saw them, elementwise in the same order
+    # (+ 0.0 turns the -0.0 of np.floor into math.floor's 0)
+    q_angle = np.floor(theta_arr / resolution) * resolution + 0.0
+    tau_dev = np.minimum(np.maximum(neg_k * q_angle, torque_min), torque_max)
+    tau_mus = (tau_ff + kp * (ref.angle - theta_arr) * deg
+               + kd * (ref.velocity - np.array(velocity)) * deg + noise) / mnm
+    activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
+    # one LED event per stroke, at the first sample inside its target window
+    out = ref.time <= plan.beat_duration
+    near = np.where(out, np.abs(theta_arr - plan.amplitude),
+                    np.abs(theta_arr)) < plan.led_window
+    led = tuple(ref.time[hits.argmax()].item()
+                for hits in (near & out, near & ~out) if hits.any())
+    # path length as a left fold from 0.0 (theta starts at 0.0): cumsum adds
+    # in order, while np.sum adds pairwise and rounds differently
+    path_length = np.cumsum(np.abs(np.diff(theta_arr, prepend=0.0)))[-1]
     return TrialRecording(
         time=ref.time,
-        angle=np.array(angle),
-        quantized_angle=np.array(q_angle),
-        commanded_torque=np.array(tau_dev),
-        muscle_torque=tau_mus_arr,
+        angle=theta_arr,
+        quantized_angle=q_angle,
+        commanded_torque=tau_dev,
+        muscle_torque=tau_mus,
         activation=activation,
-        led_events=tuple(led),
-        achieved_mean_velocity=path_length / duration,
+        led_events=led,
+        achieved_mean_velocity=path_length / ref.time[-1],
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple
@@ -91,10 +92,25 @@ class SessionConfig:
             raise ConfigError("velocities must be nonempty")
         if not 0.0 <= self.catch_trial_rate < 1.0:
             raise ConfigError("catch_trial_rate must be in [0, 1)")
+        if not 0.0 <= self.velocity_tolerance < math.inf:
+            raise ConfigError("velocity_tolerance must be nonnegative and finite")
         if self.plant_mode not in ("full", "ideal"):
             raise ConfigError(f"unknown plant_mode: {self.plant_mode!r}")
         if self.repeat_cap < 1:
             raise ConfigError("repeat_cap must be at least 1")
+        with _section("trajectory"):
+            for condition in self.velocities:
+                _plan(self, condition)
+
+
+def _plan(config: SessionConfig, condition: VelocityCondition) -> TrajectoryPlan:
+    """The trajectory every exploration at ``condition`` follows."""
+    return TrajectoryPlan(
+        amplitude=config.trajectory_amplitude,
+        beat_duration=60.0 / condition.bpm,
+        sample_rate=config.device.control_rate,
+        led_window=config.led_window,
+    )
 
 
 class Event(NamedTuple):
@@ -165,13 +181,19 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key in {where}: {unknown[0]!r}")
 
 
-def _option(section: dict, key: str, name: str | None = None):
-    """``section[key]`` read as the type of the default of SessionConfig's
-    field ``name`` (``key`` when not given), or else that default.  An int
-    field takes only an integral number."""
+def _option(section: dict, where: str, name: str | None = None):
+    """The value at config path ``where`` (in ``section``, under the path's
+    last key) read as the type of the default of SessionConfig's field
+    ``name`` (that key when not given), or else that default.  An int field
+    takes only an integral number, a float field only a finite number."""
+    key = where.rpartition(".")[2]
     default = _DEFAULTS[name or key]
     value = section.get(key, default)
-    return _integer(value, key) if type(default) is int else type(default)(value)
+    if type(default) is int:
+        return _integer(value, where)
+    if type(default) is float:
+        return float(_finite(value, where))
+    return type(default)(value)
 
 
 def _integer(value, where: str) -> int:
@@ -180,6 +202,20 @@ def _integer(value, where: str) -> int:
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _finite(value, where: str):
+    """A float field takes only a finite number: no string, NaN or infinity
+    (JSON's NaN and Infinity read as floats).  Returns the value as given."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return value
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def _reject_booleans(value, where: str) -> None:
@@ -216,61 +252,69 @@ def config_from_dict(raw: dict) -> SessionConfig:
     _reject_booleans(raw, "")
     try:
         seed = _integer(raw["seed"], "seed")
-        with _section("reference_stiffness"):
-            reference = float(raw["reference_stiffness"])
+        reference = float(_finite(raw["reference_stiffness"], "reference_stiffness"))
         velocities_raw = raw["velocities"]
-        with _section("observer"):
-            observer = dict(raw["observer"])
+        observer = _object(raw["observer"], "observer")
     except KeyError as exc:
         raise ConfigError(f"missing required key: {exc.args[0]!r}") from None
     if seed < 0:  # NumPy would refuse it only at run time
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-    if not 0.0 < reference < math.inf:
-        raise ConfigError(
-            f"reference_stiffness must be positive and finite, got {reference}")
+    if reference <= 0.0:
+        raise ConfigError(f"reference_stiffness must be positive, got {reference}")
 
-    stair_raw = dict(raw.get("staircase", {}))
+    stair_raw = _object(raw.get("staircase", {}), "staircase")
     _reject_unknown(stair_raw, _STAIRCASE_KEYS, "staircase")
-    traj_raw = dict(raw.get("trajectory", {}))
+    traj_raw = _object(raw.get("trajectory", {}), "trajectory")
     _reject_unknown(traj_raw, _TRAJECTORY_KEYS, "trajectory")
-    amplitude = _option(traj_raw, "amplitude", "trajectory_amplitude")
-    device_raw = dict(raw.get("device", {}))
+    amplitude = _option(traj_raw, "trajectory.amplitude", "trajectory_amplitude")
+    led_window = _option(traj_raw, "trajectory.led_window")
+    device_raw = _object(raw.get("device", {}), "device")
     _reject_unknown(device_raw, _DEVICE_KEYS, "device")
-    if "encoder_counts_per_rev" in device_raw:
-        device_raw["encoder_counts_per_rev"] = _integer(
-            device_raw["encoder_counts_per_rev"], "device.encoder_counts_per_rev")
     with _section("device"):
-        device = DeviceConfig(**device_raw)
-    limb_raw = dict(raw.get("limb", {}))
+        device = DeviceConfig(**{
+            key: _integer(value, f"device.{key}") if key == "encoder_counts_per_rev"
+            else _finite(value, f"device.{key}") for key, value in device_raw.items()})
+    limb_raw = _object(raw.get("limb", {}), "limb")
     _reject_unknown(limb_raw, _LIMB_KEYS, "limb")
     with _section("limb"):
-        limb = LimbConfig(**limb_raw)
+        limb = LimbConfig(**{key: _finite(value, f"limb.{key}")
+                             for key, value in limb_raw.items()})
     with _section("staircase"):
         staircase = default_config(
             reference, device.torque_limit, amplitude,
             **{key: _integer(value, f"staircase.{key}")
-               if _STAIRCASE_KEYS[key] is int else float(value)
+               if _STAIRCASE_KEYS[key] is int
+               else float(_finite(value, f"staircase.{key}"))
                for key, value in stair_raw.items()})
 
+    if not isinstance(velocities_raw, list):
+        raise ConfigError(f"velocities must be a JSON array, got {velocities_raw!r}")
     velocities = []
-    for entry in velocities_raw:
-        entry = dict(entry)
+    for index, entry in enumerate(velocities_raw):
+        where = f"velocities[{index}]"
+        entry = _object(entry, where)
         _reject_unknown(entry, _VELOCITY_KEYS, "velocities")
         if "bpm" not in entry:
             raise ConfigError("missing required key in velocities: 'bpm'")
-        bpm = float(entry["bpm"])
-        if not 0.0 < bpm < math.inf:
-            raise ConfigError(f"velocities: bpm must be positive and finite, got {bpm}")
-        deg_s = float(entry.get("deg_s", amplitude * bpm / 60.0))
+        bpm = float(_finite(entry["bpm"], f"{where}.bpm"))
+        if bpm <= 0.0:
+            raise ConfigError(f"{where}.bpm must be positive, got {bpm}")
+        deg_s = float(_finite(entry.get("deg_s", amplitude * bpm / 60.0),
+                              f"{where}.deg_s"))
         # runs, summary rows and velocity_scaling are keyed by deg_s
         if any(v.deg_s == deg_s for v in velocities):
             raise ConfigError(f"velocities: deg_s {deg_s} appears twice")
         velocities.append(VelocityCondition(bpm=bpm, deg_s=deg_s))
 
+    scaling = _object(observer.get("velocity_scaling", {}), "observer.velocity_scaling")
+    for key, value in observer.items():
+        if key not in ("family", "velocity_scaling"):  # the rest are numbers
+            _finite(value, f"observer.{key}")
     # a scaling key is looked up by exact velocity: one naming no configured
     # velocity would silently leave that velocity unscaled
     configured = {v.deg_s for v in velocities}
-    for key in observer.get("velocity_scaling", {}):
+    for key, value in scaling.items():
+        _finite(value, f"observer.velocity_scaling.{key}")
         try:
             matched = float(key) in configured
         except ValueError:
@@ -289,7 +333,7 @@ def config_from_dict(raw: dict) -> SessionConfig:
         device=device,
         observer=observer,
         trajectory_amplitude=amplitude,
-        led_window=_option(traj_raw, "led_window"),
+        led_window=led_window,
         **{key: _option(raw, key) for key in _OPTION_KEYS},
     )
 
@@ -462,7 +506,7 @@ def _explore(spring: SpringParam, plan: TrajectoryPlan, config: SessionConfig,
 def _run_intervals(
     springs: tuple[float, float],
     config: SessionConfig,
-    condition: VelocityCondition,
+    plan: TrajectoryPlan,
     rec: _Recorder,
     rng: np.random.Generator,
     trial_index: int,
@@ -473,12 +517,6 @@ def _run_intervals(
     Returns the accepted recordings' digests.  The staircase is untouched by
     rejections; only the faulty interval is repeated.
     """
-    plan = TrajectoryPlan(
-        amplitude=config.trajectory_amplitude,
-        beat_duration=60.0 / condition.bpm,
-        sample_rate=config.device.control_rate,
-        led_window=config.led_window,
-    )
     exploration_time = 2.0 * plan.beat_duration
     digests = []
     for interval, k in enumerate(springs):
@@ -520,6 +558,7 @@ def _run_staircase_run(
         "bpm": condition.bpm,
         "staircase": asdict(config.staircase),
     })
+    plan = _plan(config, condition)
     while not rec.fold.run.state.terminated:
         state = rec.fold.run.state
         is_catch = config.catch_trial_rate > 0 and rng.random() < config.catch_trial_rate
@@ -534,7 +573,7 @@ def _run_staircase_run(
             "k_first": springs[0],
             "k_second": springs[1],
         })
-        digests = _run_intervals(springs, config, condition, rec, rng,
+        digests = _run_intervals(springs, config, plan, rec, rng,
                                  state.trial_index, memo)
         response = observer.respond(springs[0], springs[1], condition.deg_s, rng).value
         rec.clock += RESPONSE_DURATION_S

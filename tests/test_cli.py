@@ -103,6 +103,35 @@ class TestSimulate:
          "limb.inertia must not be a boolean"),
         (lambda r: r.update(staircase={"down_rule": True}),
          "staircase.down_rule must not be a boolean"),
+        # NaN would read as noise-free (both `> 0` and `== 0` are false for it)
+        (lambda r: r.update(limb={"motor_noise_std": float("nan")}),
+         "limb.motor_noise_std must be a finite number, got nan"),
+        # an infinite window would let every stroke light its LED
+        (lambda r: r.update(trajectory={"led_window": float("inf")}),
+         "trajectory.led_window must be a finite number, got inf"),
+        (lambda r: r.update(device={"torque_limit": float("-inf")}),
+         "device.torque_limit must be a finite number, got -inf"),
+        (lambda r: r.update(trajectory={"led_window": -1}),
+         "trajectory: amplitude, beat_duration, sample_rate and led_window "
+         "must be positive"),
+        (lambda r: r.update(velocity_tolerance="abc"),
+         "velocity_tolerance must be a finite number, got 'abc'"),
+        (lambda r: r.update(trajectory={"amplitude": "x"}),
+         "trajectory.amplitude must be a finite number, got 'x'"),
+        (lambda r: r.update(velocities=[3]),
+         "velocities[0] must be a JSON object, got 3"),
+        (lambda r: r["velocities"][0].update(bpm="abc"),
+         "velocities[0].bpm must be a finite number, got 'abc'"),
+        (lambda r: r["observer"].update(velocity_scaling=[]),
+         "observer.velocity_scaling must be a JSON object, got []"),
+        (lambda r: r["observer"]["velocity_scaling"].update({"67.5": float("nan")}),
+         "observer.velocity_scaling.67.5 must be a finite number, got nan"),
+        (lambda r: r.update(catch_trial_rate="0.1"),
+         "catch_trial_rate must be a finite number, got '0.1'"),
+        (lambda r: r.update(velocity_tolerance=-1),
+         "velocity_tolerance must be nonnegative and finite"),
+        (lambda r: r.update(velocity_tolerance=float("nan")),
+         "velocity_tolerance must be a finite number, got nan"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -113,6 +142,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and match in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "trace"])
+    @pytest.mark.parametrize("update,match", [
+        # valid configs whose explorations cannot be met
+        ({"velocity_tolerance": 0},
+         "error: interval 0 of trial 0 failed the velocity check 5 times"),
+        ({"limb": {"tracking_stiffness_gain": 1e7, "tracking_damping_gain": 0}},
+         "error: angle -912552.2 deg exceeds 10x amplitude at t=0.005s"),
+    ])
+    def test_unmet_explorations_exit_2_and_write_nothing(
+            self, tmp_path, capsys, command, update, match):
+        path = write_config(tmp_path, {**default_config_dict(), **update})
+        out = tmp_path / ("o" if command == "simulate" else "trace.csv")
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == match + "\n"
+        written = list(out.glob("*")) if command == "simulate" else out.exists()
+        assert not written
 
     def test_negative_seed_flag_exits_2(self, tmp_path, config_path, capsys):
         assert main(["simulate", "--config", config_path, "--seed", "-1",

@@ -215,18 +215,6 @@ class TestSimulation:
                                     np.random.default_rng(9))
         assert rec1.digest() == rec2.digest()
 
-    def test_csv_export(self, setup, tmp_path):
-        spring, plan, limb, device = setup
-        rec = simulate_exploration(spring, plan, limb, device,
-                                   np.random.default_rng(0))
-        path = tmp_path / "trial.csv"
-        rec.to_csv(path)
-        header = path.read_text().splitlines()[0]
-        assert header == ("time,angle,quantized_angle,commanded_torque,"
-                          "muscle_torque,activation")
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert data.shape == (len(rec.time), 6)
-
 
 def _reference_exploration(spring, plan, limb, device, rng):
     """simulate_exploration as first written: NumPy scalar indexing, the
@@ -282,38 +270,104 @@ def _reference_exploration(spring, plan, limb, device, rng):
         led_events=tuple(led), achieved_mean_velocity=path_length / ref.time[-1])
 
 
+def _assert_matches_reference(args, seed):
+    """simulate_exploration gives _reference_exploration's recording bit for
+    bit, or raises its error with its message; returns the recording."""
+    try:
+        slow = _reference_exploration(*args, np.random.default_rng(seed))
+    except (UnstableIntegrationError, ArithmeticError, ValueError) as exc:
+        with pytest.raises(Exception) as fast:
+            simulate_exploration(*args, np.random.default_rng(seed))
+        assert (type(fast.value), str(fast.value)) == (type(exc), str(exc))
+        return None
+    fast = simulate_exploration(*args, np.random.default_rng(seed))
+    assert fast.digest() == slow.digest()
+    assert fast.led_events == slow.led_events
+    assert (np.float64(fast.achieved_mean_velocity).tobytes()
+            == np.float64(slow.achieved_mean_velocity).tobytes())
+    return fast
+
+
 class TestKernelMatchesReference:
     @pytest.mark.parametrize("noise", [0.0, 0.3])
     @pytest.mark.parametrize("bpm", [45.0, 75.0])
     @pytest.mark.parametrize("k", [0.0, 1.11, 2.22, 30.0])
     def test_bit_identical(self, k, bpm, noise):
-        args = (SpringParam(k=k), plan_for_bpm(bpm),
-                LimbConfig(motor_noise_std=noise), DeviceConfig())
-        fast = simulate_exploration(*args, np.random.default_rng(3))
-        slow = _reference_exploration(*args, np.random.default_rng(3))
-        assert fast.digest() == slow.digest()
-        assert fast.led_events == slow.led_events
-        assert fast.achieved_mean_velocity == slow.achieved_mean_velocity
+        _assert_matches_reference((SpringParam(k=k), plan_for_bpm(bpm),
+                                   LimbConfig(motor_noise_std=noise),
+                                   DeviceConfig()), 3)
+
+    @given(k=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+           bpm=st.floats(30.0, 100.0),
+           noise=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           counts=st.one_of(st.integers(4, 64), st.integers(64, 2**20)),
+           torque_limit=st.floats(0.5, 300.0),
+           led_window=st.sampled_from([2.5, 0.5, 0.05]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_identical_property(self, k, bpm, noise, counts, torque_limit,
+                                    led_window, seed):
+        # k up to 40 mNm/deg against limits down to 0.5 mNm saturates the
+        # spring; 4 to 64 counts per revolution quantize coarsely
+        _assert_matches_reference(
+            (SpringParam(k=k), plan_for_bpm(bpm, led_window=led_window),
+             LimbConfig(motor_noise_std=noise),
+             DeviceConfig(encoder_counts_per_rev=counts, torque_limit=torque_limit)),
+            seed)
 
     def test_bit_identical_when_saturated_and_coarse(self):
         # a 2 mNm limit saturates the spring on most of the stroke and a
         # 7-count encoder makes every quantization step visible
-        args = (SpringParam(k=1.41), plan_for_bpm(60.0), LimbConfig(),
-                DeviceConfig(encoder_counts_per_rev=7, torque_limit=2.0))
-        fast = simulate_exploration(*args, np.random.default_rng(0))
-        slow = _reference_exploration(*args, np.random.default_rng(0))
+        fast = _assert_matches_reference(
+            (SpringParam(k=1.41), plan_for_bpm(60.0), LimbConfig(),
+             DeviceConfig(encoder_counts_per_rev=7, torque_limit=2.0)), 0)
         assert np.any(np.abs(fast.commanded_torque) == 2.0)
-        assert fast.digest() == slow.digest()
 
-    def test_same_instability_diagnosis(self):
+    def test_saturation_at_the_negative_limit(self):
+        # 40 mNm/deg would need 3600 mNm at full pronation
+        fast = _assert_matches_reference(
+            (SpringParam(k=40.0), plan_for_bpm(45.0), LimbConfig(),
+             DeviceConfig()), 0)
+        assert fast.commanded_torque.min() == -300.0
+
+    @pytest.mark.parametrize("k,bpm,led_events", [
+        (10.0, 75.0, 1),  # the return stroke misses its 0.05 deg window
+        (40.0, 45.0, 1),  # the out stroke misses it
+    ])
+    def test_missed_led_is_rejected(self, k, bpm, led_events):
+        plan = plan_for_bpm(bpm, led_window=0.05)
+        fast = _assert_matches_reference(
+            (SpringParam(k=k), plan, LimbConfig(), DeviceConfig()), 0)
+        assert len(fast.led_events) == led_events
+        assert not achieved_velocity_ok(fast, plan, tolerance=1e9)
+
+    @pytest.mark.parametrize("beat_duration,samples", [
+        (0.0002, 1), (0.0005, 2), (0.00075, 3), (0.002, 5)])
+    def test_plans_of_a_few_samples(self, beat_duration, samples):
+        plan = TrajectoryPlan(amplitude=90.0, beat_duration=beat_duration,
+                              sample_rate=1000.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 s at 1
+            fast = _assert_matches_reference(
+                (SpringParam(k=1.11), plan, LimbConfig(), DeviceConfig()), 0)
+        assert len(fast.angle) == samples
+
+    def _assert_same_instability(self, gain):
         args = (SpringParam(k=1.11), plan_for_bpm(45.0),
-                LimbConfig(tracking_stiffness_gain=1e7, tracking_damping_gain=0.0),
+                LimbConfig(tracking_stiffness_gain=gain, tracking_damping_gain=0.0),
                 DeviceConfig())
-        with pytest.raises(UnstableIntegrationError) as fast:
-            simulate_exploration(*args, np.random.default_rng(0))
         with pytest.raises(UnstableIntegrationError) as slow:
             _reference_exploration(*args, np.random.default_rng(0))
+        with pytest.raises(UnstableIntegrationError) as fast:
+            simulate_exploration(*args, np.random.default_rng(0))
         assert str(fast.value) == str(slow.value)
+
+    def test_same_instability_diagnosis(self):
+        # the angle overflows to NaN after the limit, before the plan ends
+        self._assert_same_instability(1e7)
+
+    def test_same_instability_diagnosis_without_overflow(self):
+        # the angle passes the limit and stays finite to the end of the plan
+        self._assert_same_instability(300.0)
 
 
 class TestVelocityCheck:
@@ -360,3 +414,19 @@ class TestConfigValidation:
     def test_bad_spring(self):
         with pytest.raises(ValueError):
             SpringParam(k=-1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("make,field", [
+        (LimbConfig, name) for name in ("inertia", "damping",
+                                        "tracking_stiffness_gain",
+                                        "tracking_damping_gain",
+                                        "motor_noise_std", "muscle_torque_max")
+    ] + [(DeviceConfig, "torque_limit"), (DeviceConfig, "control_rate")] + [
+        (lambda **kw: TrajectoryPlan(**{"amplitude": 90.0, "beat_duration": 0.8,
+                                        "sample_rate": 1000.0, **kw}), name)
+        for name in ("amplitude", "beat_duration", "sample_rate", "led_window")
+    ])
+    def test_non_finite_numbers_rejected(self, make, field, value):
+        # NaN passes every range check, since each comparison with it is false
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            make(**{field: value})

@@ -152,6 +152,43 @@ class TestConfig:
         with pytest.raises(ConfigError, match=match + " must not be a boolean"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize("mutate,match", [
+        (lambda r: r.update(velocity_tolerance="5"), "velocity_tolerance"),
+        (lambda r: r.update(reference_stiffness=float("nan")), "reference_stiffness"),
+        (lambda r: r.update(staircase={"up_step": float("inf")}), "staircase.up_step"),
+        (lambda r: r.update(limb={"inertia": "0.004"}), "limb.inertia"),
+        (lambda r: r.update(device={"control_rate": float("nan")}),
+         "device.control_rate"),
+        (lambda r: r["velocities"][1].update(deg_s=float("nan")),
+         r"velocities\[1\].deg_s"),
+        (lambda r: r["observer"].update(alpha=float("nan")), "observer.alpha"),
+        (lambda r: r.update(velocity_tolerance=10**400), "velocity_tolerance"),
+    ])
+    def test_float_fields_take_only_finite_numbers(self, mutate, match):
+        raw = default_config_dict()
+        mutate(raw)
+        with pytest.raises(ConfigError, match=match + " must be a finite number"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("section", ["staircase", "trajectory", "limb",
+                                         "device", "observer"])
+    def test_sections_must_be_objects(self, section):
+        raw = {**default_config_dict(), section: [1.0]}
+        with pytest.raises(ConfigError, match=f"{section} must be a JSON object"):
+            config_from_dict(raw)
+
+    def test_velocities_must_be_a_list(self):
+        raw = {**default_config_dict(), "velocities": {"bpm": 45}}
+        with pytest.raises(ConfigError, match="velocities must be a JSON array"):
+            config_from_dict(raw)
+
+    def test_plant_numbers_are_logged_as_given(self):
+        raw = default_config_dict()
+        raw.update(limb={"inertia": 1}, device={"torque_limit": 300})
+        logged = config_to_dict(config_from_dict(raw))
+        assert (logged["limb"]["inertia"], logged["device"]["torque_limit"]) == (1, 300)
+        assert type(logged["limb"]["inertia"]) is int
+
     @pytest.mark.parametrize("key", ["112", "112.50001", "fast"])
     def test_velocity_scaling_key_must_name_a_velocity(self, key):
         raw = default_config_dict()
