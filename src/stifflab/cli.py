@@ -88,7 +88,6 @@ def cmd_simulate(args) -> int:
     workers = _worker_count()
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = [config.seed + i for i in range(args.sessions)]
     paths = [out / f"session_{s:08d}.jsonl" for s in seeds]
     summary_path = out / "summary.csv"
@@ -103,6 +102,7 @@ def cmd_simulate(args) -> int:
     else:
         outputs = _session_worker((raw, seeds))
 
+    out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     all_rows = []
     for (log_text, rows), path in zip(outputs, paths):
         path.write_text(log_text)

@@ -9,10 +9,8 @@ trace, standing in for recordings that are not available here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -196,17 +194,9 @@ def linear_envelope(
     signal: EmgSignal,
     spec: FilterSpec,
     mode: str = "forward",
-    rectify_first: bool = False,
 ) -> Envelope:
-    """DC removal, rectification, low-pass — the linear-envelope chain.
-
-    ``rectify_first`` swaps the first two stages for comparison; that order
-    leaves a rectification-induced offset in the envelope.
-    """
-    if rectify_first:
-        stage = remove_dc(rectify(signal))
-    else:
-        stage = rectify(remove_dc(signal))
+    """DC removal, rectification, low-pass — the linear-envelope chain."""
+    stage = rectify(remove_dc(signal))
     filtered = apply_filter(stage, spec, mode=mode)
     return Envelope(sample_rate=signal.sample_rate, samples=filtered.samples)
 
@@ -215,26 +205,3 @@ def write_signal_csv(signal: EmgSignal | Envelope, path) -> None:
     t = np.arange(signal.samples.size) / signal.sample_rate
     np.savetxt(path, np.column_stack([t, signal.samples]),
                delimiter=",", comments="", header="time,value")
-
-
-def read_signal_csv(path, channel: str = "PQ") -> EmgSignal:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    t, v = data[:, 0], data[:, 1]
-    rate = 1.0 / (t[1] - t[0]) if t.size > 1 else 1.0
-    return EmgSignal(sample_rate=float(rate), samples=v, channel=channel)
-
-
-def write_signal_raw(signal: EmgSignal, path) -> None:
-    """Raw little-endian float64 samples plus a JSON sidecar."""
-    path = Path(path)
-    signal.samples.astype("<f8").tofile(path)
-    sidecar = {"sample_rate": signal.sample_rate, "channel": signal.channel}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
-
-
-def read_signal_raw(path) -> EmgSignal:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    samples = np.fromfile(path, dtype="<f8")
-    return EmgSignal(sample_rate=float(sidecar["sample_rate"]),
-                     samples=samples, channel=str(sidecar["channel"]))

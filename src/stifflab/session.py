@@ -5,10 +5,12 @@ shuffled from the seed.  Every trial presents a reference and a comparison
 spring in random order, simulates one out-and-back exploration per interval
 (repeating rejected explorations without advancing the staircase), asks the
 observer for a Same/Different response, and feeds correctness into the
-staircase.  Every state change is an event; the full result is recomputable
-from the log alone, including manual response amendments.  The runner and
-``replay`` fold events through the same step function, ``_apply``, so a
-replayed log gives the runner's result by construction.
+staircase.  Every state change is an event.  One emitter,
+``_emit_session``, writes every event from the config and a few recorded
+inputs (run order, presentation, exploration outcomes, responses): the
+runner draws those inputs from the seed, and ``replay`` reads them back from
+the log and re-emits it, so a replayed log gives the runner's result by
+construction, including manual response amendments.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -33,9 +35,7 @@ from .plant import (
     simulate_exploration,
 )
 from .staircase import (
-    InvalidConfigError,
     StaircaseConfig,
-    StaircaseState,
     ThresholdEstimate,
     default_config,
     new_staircase,
@@ -198,7 +198,11 @@ def _option(section: dict, where: str, name: str | None = None):
 
 def _integer(value, where: str) -> int:
     """An integer field takes only integral numbers: 3.0 reads as 3, while
-    2.9 is an error rather than a silent 2 (a 2-down rule, say)."""
+    2.9 is an error rather than a silent 2 (a 2-down rule, say).  Nor may one
+    exceed the largest float: the plant computes with it as a float."""
+    if type(value) is int and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{where} must be at most {sys.float_info.max:g} in "
+                          "magnitude")
     if type(value) is int or type(value) is float and value.is_integer():
         return int(value)
     raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -339,17 +343,18 @@ def config_from_dict(raw: dict) -> SessionConfig:
 
 
 def config_to_dict(config: SessionConfig) -> dict:
-    stair = asdict(config.staircase)
+    # vars(): the sections' fields, all plain values (asdict, minus its deep copy)
+    stair = vars(config.staircase).copy()
     stair.pop("reference_stiffness")
     return {
         "seed": config.seed,
         "reference_stiffness": config.reference_stiffness,
         "staircase": stair,
-        "velocities": [asdict(v) for v in config.velocities],
+        "velocities": [vars(v).copy() for v in config.velocities],
         "trajectory": {"amplitude": config.trajectory_amplitude,
                        "led_window": config.led_window},
-        "limb": asdict(config.limb),
-        "device": asdict(config.device),
+        "limb": vars(config.limb).copy(),
+        "device": vars(config.device).copy(),
         "observer": config.observer,
         **{key: getattr(config, key) for key in _OPTION_KEYS},
     }
@@ -373,245 +378,258 @@ def default_config_dict(seed: int = 0, plant_mode: str = "full") -> dict:
     }
 
 
-class _Run(NamedTuple):
-    """The active run: its staircase and the bookkeeping beside it."""
+def _emit_session(config: SessionConfig, source, events: list) \
+        -> tuple[tuple[RunResult, ...], tuple[tuple[TrialRow, ...], ...]]:
+    """Append the session's events to the empty list ``events``, each as the
+    plain tuple of an Event's fields, so that the caller keeps those emitted
+    before an error; return each run's result and trial rows.
+    Every event is computed here from ``config`` and the inputs ``source``
+    gives, asked for in the runner's draw order: the run order, then per
+    trial its catch flag and presentation order, each exploration's outcome
+    and the response.  An exploration's outcome is (accepted by the velocity
+    check, the recording's digest when accepted, achieved mean velocity, LED
+    event count).  ``_Drawn`` draws the inputs from the seed; ``_Logged``
+    reads them back from a log for replay."""
+    clock = 0.0  # the simulated session clock, seconds
 
-    stair: StaircaseConfig
-    velocity: float
-    state: StaircaseState
-    trial_count: int = 0
-    tail_correct: int = 0
-    tail_total: int = 0  # staircase responses after the second reversal
-    rows: tuple[TrialRow, ...] = ()
+    def emit(kind: str, payload: dict) -> None:
+        events.append((len(events), kind, clock, payload))
 
+    emit("SessionStarted", {"config": config_to_dict(config)})
+    order = source.order(len(config.velocities))
+    stair = config.staircase
+    runs, trials = [], []
+    for position, index in enumerate(order):
+        emit("Metadata", {"note": "training", "duration_s": TRAINING_DURATION_S})
+        clock += TRAINING_DURATION_S
+        condition = config.velocities[index]
+        emit("RunStarted", {"velocity_deg_s": condition.deg_s, "bpm": condition.bpm,
+                            "staircase": vars(stair).copy()})
+        plan = _plan(config, condition)
+        exploration_time = 2.0 * plan.beat_duration
+        state = new_staircase(stair)
+        rows = []
+        tail_correct = tail_total = 0  # staircase responses after the second reversal
+        while not state.terminated:
+            trial = state.trial_index
+            catch, reference_first = source.present(position)
+            # the reference and a comparison ``level`` above it (equal to it
+            # on a catch trial), in presented order
+            reference = config.reference_stiffness
+            comparison = reference if catch else reference + state.level
+            springs = (reference, comparison) if reference_first else (comparison, reference)
+            emit("Presented", {"trial": trial, "level": state.level, "catch": catch,
+                               "reference_first": reference_first,
+                               "k_first": springs[0], "k_second": springs[1]})
+            # both intervals; a rejected exploration repeats its interval only
+            digests = []
+            for interval, k in enumerate(springs):
+                if config.plant_mode == "ideal":
+                    clock += exploration_time
+                    digests.append("ideal")
+                    continue
+                for attempt in range(1, config.repeat_cap + 1):
+                    accepted, digest, achieved, led_events = \
+                        source.explore(interval, attempt, k, plan)
+                    clock += exploration_time
+                    if accepted:
+                        digests.append(digest)
+                        break
+                    emit("ExplorationRejected", {
+                        "trial": trial, "interval": interval, "attempt": attempt,
+                        "achieved_mean_velocity": achieved, "led_events": led_events})
+                else:
+                    raise RepeatLimitError(f"interval {interval} of trial {trial} failed the "
+                                           f"velocity check {config.repeat_cap} times")
+            response = source.respond(springs, condition.deg_s)
+            clock += RESPONSE_DURATION_S
+            correct = response == ("same" if catch else "different")
+            emit("Responded", {"trial": trial, "catch": catch, "response": response,
+                               "correct": correct, "recording_digests": digests})
+            if catch:
+                continue  # catch trials never drive the staircase
+            before = state
+            state = record_response(before, correct, stair)
+            reversal = len(state.reversals) > len(before.reversals)
+            rows.append(TrialRow(trial, before.level, response, reversal))
+            if len(before.reversals) >= 2:
+                tail_correct += correct
+                tail_total += 1
+            if state.level != before.level or \
+                    state.last_move_direction != before.last_move_direction:
+                emit("StaircaseMoved", {"trial": trial,
+                                        "direction": state.last_move_direction.value,
+                                        "level_before": before.level,
+                                        "level_after": state.level})
+            if reversal:
+                record = state.reversals[-1]
+                emit("Reversal", {"trial": record.trial_index,
+                                  "index": len(state.reversals),
+                                  "level": record.level_at_reversal,
+                                  "new_direction": record.new_direction.value})
 
-class _Fold(NamedTuple):
-    """Everything recomputable from the events applied so far."""
-
-    run: _Run | None = None  # None between runs
-    runs: tuple[RunResult, ...] = ()
-    trials: tuple[tuple[TrialRow, ...], ...] = ()  # rows of each finished run
-
-
-def _is_correct(response: str, catch: bool) -> bool:
-    return response == ("same" if catch else "different")
-
-
-def _apply(fold: _Fold, event: Event) -> _Fold:
-    """Fold one event into the session's recomputable state.
-
-    RunStarted, Responded and RunTerminated carry the information; every
-    other kind records what they imply and leaves the state as it is.  A run
-    yields its RunResult on the response that terminates its staircase.
-    """
-    kind, payload, run = event.kind, event.payload, fold.run
-    if kind == "Responded":
-        if run is None or run.state.terminated:
-            raise CorruptLogError("response outside an active run", event.seq)
-        if payload["catch"]:
-            return fold  # catch trials never drive the staircase
-        response = payload["response"]
-        correct = response == "different"  # _is_correct on a staircase trial
-        before = run.state
-        tail = len(before.reversals) >= 2
-        state = record_response(before, correct, run.stair)
-        row = TrialRow(before.trial_index, before.level, response,
-                       len(state.reversals) > len(before.reversals))
-        run = _Run(run.stair, run.velocity, state, run.trial_count + 1,
-                   run.tail_correct + (tail and correct),
-                   run.tail_total + tail, run.rows + (row,))
-        if not state.terminated:
-            return _Fold(run, fold.runs, fold.trials)
         result = RunResult(
-            velocity=run.velocity,
-            threshold=threshold_estimate(state, run.stair),
-            trial_count=run.trial_count,
+            velocity=condition.deg_s,
+            threshold=threshold_estimate(state, stair),
+            trial_count=len(rows),
             reversal_levels=tuple(r.level_at_reversal for r in state.reversals),
-            proportion_correct_tail=run.tail_correct / run.tail_total
-            if run.tail_total else None,
+            proportion_correct_tail=tail_correct / tail_total if tail_total else None,
         )
-        return _Fold(run, fold.runs + (result,), fold.trials + (run.rows,))
-    if kind == "RunStarted":
-        if run is not None:
-            raise CorruptLogError("run started inside another run", event.seq)
-        stair = StaircaseConfig(**payload["staircase"])
-        run = _Run(stair, payload["velocity_deg_s"], new_staircase(stair))
-        return fold._replace(run=run)
-    if kind == "RunTerminated":
-        if run is None or not run.state.terminated:
-            raise CorruptLogError("run terminated before the staircase did",
-                                  event.seq)
-        return fold._replace(run=None)
-    if kind == "SessionEnded" and run is not None:
-        raise CorruptLogError("session ended inside a run", event.seq)
-    return fold
-
-
-def _session_result(fold: _Fold, log_text: str) -> SessionResult:
-    return SessionResult(runs=fold.runs,
-                         velocity_order=tuple(r.velocity for r in fold.runs),
-                         log_digest=_digest(log_text))
-
-
-class _Recorder:
-    """Monotone event sink with a simulated wall clock; every event it
-    emits is folded into ``fold``."""
-
-    def __init__(self):
-        self.events: list[Event] = []
-        self.clock = 0.0
-        self.fold = _Fold()
-
-    def emit(self, kind: str, payload: dict) -> None:
-        event = Event(seq=len(self.events), kind=kind,
-                      t_wall=self.clock, payload=payload)
-        self.events.append(event)
-        self.fold = _apply(self.fold, event)
-
-
-class _Exploration(NamedTuple):
-    """What a session reads of one simulated exploration."""
-
-    accepted: bool  # passed the achieved-velocity check
-    digest: str     # the recording's digest when accepted, else ""
-    achieved_mean_velocity: float
-    led_events: int
-
-
-def _explore(spring: SpringParam, plan: TrajectoryPlan, config: SessionConfig,
-             rng: np.random.Generator, memo: dict) -> _Exploration:
-    """Simulate one exploration, or recall it from ``memo``.
-
-    Without motor noise the plant draws no random numbers, so an exploration
-    is a pure function of its frozen inputs: ``memo`` maps (spring, plan,
-    limb, device, velocity tolerance) to its outcome, and each is simulated
-    once per memo.  Noisy explorations are always simulated, never stored.
-    """
-    key = None
-    if config.limb.motor_noise_std == 0:
-        key = (spring, plan, config.limb, config.device, config.velocity_tolerance)
-        known = memo.get(key)
-        if known is not None:
-            return known
-    recording = simulate_exploration(spring, plan, config.limb, config.device, rng)
-    accepted = achieved_velocity_ok(recording, plan, config.velocity_tolerance)
-    outcome = _Exploration(accepted, recording.digest() if accepted else "",
-                           float(recording.achieved_mean_velocity),
-                           len(recording.led_events))
-    if key is not None:
-        memo[key] = outcome
-    return outcome
-
-
-def _run_intervals(
-    springs: tuple[float, float],
-    config: SessionConfig,
-    plan: TrajectoryPlan,
-    rec: _Recorder,
-    rng: np.random.Generator,
-    trial_index: int,
-    memo: dict,
-) -> list[str]:
-    """Simulate both intervals, repeating rejected explorations.
-
-    Returns the accepted recordings' digests.  The staircase is untouched by
-    rejections; only the faulty interval is repeated.
-    """
-    exploration_time = 2.0 * plan.beat_duration
-    digests = []
-    for interval, k in enumerate(springs):
-        if config.plant_mode == "ideal":
-            rec.clock += exploration_time
-            digests.append("ideal")
-            continue
-        for attempt in range(1, config.repeat_cap + 1):
-            outcome = _explore(SpringParam(k=k), plan, config, rng, memo)
-            rec.clock += exploration_time
-            if outcome.accepted:
-                digests.append(outcome.digest)
-                break
-            rec.emit("ExplorationRejected", {
-                "trial": trial_index,
-                "interval": interval,
-                "attempt": attempt,
-                "achieved_mean_velocity": outcome.achieved_mean_velocity,
-                "led_events": outcome.led_events,
-            })
-        else:
-            raise RepeatLimitError(
-                f"interval {interval} of trial {trial_index} failed the "
-                f"velocity check {config.repeat_cap} times"
-            )
-    return digests
-
-
-def _run_staircase_run(
-    config: SessionConfig,
-    condition: VelocityCondition,
-    observer,
-    rec: _Recorder,
-    rng: np.random.Generator,
-    memo: dict,
-) -> None:
-    rec.emit("RunStarted", {
-        "velocity_deg_s": condition.deg_s,
-        "bpm": condition.bpm,
-        "staircase": asdict(config.staircase),
-    })
-    plan = _plan(config, condition)
-    while not rec.fold.run.state.terminated:
-        state = rec.fold.run.state
-        is_catch = config.catch_trial_rate > 0 and rng.random() < config.catch_trial_rate
-        reference_first = rng.random() < 0.5
-        springs = _springs(config.reference_stiffness, state.level, is_catch,
-                           reference_first)
-        rec.emit("Presented", {
-            "trial": state.trial_index,
-            "level": state.level,
-            "catch": is_catch,
-            "reference_first": reference_first,
-            "k_first": springs[0],
-            "k_second": springs[1],
-        })
-        digests = _run_intervals(springs, config, plan, rec, rng,
-                                 state.trial_index, memo)
-        response = observer.respond(springs[0], springs[1], condition.deg_s, rng).value
-        rec.clock += RESPONSE_DURATION_S
-        rec.emit("Responded", {
-            "trial": state.trial_index,
-            "catch": is_catch,
-            "response": response,
-            "correct": _is_correct(response, is_catch),
-            "recording_digests": digests,
-        })
-        after = rec.fold.run.state
-        if after.level != state.level or after.last_move_direction != state.last_move_direction:
-            rec.emit("StaircaseMoved", {
-                "trial": state.trial_index,
-                "direction": after.last_move_direction.value,
-                "level_before": state.level,
-                "level_after": after.level,
-            })
-        if len(after.reversals) > len(state.reversals):
-            reversal = after.reversals[-1]
-            rec.emit("Reversal", {
-                "trial": reversal.trial_index,
-                "index": len(after.reversals),
-                "level": reversal.level_at_reversal,
-                "new_direction": reversal.new_direction.value,
-            })
-
-    result = rec.fold.runs[-1]
-    rec.emit("RunTerminated", {**_run_summary(result),
+        emit("RunTerminated", {**_run_summary(result),
                                "reversal_levels": list(result.reversal_levels)})
+        runs.append(result)
+        trials.append(tuple(rows))
+        if position < len(order) - 1:
+            emit("Metadata", {"note": "break", "duration_s": BREAK_DURATION_S})
+            clock += BREAK_DURATION_S
+    emit("SessionEnded", {"velocity_order": [r.velocity for r in runs], "runs": [
+        {**_run_summary(r), "reversals": len(r.reversal_levels)} for r in runs]})
+    return tuple(runs), tuple(trials)
 
 
-def _springs(reference: float, level: float, catch: bool,
-             reference_first: bool) -> tuple[float, float]:
-    """(k_first, k_second) of a trial: the reference and a comparison
-    ``level`` above it (equal to it on a catch trial), in presented order."""
-    comparison = reference if catch else reference + level
-    return (reference, comparison) if reference_first else (comparison, reference)
+class _Drawn:
+    """A session's inputs drawn from its seed: the run order and each
+    presentation from the RNG, explorations from the plant and responses
+    from the observer."""
+
+    def __init__(self, config: SessionConfig, memo: dict):
+        self.config = config
+        self.memo = memo
+        self.rng = np.random.default_rng(config.seed)
+        self.observer = observer_from_config(config.observer)
+
+    def order(self, count: int) -> list[int]:
+        return [int(i) for i in self.rng.permutation(count)]
+
+    def present(self, position: int) -> tuple[bool, bool]:
+        rate = self.config.catch_trial_rate
+        catch = rate > 0 and self.rng.random() < rate
+        return catch, self.rng.random() < 0.5
+
+    def explore(self, interval: int, attempt: int, k: float,
+                plan: TrajectoryPlan) -> tuple[bool, str, float, int]:
+        """Simulate one exploration, or recall it from ``memo``.  Without
+        motor noise the plant draws no random numbers, so ``memo`` maps (spring,
+        plan, limb, device, velocity tolerance) to the outcome, each simulated
+        once per memo.  Noisy explorations are always simulated, never stored."""
+        config, spring, key = self.config, SpringParam(k=k), None
+        if config.limb.motor_noise_std == 0:
+            key = (spring, plan, config.limb, config.device, config.velocity_tolerance)
+            known = self.memo.get(key)
+            if known is not None:
+                return known
+        recording = simulate_exploration(spring, plan, config.limb, config.device,
+                                         self.rng)
+        accepted = achieved_velocity_ok(recording, plan, config.velocity_tolerance)
+        outcome = (accepted, recording.digest() if accepted else "",
+                   float(recording.achieved_mean_velocity), len(recording.led_events))
+        if key is not None:
+            self.memo[key] = outcome
+        return outcome
+
+    def respond(self, springs: tuple[float, float], deg_s: float) -> str:
+        return self.observer.respond(springs[0], springs[1], deg_s, self.rng).value
+
+
+def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
+    return CorruptLogError(f"{event.kind}.{key} must be {expected}, got "
+                           f"{event.payload.get(key)!r}", event.seq)
+
+
+class _Logged:
+    """The inputs a parsed log recorded, handed back as the emitter asks.
+
+    The run order comes from the RunStarted events' velocities.  A trial's
+    inputs come from its Presented event, the ExplorationRejected events
+    after it (each matched to an exploration by its interval) and its
+    Responded event.  The emitter recomputes everything else in the log.
+    """
+
+    def __init__(self, events: list[Event], config: SessionConfig):
+        self.config = config
+        runs = []  # (RunStarted, [[Presented, rejections, Responded], ...])
+        run = None  # the trials of the run being read
+        for event in events:
+            kind = event.kind
+            if kind == "RunStarted":
+                run = []
+                runs.append((event, run))
+            elif kind in ("Presented", "ExplorationRejected", "Responded"):
+                if run is None:
+                    raise CorruptLogError(f"{kind} outside an active run", event.seq)
+                if kind == "Presented":
+                    run.append([event, [], None])
+                elif not run or run[-1][2] is not None:
+                    raise CorruptLogError(f"{kind} outside a trial", event.seq)
+                elif kind == "Responded":
+                    run[-1][2] = event
+                else:
+                    run[-1][1].append(event)
+            elif kind not in ("StaircaseMoved", "Reversal"):
+                run = None
+        self.runs = [(start, iter(trials)) for start, trials in runs]
+        self.trial = None  # the trial being read
+
+    def order(self, count: int) -> list[int]:
+        configured = [v.deg_s for v in self.config.velocities]
+        order = []
+        for start, _ in self.runs:
+            velocity = start.payload.get("velocity_deg_s")
+            if velocity not in configured or configured.index(velocity) in order:
+                raise CorruptLogError(f"RunStarted.velocity_deg_s {velocity!r} is no "
+                                      "configured velocity yet to run", start.seq)
+            order.append(configured.index(velocity))
+        if len(order) < count:
+            raise CorruptLogError(f"the config has {count} velocities, the log "
+                                  f"{len(order)} runs", 0)
+        return order
+
+    def present(self, position: int) -> tuple[bool, bool]:
+        start, trials = self.runs[position]
+        self.trial = next(trials, None)
+        if self.trial is None:
+            raise CorruptLogError("run ends before its staircase does", start.seq)
+        presented, _, responded = self.trial
+        if responded is None:
+            raise CorruptLogError("Presented without a Responded", presented.seq)
+        for key in ("catch", "reference_first"):
+            if type(presented.payload.get(key)) is not bool:
+                raise _mistyped(presented, key, "a boolean")
+        return presented.payload["catch"], presented.payload["reference_first"]
+
+    def explore(self, interval: int, attempt: int, k: float,
+                plan: TrajectoryPlan) -> tuple[bool, str, float, int]:
+        _, rejections, responded = self.trial
+        for event in rejections:
+            if event.payload.get("interval") == interval:
+                if attempt == self.config.repeat_cap:
+                    raise CorruptLogError(f"interval {interval} rejected repeat_cap "
+                                          f"({attempt}) times", event.seq)
+                rejections.remove(event)
+                return (False, "", event.payload.get("achieved_mean_velocity"),
+                        event.payload.get("led_events"))
+        digests = responded.payload.get("recording_digests")  # each interval checks its own
+        if type(digests) is not list or len(digests) != 2 or type(digests[interval]) is not str:
+            raise _mistyped(responded, "recording_digests", "a list of two strings")
+        return True, digests[interval], 0.0, 0
+
+    def respond(self, springs: tuple[float, float], deg_s: float) -> str:
+        _, rejections, responded = self.trial
+        if rejections:
+            raise CorruptLogError("ExplorationRejected matches no exploration",
+                                  rejections[0].seq)
+        response = responded.payload.get("response")
+        if response != "same" and response != "different":
+            raise _mistyped(responded, "response", '"same" or "different"')
+        return response
+
+    def check_all_read(self) -> None:
+        """Raise where a run logged trials after its staircase ended."""
+        for _, trials in self.runs:
+            unread = next(trials, None)
+            if unread is not None:
+                raise CorruptLogError("Presented after its run's staircase ended",
+                                      unread[0].seq)
 
 
 def _run_summary(run: RunResult) -> dict:
@@ -624,15 +642,6 @@ def _run_summary(run: RunResult) -> dict:
     }
 
 
-def _session_summary(runs: tuple[RunResult, ...]) -> dict:
-    """The SessionEnded payload of a session whose runs gave ``runs``."""
-    return {
-        "velocity_order": [r.velocity for r in runs],
-        "runs": [{**_run_summary(r), "reversals": len(r.reversal_levels)}
-                 for r in runs],
-    }
-
-
 def run_session(config: SessionConfig,
                 memo: dict | None = None) -> SessionRun:
     """Execute the full protocol and return results plus the event log.
@@ -640,25 +649,13 @@ def run_session(config: SessionConfig,
     ``memo`` holds the noise-free explorations simulated so far; sessions
     given the same dict share them.  Without one the session gets its own.
     """
-    if memo is None:
-        memo = {}
-    rng = np.random.default_rng(config.seed)
-    observer = observer_from_config(config.observer)
-    rec = _Recorder()
-    rec.emit("SessionStarted", {"config": config_to_dict(config)})
-    order = [int(i) for i in rng.permutation(len(config.velocities))]
-    for position, index in enumerate(order):
-        rec.emit("Metadata", {"note": "training", "duration_s": TRAINING_DURATION_S})
-        rec.clock += TRAINING_DURATION_S
-        _run_staircase_run(config, config.velocities[index], observer, rec, rng,
-                           memo)
-        if position < len(order) - 1:
-            rec.emit("Metadata", {"note": "break", "duration_s": BREAK_DURATION_S})
-            rec.clock += BREAK_DURATION_S
-    rec.emit("SessionEnded", _session_summary(rec.fold.runs))
-    log_text = serialize_log(rec.events)
-    return SessionRun(result=_session_result(rec.fold, log_text),
-                      log_text=log_text, trials=rec.fold.trials)
+    emitted: list[tuple] = []
+    source = _Drawn(config, {} if memo is None else memo)
+    runs, trials = _emit_session(config, source, emitted)
+    log_text = serialize_log(list(map(Event._make, emitted)))
+    result = SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
+                           log_digest=_digest(log_text))
+    return SessionRun(result=result, log_text=log_text, trials=trials)
 
 
 def serialize_log(events: list[Event]) -> str:
@@ -726,24 +723,24 @@ def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> st
 def replay(log_text: str) -> SessionResult:
     """Recompute the session result from the event log alone.
 
-    The log's events, after amendment resolution, are folded exactly as the
-    runner folded them while emitting.  For unamended logs, what the runner
-    logged from the fold must match the recomputed fold: each presented
-    level and spring pair, each response's correctness, each run's threshold
-    and the SessionEnded summary.  A mismatch or malformed sequence raises
-    CorruptLogError with the offending sequence number.
+    The log's recorded inputs (see ``_Logged``), after amendment resolution,
+    are fed back through ``_emit_session``, the code that wrote the log.  An
+    unamended log must come out again as logged: the first re-emitted event
+    whose value differs raises CorruptLogError naming its seq, kind and key.
+    An amended log is re-emitted from its amended inputs and not compared.
+    A malformed log also raises CorruptLogError.
     """
     events = parse_log(log_text)
     if not events:
         raise CorruptLogError("empty log")
-    amendments, ended = [], False
+    amendments, end = [], None
     for i, event in enumerate(events):
         if event.seq != i:
             raise CorruptLogError("sequence gap", event.seq)
         if event.kind == "Amendment":
             amendments.append(event)
-        elif event.kind == "SessionEnded":
-            ended = True
+        elif event.kind == "SessionEnded" and end is None:
+            end = i
 
     amended: dict[int, dict] = {}  # seq -> payload after its amendments
     for event in amendments:
@@ -756,57 +753,52 @@ def replay(log_text: str) -> SessionResult:
 
     if events[0].kind != "SessionStarted":
         raise CorruptLogError("log does not start with SessionStarted", 0)
-    if not ended:
+    if end is None:
         raise CorruptLogError("missing SessionEnded terminator",
                               events[-1].seq)
-
-    fold = _Fold()
-    checked = not amended  # an amendment changes what follows it
-    event = events[0]
+    if amended:
+        events = [event._replace(payload=amended[event.seq]) if event.seq in amended
+                  else event for event in events]
     try:
-        if checked:  # springs are checked against the configured reference
-            reference = event.payload["config"]["reference_stiffness"]
-        for event in events:
-            if event.seq in amended:
-                event = event._replace(payload=amended[event.seq])
-            fold = _apply(fold, event)
-            if checked:
-                _check_logged(event, fold, reference)
-    except KeyError as exc:
-        raise CorruptLogError(f"{event.kind} payload lacks {exc.args[0]!r}",
-                              event.seq) from None
-    except (TypeError, InvalidConfigError) as exc:
-        raise CorruptLogError(f"malformed {event.kind} payload: {exc}",
-                              event.seq) from None
-    return _session_result(fold, log_text)
+        config = config_from_dict(events[0].payload.get("config"))
+    except ConfigError as exc:
+        raise CorruptLogError(f"SessionStarted config: {exc}", 0) from None
+
+    source, emitted = _Logged(events, config), []
+    try:
+        runs, _ = _emit_session(config, source, emitted)
+        source.check_all_read()
+    except CorruptLogError:
+        if not amended:  # an event that differs before the faulty input comes first
+            _check_re_emitted(events, emitted)
+        raise
+    if not amended:  # an amendment changes what follows it, so it is not compared
+        _check_re_emitted(events, emitted)
+    for event in events[end + 1:]:
+        if event.kind != "Amendment":
+            raise CorruptLogError(f"{event.kind} after SessionEnded", event.seq)
+    return SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
+                         log_digest=_digest(log_text))
 
 
-def _check_logged(event: Event, fold: _Fold, reference: float) -> None:
-    """Raise CorruptLogError where what ``event`` logs differs from what the
-    runner would have logged from ``fold``, the fold after ``event``."""
-    kind, payload, run = event.kind, event.payload, fold.run
-    if kind == "Presented":
-        if run is None or run.state.terminated:
-            raise CorruptLogError("presentation outside an active run", event.seq)
-        level = run.state.level
-        springs = _springs(reference, level, payload["catch"],
-                           payload["reference_first"])
-        if payload["level"] != level or \
-                (payload["k_first"], payload["k_second"]) != springs:
-            raise CorruptLogError("presented level or springs disagree with the "
-                                  "recomputed staircase", event.seq)
-    elif kind == "Responded":
-        if payload["correct"] != _is_correct(payload["response"], payload["catch"]):
-            raise CorruptLogError("logged correctness disagrees with the response",
-                                  event.seq)
-    elif kind == "RunTerminated":
-        if fold.runs[-1].threshold.percent_of_reference != payload["threshold_pct"]:
-            raise CorruptLogError("recomputed threshold disagrees with log",
-                                  event.seq)
-    elif kind == "SessionEnded":
-        if payload != _session_summary(fold.runs):
-            raise CorruptLogError("SessionEnded summary disagrees with the "
-                                  "recomputed runs", event.seq)
+_ABSENT = object()  # a payload key one of two events lacks
+
+
+def _check_re_emitted(logged: list[Event], emitted: list[tuple]) -> None:
+    """Raise at the first re-emitted event whose value differs from the
+    logged one, naming its kind and key."""
+    if logged[:len(emitted)] == emitted:
+        return
+    old, new = next((old, Event._make(new)) for old, new in zip(logged, emitted)
+                    if old != new)
+    if old.kind != new.kind:
+        raise CorruptLogError(f"logged {old.kind} where the re-emitted log has "
+                              f"{new.kind}", old.seq)
+    key = "t_wall"
+    if old.t_wall == new.t_wall:
+        key = next(k for k in sorted(old.payload.keys() | new.payload.keys())
+                   if old.payload.get(k, _ABSENT) != new.payload.get(k, _ABSENT))
+    raise CorruptLogError(f"{old.kind}.{key} disagrees with the re-emitted log", old.seq)
 
 
 def sdt_rates(log_text: str) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -132,6 +133,9 @@ class TestSimulate:
          "velocity_tolerance must be nonnegative and finite"),
         (lambda r: r.update(velocity_tolerance=float("nan")),
          "velocity_tolerance must be a finite number, got nan"),
+        # a float conversion of it would overflow in the plant
+        (lambda r: r.update(device={"encoder_counts_per_rev": 10**400}),
+         "device.encoder_counts_per_rev must be at most 1.79769e+308 in magnitude"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -157,8 +161,7 @@ class TestSimulate:
         out = tmp_path / ("o" if command == "simulate" else "trace.csv")
         assert main([command, "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == match + "\n"
-        written = list(out.glob("*")) if command == "simulate" else out.exists()
-        assert not written
+        assert not out.exists()
 
     def test_negative_seed_flag_exits_2(self, tmp_path, config_path, capsys):
         assert main(["simulate", "--config", config_path, "--seed", "-1",
@@ -339,6 +342,61 @@ class TestReplayCommand:
         log.write_text("\n".join(lines[:-1]) + "\n")
         assert main(["replay", "--log", str(log)]) == 2
         assert "corrupt" in capsys.readouterr().err
+
+
+@functools.cache
+def _logged_events(plant_mode):
+    """The events of a short seed-5 session, as JSON objects."""
+    raw = default_config_dict(seed=5, plant_mode=plant_mode)
+    raw["staircase"] = {"reversal_limit": 4, "reversals_averaged": 4}
+    return json.dumps([json.loads(line) for line in
+                       run_session(config_from_dict(raw)).log_text.splitlines()])
+
+
+def _first(events, kind):
+    return next(e for e in events if e["kind"] == kind)
+
+
+def _reject_past_the_cap(events):
+    """Insert rejections of the first interval one past repeat_cap, each
+    logged as the runner would have logged it."""
+    index = events.index(_first(events, "Presented"))
+    t_wall = events[index]["t_wall"]
+    cap = events[0]["payload"]["config"]["repeat_cap"]
+    for attempt in range(1, cap + 2):
+        t_wall += 2.0 * (60.0 / _first(events, "RunStarted")["payload"]["bpm"])
+        events.insert(index + attempt, {
+            "seq": 0, "kind": "ExplorationRejected", "t_wall": t_wall,
+            "payload": {"trial": 0, "interval": 0, "attempt": attempt,
+                        "achieved_mean_velocity": 50.0, "led_events": 0}})
+    for seq, event in enumerate(events):
+        event["seq"] = seq
+
+
+class TestReplayInputs:
+    @pytest.mark.parametrize("plant_mode,damage,match", [
+        ("ideal", lambda events: _first(events, "Presented")["payload"].update(catch=0),
+         "Presented.catch must be a boolean, got 0"),
+        ("ideal", lambda events: _first(events, "Responded")["payload"].update(
+            response="maybe"),
+         "Responded.response must be \"same\" or \"different\", got 'maybe'"),
+        ("full", lambda events: _first(events, "Responded")["payload"].update(
+            recording_digests="ab"),
+         "Responded.recording_digests must be a list of two strings, got 'ab'"),
+        ("full", _reject_past_the_cap, "interval 0 rejected repeat_cap (5) times"),
+        ("ideal", lambda events: events[0]["payload"]["config"]["observer"].update(
+            family="weibul"),
+         "seq 0: SessionStarted config: observer: unknown observer family"),
+    ])
+    def test_mistyped_input_is_a_corrupt_log(self, tmp_path, capsys, plant_mode,
+                                             damage, match):
+        events = json.loads(_logged_events(plant_mode))
+        damage(events)
+        log = tmp_path / "session.jsonl"
+        log.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+        assert main(["replay", "--log", str(log)]) == 2
+        err = capsys.readouterr().err  # main returns: no exception escaped
+        assert err.startswith("corrupt log: seq ") and match in err
 
 
 class TestUsage:

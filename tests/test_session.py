@@ -401,7 +401,7 @@ class TestReplay:
             event = json.loads(line)
             event["seq"] = seq
             renumbered.append(json.dumps(event, sort_keys=True))
-        with pytest.raises(CorruptLogError, match="inside"):
+        with pytest.raises(CorruptLogError, match="re-emitted log has RunTerminated"):
             replay("\n".join(renumbered) + "\n")
 
     def test_truncated_log_rejected(self):
@@ -460,7 +460,7 @@ class TestReplay:
         events = _events(ideal_config(seed=25))
         presented = next(e for e in events if e["kind"] == "Presented")
         presented["payload"][field] += 0.01
-        with pytest.raises(CorruptLogError, match="presented") as err:
+        with pytest.raises(CorruptLogError, match="Presented") as err:
             replay(_log(events))
         assert err.value.seq == presented["seq"]
 
@@ -469,7 +469,7 @@ class TestReplay:
         presented = next(e for e in events if e["kind"] == "Presented")
         presented["payload"]["reference_first"] = \
             not presented["payload"]["reference_first"]
-        with pytest.raises(CorruptLogError, match="presented") as err:
+        with pytest.raises(CorruptLogError, match="Presented") as err:
             replay(_log(events))
         assert err.value.seq == presented["seq"]
 
@@ -481,15 +481,15 @@ class TestReplay:
         assert payload["k_first"] == payload["k_second"]
         payload["k_first" if payload["reference_first"] else "k_second"] += \
             payload["level"]
-        with pytest.raises(CorruptLogError, match="presented") as err:
+        with pytest.raises(CorruptLogError, match="Presented") as err:
             replay(_log(events))
         assert err.value.seq == presented["seq"]
 
     def test_springs_checked_against_the_configured_reference(self):
         events = _events(ideal_config(seed=27))
         events[0]["payload"]["config"]["reference_stiffness"] = 1.2
-        first = next(e for e in events if e["kind"] == "Presented")
-        with pytest.raises(CorruptLogError, match="presented") as err:
+        first = next(e for e in events if e["kind"] == "RunStarted")
+        with pytest.raises(CorruptLogError, match="RunStarted.staircase") as err:
             replay(_log(events))
         assert err.value.seq == first["seq"]
 
@@ -546,7 +546,7 @@ class TestReplay:
         target = next(e for e in events if e["kind"] == "RunStarted")
         target["payload"]["staircase"] = {"up_step": 1.0}
         text = "\n".join(json.dumps(e, sort_keys=True) for e in events) + "\n"
-        with pytest.raises(CorruptLogError, match="malformed RunStarted"):
+        with pytest.raises(CorruptLogError, match="RunStarted.staircase"):
             replay(text)
 
     @pytest.mark.parametrize("update", [{"target_seq": 1.0, "update": {}},
@@ -560,6 +560,80 @@ class TestReplay:
         with pytest.raises(CorruptLogError, match="amendment") as err:
             replay(text + line + "\n")
         assert err.value.seq == n
+
+
+@functools.cache
+def _edit_target_logs():
+    """(plant mode, log lines) of the logs the field-edit property edits."""
+    return (
+        ("ideal", run_session(ideal_config(seed=3)).log_text.splitlines()),
+        ("full", run_session(full_config(seed=3, staircase=SHORT_STAIRCASE))
+         .log_text.splitlines()),
+        ("full", run_session(noisy_config(seed=2, staircase=SHORT_STAIRCASE))
+         .log_text.splitlines()),
+    )
+
+
+def _field_paths(value, path=()):
+    """The path of every key and index below ``value``."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _field_paths(item, path + (key,))
+
+
+def _nearby(value):
+    """Edits close to ``value``, which random values rarely hit."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, (int, float)):
+        return [value + 1, value - 1, -value, value * 1.01, value + 1e-9, 0]
+    if isinstance(value, str):
+        return [value + "x", "same", "different", "up", "down", "Presented",
+                "Responded", "StaircaseMoved", "Reversal", "ExplorationRejected"]
+    return [[], {}, None]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=5)
+
+
+def _exempt(mode, event, path):
+    """Whether ``path`` of ``event`` is an input replay cannot recompute."""
+    kind, field = event["kind"], path[:2]
+    return (mode == "full" and kind == "Responded"
+            and field == ("payload", "recording_digests")) \
+        or (kind == "ExplorationRejected" and field in (
+            ("payload", "interval"), ("payload", "achieved_mean_velocity"),
+            ("payload", "led_events"))) \
+        or (kind == "Presented" and event["payload"]["catch"]
+            and field == ("payload", "reference_first"))
+
+
+class TestReplayRecomputesEveryField:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_edited_field_is_rejected(self, data):
+        mode, lines = data.draw(st.sampled_from(_edit_target_logs()))
+        index = data.draw(st.integers(1, len(lines) - 1), label="seq")
+        event = json.loads(lines[index])
+        path = data.draw(st.sampled_from(list(_field_paths(event))), label="path")
+        *parents, key = path
+        owner = functools.reduce(lambda value, step: value[step], parents, event)
+        old = owner[key]
+        owner[key] = data.draw(st.one_of(st.sampled_from(_nearby(old)), _JSON_VALUES)
+                               .filter(lambda new: new != old), label="new value")
+        edited = lines[:index] + [json.dumps(event, sort_keys=True)] + lines[index + 1:]
+        try:
+            replay("\n".join(edited) + "\n")
+        except CorruptLogError:
+            return
+        assert _exempt(mode, json.loads(lines[index]), path), \
+            f"replay accepted {owner[key]!r} for {old!r} at {path} of seq {index}"
 
 
 def _events(config):
