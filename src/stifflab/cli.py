@@ -32,7 +32,6 @@ from .session import (
     RepeatLimitError,
     SessionConfig,
     config_from_dict,
-    config_to_dict,
     default_config_dict,
     replay,
     run_session,
@@ -54,21 +53,25 @@ def _check_overwrite(paths, force: bool) -> None:
 
 
 def _load_config(path: str, seed: int | None) -> SessionConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if seed is not None:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer int() refuses
+        raise ConfigError(f"{path}: {exc}") from None
+    if seed is not None and isinstance(raw, dict):  # config_from_dict rejects the rest
         raw["seed"] = seed
     return config_from_dict(raw)
 
 
-def _session_worker(args: tuple[dict, list[int]]) -> list[tuple[str, list[dict]]]:
+def _session_worker(args: tuple[SessionConfig, list[int]]) \
+        -> list[tuple[str, list[dict]]]:
     """(log, summary rows) of each of the consecutive seeds' sessions, in
     seed order; the sessions share one exploration memo."""
-    raw, seeds = args
+    base, seeds = args
     memo: dict = {}
     outputs = []
     for seed in seeds:
-        config = config_from_dict({**raw, "seed": seed})
+        config = replace(base, seed=seed)
         run = run_session(config, memo)
         rows = summary_rows(f"session_{seed:08d}", config, run.result)
         outputs.append((run.log_text, rows))
@@ -93,14 +96,14 @@ def cmd_simulate(args) -> int:
     summary_path = out / "summary.csv"
     _check_overwrite([*paths, summary_path], args.force)
 
-    raw = config_to_dict(config)
     if workers > 1 and len(seeds) > 1:
         size = -(-len(seeds) // workers)  # one contiguous chunk per worker
-        chunks = [(raw, seeds[i:i + size]) for i in range(0, len(seeds), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = [(config, seeds[i:i + size]) for i in range(0, len(seeds), size)]
+        # a pool may start all its workers at once: start none without a chunk
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             outputs = [o for chunk in pool.map(_session_worker, chunks) for o in chunk]
     else:
-        outputs = _session_worker((raw, seeds))
+        outputs = _session_worker((config, seeds))
 
     out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     all_rows = []
@@ -225,11 +228,27 @@ def cmd_emg_demo(args) -> int:
     return EXIT_OK
 
 
-def cmd_replay(args) -> int:
-    with open(args.log) as fh:
-        log_text = fh.read()
+def _log_text(data: bytes) -> str:
+    """``data`` read as a text-mode ``open`` reads a UTF-8 file (universal
+    newlines).  Bytes that are not UTF-8 raise CorruptLogError naming the line
+    that ``parse_log`` would give them."""
     try:
-        result = replay(log_text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines read so far; the "x" counts the unfinished one
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CorruptLogError(f"line {line} is not UTF-8: byte {exc.start} "
+                              f"({exc.reason})") from None
+    if "\r" in text:  # a scan costs far less than two replace() copies
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def cmd_replay(args) -> int:
+    with open(args.log, "rb") as fh:
+        data = fh.read()
+    try:
+        result = replay(_log_text(data))
     except CorruptLogError as exc:
         print(f"corrupt log: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -296,8 +315,8 @@ def main(argv=None) -> int:
                "replay": cmd_replay}[args.command]
     try:
         return command(args)
-    except (ConfigError, FileExistsError, FileNotFoundError, json.JSONDecodeError,
-            RepeatLimitError, plant.UnstableIntegrationError) as exc:
+    except (ConfigError, FileExistsError, FileNotFoundError, RepeatLimitError,
+            plant.UnstableIntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -44,6 +44,22 @@ from .staircase import (
 )
 
 _JSON = json.JSONEncoder(sort_keys=True)  # one line of the event log
+
+
+def _chunk_encoder(make_encoder):
+    """``encode(obj, 0)``, the chunks of ``obj``'s line as ``_JSON.encode``
+    writes it: json's C encoder built once from ``make_encoder`` with the
+    arguments ``_JSON.iterencode`` builds it with per call, bar the cycle
+    check (payloads are trees), or ``_JSON.encode`` where ``make_encoder`` is
+    None (a Python without the ``_json`` module)."""
+    if make_encoder is None:
+        return lambda obj, _level: (_JSON.encode(obj),)
+    return make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii,
+                        _JSON.indent, _JSON.key_separator, _JSON.item_separator,
+                        _JSON.sort_keys, _JSON.skipkeys, _JSON.allow_nan)
+
+
+_encode = _chunk_encoder(json.encoder.c_make_encoder)
 _raw_decode = json.JSONDecoder().raw_decode  # a line as json.loads reads it, bar padding
 
 TRAINING_DURATION_S = 120.0
@@ -652,24 +668,28 @@ def run_session(config: SessionConfig,
     emitted: list[tuple] = []
     source = _Drawn(config, {} if memo is None else memo)
     runs, trials = _emit_session(config, source, emitted)
-    log_text = serialize_log(list(map(Event._make, emitted)))
+    log_text = serialize_log(emitted)
     result = SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
                            log_digest=_digest(log_text))
     return SessionRun(result=result, log_text=log_text, trials=trials)
 
 
-def serialize_log(events: list[Event]) -> str:
-    lines = [_JSON.encode(e.to_dict()) for e in events]
+def serialize_log(events: list[tuple]) -> str:
+    """The JSONL log of ``events``, Events or plain tuples of their fields."""
+    join = "".join
+    lines = [join(_encode({"kind": kind, "payload": payload, "seq": seq,
+                           "t_wall": t_wall}, 0))
+             for seq, kind, t_wall, payload in events]
     return "\n".join(lines) + "\n"
 
 
 def parse_log(text: str) -> list[Event]:
     """The log's events, one per nonblank line.
 
-    A line that is not JSON, or not an object with exactly an integer
-    ``seq``, a string ``kind``, a numeric ``t_wall`` and an object
-    ``payload``, raises CorruptLogError naming its line (and its seq when
-    that is readable).
+    A line that is not JSON (or holds an integer too long for ``int()``),
+    or not an object with exactly an integer ``seq``, a string ``kind``, a
+    numeric ``t_wall`` and an object ``payload``, raises CorruptLogError
+    naming its line (and its seq when that is readable).
     """
     events = []
     for number, line in enumerate(text.splitlines(), 1):
@@ -677,7 +697,7 @@ def parse_log(text: str) -> list[Event]:
             continue
         try:
             d, end = _raw_decode(line)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer int() refuses
             end = None
         try:
             if end != len(line):  # padding, a BOM, trailing data or an error:
@@ -685,6 +705,8 @@ def parse_log(text: str) -> list[Event]:
             event = Event(d["seq"], d["kind"], d["t_wall"], d["payload"])
         except json.JSONDecodeError as exc:
             raise CorruptLogError(f"line {number} is not JSON: {exc.msg}") from None
+        except ValueError as exc:  # an integer past int()'s digit limit
+            raise CorruptLogError(f"line {number}: {exc}") from None
         except (KeyError, TypeError):  # not an object, or a key missing
             event = None
         if event is None or len(d) != 4 or type(event.seq) is not int \
@@ -717,7 +739,7 @@ def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> st
         t_wall=events[-1].t_wall,
         payload={"target_seq": target_seq, "update": dict(payload_update)},
     )
-    return log_text + _JSON.encode(amendment.to_dict()) + "\n"
+    return log_text + serialize_log([amendment])
 
 
 def replay(log_text: str) -> SessionResult:

@@ -163,6 +163,15 @@ class TestSimulate:
         assert capsys.readouterr().err == match + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
+    def test_seed_flag_on_a_config_that_is_no_object_exits_2(self, tmp_path, capsys,
+                                                            document):
+        path = tmp_path / "config.json"
+        path.write_text(document)
+        assert main(["simulate", "--config", str(path), "--seed", "3",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
     def test_negative_seed_flag_exits_2(self, tmp_path, config_path, capsys):
         assert main(["simulate", "--config", config_path, "--seed", "-1",
                      "--out", str(tmp_path / "o")]) == 2
@@ -176,6 +185,36 @@ class TestSimulate:
         assert "error: STIFFLAB_THREADS must be an integer, got 'two'" in \
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("threads,sessions,blocks", [
+        ("5000", 2, 2), ("3", 4, 2), ("2", 3, 2), ("4", 4, 4)])
+    def test_worker_pool_starts_one_worker_per_seed_block(
+            self, tmp_path, config_path, monkeypatch, threads, sessions, blocks):
+        pools = []
+
+        class SerialPool:  # records the pool size and maps in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("stifflab.cli.ProcessPoolExecutor", SerialPool)
+        outs = {}
+        for env in ("0", threads):
+            monkeypatch.setenv("STIFFLAB_THREADS", env)
+            outs[env] = tmp_path / f"threads_{env}"
+            assert main(["simulate", "--config", config_path, "--sessions",
+                         str(sessions), "--out", str(outs[env])]) == 0
+        assert pools == [blocks]
+        for path in outs["0"].iterdir():
+            assert path.read_bytes() == (outs[threads] / path.name).read_bytes()
 
     def test_worker_processes_write_the_serial_bytes(self, tmp_path, monkeypatch):
         raw = default_config_dict(seed=4, plant_mode="full")
@@ -371,6 +410,66 @@ def _reject_past_the_cap(events):
                         "achieved_mean_velocity": 50.0, "led_events": 0}})
     for seq, event in enumerate(events):
         event["seq"] = seq
+
+
+def _huge_integer(text, key, value):
+    """``text`` with the first ``key``'s ``value`` written as 1 followed by
+    5,000 zeros, an integer past int()'s default limit of 4,300 digits."""
+    old = f'"{key}": {value}'
+    assert old in text
+    return text.replace(old, f'"{key}": 1{"0" * 5000}', 1)
+
+
+_NO_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="this Python reads integers of any length")
+
+
+class TestMalformedBytes:
+    @pytest.mark.parametrize("command,damage,message", [
+        pytest.param("simulate", lambda text: _huge_integer(text, "seed", 1)
+                     .encode(), "Exceeds the limit (4300 digits)", marks=_NO_DIGIT_LIMIT),
+        ("simulate", lambda text: text.replace("ideal", "ide\udcffal").encode(
+            "utf-8", "surrogateescape"), "can't decode byte 0xff in position"),
+        pytest.param("replay", lambda text: _huge_integer(text, "duration_s", 120.0)
+                     .encode(), "corrupt log: line 2: Exceeds the limit (4300 digits)",
+                     marks=_NO_DIGIT_LIMIT),
+        ("replay", lambda text: text.replace("RunStarted", "Run\udcffStarted")
+         .encode("utf-8", "surrogateescape"),
+         "corrupt log: line 3 is not UTF-8: byte "),
+    ])
+    def test_exit_2_with_one_line(self, tmp_path, config_path, capsys, command,
+                                  damage, message):
+        """A file holding a too-long integer or bytes that are not UTF-8 is a
+        config error or a corrupt log, not a traceback."""
+        if command == "simulate":
+            path = Path(config_path)
+            args = ["--config", config_path, "--out", str(tmp_path / "o")]
+            prefix = f"error: {config_path}: "
+        else:
+            assert main(["simulate", "--config", config_path,
+                         "--out", str(tmp_path / "log")]) == 0
+            path = next((tmp_path / "log").glob("session_*.jsonl"))
+            args = ["--log", str(path)]
+            prefix = "corrupt log: line "
+        path.write_bytes(damage(path.read_text()))
+        capsys.readouterr()
+        assert main([command, *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and message in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_ends_replay_as_text_mode_reads_them(
+            self, tmp_path, config_path, capsys, newline):
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(tmp_path / "log")]) == 0
+        path = next((tmp_path / "log").glob("session_*.jsonl"))
+        capsys.readouterr()
+        assert main(["replay", "--log", str(path)]) == 0
+        expected = capsys.readouterr()
+        path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        assert main(["replay", "--log", str(path)]) == 0
+        assert capsys.readouterr() == expected
 
 
 class TestReplayInputs:

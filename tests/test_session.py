@@ -2,12 +2,14 @@ import functools
 import hashlib
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stifflab import session
 from stifflab.observer import alpha_for_target
 from stifflab.plant import simulate_exploration
 from stifflab.session import (
@@ -23,6 +25,7 @@ from stifflab.session import (
     replay,
     run_session,
     sdt_rates,
+    serialize_log,
     summary_rows,
 )
 
@@ -734,6 +737,59 @@ class TestParseEquivalence:
         lines[index] = prefix + line[:len(line) - cut] + suffix
         text = "\n".join(lines) + "\n"
         assert _parsed(parse_log, text) == _parsed(_reference_parse_log, text)
+
+
+def _reference_line(event):
+    """One log line as the log was first encoded: a new JSONEncoder call per
+    event, which the prebuilt encoder must match byte for byte."""
+    return json.JSONEncoder(sort_keys=True).encode(Event._make(event).to_dict())
+
+
+def _reference_serialize_log(events):
+    return "\n".join(_reference_line(e) for e in events) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+_STRINGS = st.text(st.characters(exclude_categories=()), max_size=8) \
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\u2028", "caf\u00e9", "\U0001f600"])
+_PAYLOAD_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**60, 10**60)
+    | st.floats() | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | _STRINGS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=12)
+_PAYLOADS = st.dictionaries(_STRINGS, _PAYLOAD_VALUES, max_size=5)
+_EVENT_TUPLES = st.tuples(st.integers(-2**70, 2**70), _STRINGS,
+                          st.floats() | st.integers(), _PAYLOADS)
+
+
+class TestLogEncoding:
+    @settings(max_examples=300, deadline=None)
+    @given(events=st.lists(_EVENT_TUPLES, max_size=4))
+    def test_lines_match_the_json_encoder(self, events):
+        expected = _reference_serialize_log(events)
+        assert serialize_log(events) == expected
+        assert serialize_log([Event._make(e) for e in events]) == expected
+        # as on a Python without json's C module: the fallback line encoder,
+        # with json's pure-Python encoder behind it
+        with mock.patch.object(json.encoder, "c_make_encoder", None), \
+                mock.patch.object(session, "_encode", session._chunk_encoder(None)):
+            assert serialize_log(events) == expected
+
+    def test_session_log_matches_the_json_encoder(self):
+        run = run_session(noisy_config(seed=1, staircase=SHORT_STAIRCASE))
+        assert run.log_text == _reference_serialize_log(parse_log(run.log_text))
+
+    @settings(max_examples=50, deadline=None)
+    @given(target=st.integers(0, 20), update=_PAYLOADS)
+    def test_amendment_line_matches_the_json_encoder(self, target, update):
+        text = _small_log()
+        last = parse_log(text)[-1]
+        expected = text + _reference_line(Event(
+            last.seq + 1, "Amendment", last.t_wall,
+            {"target_seq": target, "update": update})) + "\n"
+        assert append_amendment(text, target, update) == expected
 
 
 class TestSummary:
