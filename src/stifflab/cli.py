@@ -88,6 +88,10 @@ def _worker_count() -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.sessions < 1:
+        print(f"error: --sessions must be at least 1, got {args.sessions}",
+              file=sys.stderr)
+        return EXIT_USAGE
     workers = _worker_count()
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
@@ -315,7 +319,8 @@ def main(argv=None) -> int:
                "replay": cmd_replay}[args.command]
     try:
         return command(args)
-    except (ConfigError, FileExistsError, FileNotFoundError, RepeatLimitError,
+    # OSError: a path that is missing, a directory, unreadable, or not --force'd
+    except (ConfigError, OSError, RepeatLimitError,
             plant.UnstableIntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

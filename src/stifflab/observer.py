@@ -13,8 +13,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
+
+from .config import ConfigError, read, read_object
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -46,6 +49,7 @@ class WeibullObserver:
     lapse rate.
     """
 
+    family: ClassVar[str] = "weibull"  # the config's name for the class
     alpha: float
     beta: float
     gamma: float = 0.05
@@ -103,6 +107,7 @@ class SdtObserver:
     iff the absolute estimate difference exceeds criterion + bias.
     """
 
+    family: ClassVar[str] = "sdt"
     sigma: float
     criterion: float
     bias: float = 0.0
@@ -135,6 +140,7 @@ class SdtObserver:
 class BernoulliObserver:
     """Responds Different with fixed probability, independent of the pair."""
 
+    family: ClassVar[str] = "bernoulli"
     p_different: float
 
     def __post_init__(self):
@@ -155,30 +161,19 @@ class BernoulliObserver:
         )
 
 
-def observer_from_config(cfg: dict) -> WeibullObserver | SdtObserver | BernoulliObserver:
-    """Build an observer from a config mapping; unknown keys are rejected."""
-    cfg = dict(cfg)
-    family = cfg.pop("family", None)
-    if family == "weibull":
-        allowed = {"alpha", "beta", "gamma", "lapse", "velocity_scaling"}
-        _check_keys(cfg, allowed, "observer")
-        scaling = {float(k): float(v) for k, v in cfg.pop("velocity_scaling", {}).items()}
-        return WeibullObserver(velocity_scaling=scaling, **cfg)
-    if family == "sdt":
-        allowed = {"sigma", "criterion", "bias", "velocity_scaling"}
-        _check_keys(cfg, allowed, "observer")
-        scaling = {float(k): float(v) for k, v in cfg.pop("velocity_scaling", {}).items()}
-        return SdtObserver(velocity_scaling=scaling, **cfg)
-    if family == "bernoulli":
-        _check_keys(cfg, {"p_different"}, "observer")
-        return BernoulliObserver(**cfg)
-    raise ObserverConfigError(f"unknown observer family: {family!r}")
+Observer = WeibullObserver | SdtObserver | BernoulliObserver
 
 
-def _check_keys(cfg: dict, allowed: set[str], where: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ObserverConfigError(f"unknown key in {where}: {sorted(unknown)[0]!r}")
+def observer_from_config(cfg) -> Observer:
+    """The observer that a config's ``observer`` object describes: its
+    ``family`` names the class, and the other keys set that class's fields
+    (read as ``config.read`` reads a section)."""
+    cfg = read_object(cfg, "observer")
+    family = cfg.get("family")
+    for cls in (WeibullObserver, SdtObserver, BernoulliObserver):
+        if cls.family == family:
+            return read(cls, {k: v for k, v in cfg.items() if k != "family"}, "observer")
+    raise ConfigError(f"observer: unknown observer family: {family!r}")
 
 
 def normal_cdf(z: float) -> float:

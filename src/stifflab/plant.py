@@ -56,11 +56,19 @@ class SpringParam:
 
 
 @dataclass(frozen=True)
+class TrajectoryConfig:
+    """The stroke every exploration follows, bar its pace."""
+
+    amplitude: float = 90.0  # deg, normal position to pronation target
+    led_window: float = 2.5  # deg
+
+
+@dataclass(frozen=True)
 class TrajectoryPlan:
     amplitude: float       # deg, normal position to pronation target
     beat_duration: float   # s per stroke (60 / metronome bpm)
     sample_rate: float     # Hz
-    led_window: float = 2.5  # deg
+    led_window: float = TrajectoryConfig.led_window  # deg
 
     def __post_init__(self):
         _require_finite(self)
@@ -73,8 +81,9 @@ class TrajectoryPlan:
         return self.amplitude / self.beat_duration
 
 
-def plan_for_bpm(bpm: float, amplitude: float = 90.0,
-                 sample_rate: float = 1000.0, led_window: float = 2.5) -> TrajectoryPlan:
+def plan_for_bpm(bpm: float, amplitude: float = TrajectoryConfig.amplitude,
+                 sample_rate: float = DeviceConfig.control_rate,
+                 led_window: float = TrajectoryConfig.led_window) -> TrajectoryPlan:
     return TrajectoryPlan(amplitude=amplitude, beat_duration=60.0 / bpm,
                           sample_rate=sample_rate, led_window=led_window)
 

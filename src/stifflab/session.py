@@ -18,20 +18,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
-from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .observer import observer_from_config
+from .config import ConfigError, read_fields, section, write
+from .observer import Observer, observer_from_config
 from .plant import (
     DeviceConfig,
     LimbConfig,
     SpringParam,
+    TrajectoryConfig,
     TrajectoryPlan,
     achieved_velocity_ok,
+    plan_for_bpm,
     simulate_exploration,
 )
 from .staircase import (
@@ -67,10 +68,6 @@ BREAK_DURATION_S = 300.0
 RESPONSE_DURATION_S = 1.0
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class RepeatLimitError(RuntimeError):
     """An interval kept failing the velocity check past the repeat cap."""
 
@@ -84,7 +81,13 @@ class CorruptLogError(ValueError):
 @dataclass(frozen=True)
 class VelocityCondition:
     bpm: float
-    deg_s: float
+    deg_s: float  # names the run: runs, summary rows and velocity_scaling use it
+
+    def __post_init__(self):
+        if self.bpm <= 0.0:
+            raise ValueError(f"bpm must be positive, got {self.bpm}")
+        if not math.isfinite(self.deg_s):  # the default deg_s can overflow
+            raise ValueError(f"deg_s must be finite, got {self.deg_s}")
 
 
 @dataclass(frozen=True)
@@ -93,19 +96,30 @@ class SessionConfig:
     reference_stiffness: float
     staircase: StaircaseConfig
     velocities: tuple[VelocityCondition, ...]
-    limb: LimbConfig
-    device: DeviceConfig
-    observer: dict
-    trajectory_amplitude: float = 90.0
-    led_window: float = 2.5
+    observer: Observer
+    trajectory: TrajectoryConfig = TrajectoryConfig()
+    limb: LimbConfig = LimbConfig()
+    device: DeviceConfig = DeviceConfig()
     velocity_tolerance: float = 5.0
     catch_trial_rate: float = 0.0
     plant_mode: str = "full"  # "full" simulates the plant, "ideal" skips it
     repeat_cap: int = 5
 
     def __post_init__(self):
+        if self.seed < 0:  # NumPy would refuse it only at run time
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not self.velocities:
             raise ConfigError("velocities must be nonempty")
+        configured = [v.deg_s for v in self.velocities]
+        for deg_s in configured:
+            if configured.count(deg_s) > 1:
+                raise ConfigError(f"velocities: deg_s {deg_s} appears twice")
+        # a scaling is looked up by exact velocity: one naming no configured
+        # velocity would silently leave that velocity unscaled
+        for velocity in getattr(self.observer, "velocity_scaling", {}):
+            if velocity not in configured:
+                raise ConfigError(f"observer.velocity_scaling key {velocity!r} matches "
+                                  f"no configured deg_s {sorted(configured)}")
         if not 0.0 <= self.catch_trial_rate < 1.0:
             raise ConfigError("catch_trial_rate must be in [0, 1)")
         if not 0.0 <= self.velocity_tolerance < math.inf:
@@ -114,19 +128,6 @@ class SessionConfig:
             raise ConfigError(f"unknown plant_mode: {self.plant_mode!r}")
         if self.repeat_cap < 1:
             raise ConfigError("repeat_cap must be at least 1")
-        with _section("trajectory"):
-            for condition in self.velocities:
-                _plan(self, condition)
-
-
-def _plan(config: SessionConfig, condition: VelocityCondition) -> TrajectoryPlan:
-    """The trajectory every exploration at ``condition`` follows."""
-    return TrajectoryPlan(
-        amplitude=config.trajectory_amplitude,
-        beat_duration=60.0 / condition.bpm,
-        sample_rate=config.device.control_rate,
-        led_window=config.led_window,
-    )
 
 
 class Event(NamedTuple):
@@ -174,206 +175,68 @@ class SessionRun:
     trials: tuple[tuple[TrialRow, ...], ...]  # per run, in executed order
 
 
-_OPTION_KEYS = ("velocity_tolerance", "catch_trial_rate", "plant_mode", "repeat_cap")
-_TOP_KEYS = {"seed", "reference_stiffness", "staircase", "velocities",
-             "trajectory", "limb", "device", "observer", *_OPTION_KEYS}
-_STAIRCASE_KEYS = {  # key -> type it is read as
-    "initial_level": float, "up_step": float, "down_up_ratio": float,
-    "down_rule": int, "reversal_limit": int, "reversals_averaged": int,
-    "level_floor": float, "level_cap": float,
-}
-_TRAJECTORY_KEYS = {"amplitude", "led_window"}
-_LIMB_KEYS = {"inertia", "damping", "tracking_stiffness_gain",
-              "tracking_damping_gain", "motor_noise_std", "muscle_torque_max"}
-_DEVICE_KEYS = {"encoder_counts_per_rev", "torque_limit", "control_rate"}
-_VELOCITY_KEYS = {"bpm", "deg_s"}
-_DEFAULTS = {f.name: f.default for f in fields(SessionConfig)
-             if f.default is not MISSING}
-
-
-def _reject_unknown(d: dict, allowed, where: str) -> None:
-    unknown = sorted(d.keys() - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key in {where}: {unknown[0]!r}")
-
-
-def _option(section: dict, where: str, name: str | None = None):
-    """The value at config path ``where`` (in ``section``, under the path's
-    last key) read as the type of the default of SessionConfig's field
-    ``name`` (that key when not given), or else that default.  An int field
-    takes only an integral number, a float field only a finite number."""
-    key = where.rpartition(".")[2]
-    default = _DEFAULTS[name or key]
-    value = section.get(key, default)
-    if type(default) is int:
-        return _integer(value, where)
-    if type(default) is float:
-        return float(_finite(value, where))
-    return type(default)(value)
-
-
-def _integer(value, where: str) -> int:
-    """An integer field takes only integral numbers: 3.0 reads as 3, while
-    2.9 is an error rather than a silent 2 (a 2-down rule, say).  Nor may one
-    exceed the largest float: the plant computes with it as a float."""
-    if type(value) is int and abs(value) > sys.float_info.max:
-        raise ConfigError(f"{where} must be at most {sys.float_info.max:g} in "
-                          "magnitude")
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
-
-
-def _finite(value, where: str):
-    """A float field takes only a finite number: no string, NaN or infinity
-    (JSON's NaN and Infinity read as floats).  Returns the value as given."""
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return value
-    raise ConfigError(f"{where} must be a finite number, got {value!r}")
-
-
-def _object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
-    return dict(value)
-
-
-def _reject_booleans(value, where: str) -> None:
-    """No config field is true or false, and a number check would take them
-    as 1 and 0 (``limb.inertia: true`` as an inertia of 1)."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{where} must not be a boolean, got {value!r}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_booleans(item, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            _reject_booleans(item, f"{where}[{index}]")
-
-
-@contextmanager
-def _section(where: str):
-    """Turn the validation error of a sub-object built inside the block (a
-    ValueError such as ObserverConfigError, or a TypeError from a wrongly
-    typed value) into a ConfigError naming the config section."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+# sections read with the others' values: staircase defaults and deg_s from
+# the trajectory and device, the observer's class from its family
+_DERIVED = ("staircase", "velocities", "observer")
 
 
 def config_from_dict(raw: dict) -> SessionConfig:
-    """Parse and validate a session config document; unknown keys rejected."""
+    """Parse and validate a session config document.
+
+    Every key names a field of SessionConfig or of a section's dataclass and
+    is read by that field's type (``config.read_fields``); an unknown key, a
+    missing required one or a mistyped value is a ConfigError naming its
+    path.  The staircase section overrides ``default_config``, a velocity's
+    ``deg_s`` defaults to the trajectory amplitude times ``bpm`` / 60, and
+    ``observer.family`` picks the observer's class.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-    _reject_booleans(raw, "")
-    try:
-        seed = _integer(raw["seed"], "seed")
-        reference = float(_finite(raw["reference_stiffness"], "reference_stiffness"))
-        velocities_raw = raw["velocities"]
-        observer = _object(raw["observer"], "observer")
-    except KeyError as exc:
-        raise ConfigError(f"missing required key: {exc.args[0]!r}") from None
-    if seed < 0:  # NumPy would refuse it only at run time
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    for key in ("seed", "reference_stiffness", "velocities", "observer"):
+        if key not in raw:
+            raise ConfigError(f"missing required key: {key!r}")
+    values = read_fields(SessionConfig, {key: value for key, value in raw.items()
+                                         if key not in _DERIVED}, "")
+    reference = values["reference_stiffness"]
     if reference <= 0.0:
         raise ConfigError(f"reference_stiffness must be positive, got {reference}")
+    # a section left out takes SessionConfig's default
+    trajectory = values.get("trajectory", SessionConfig.trajectory)
+    device = values.get("device", SessionConfig.device)
 
-    stair_raw = _object(raw.get("staircase", {}), "staircase")
-    _reject_unknown(stair_raw, _STAIRCASE_KEYS, "staircase")
-    traj_raw = _object(raw.get("trajectory", {}), "trajectory")
-    _reject_unknown(traj_raw, _TRAJECTORY_KEYS, "trajectory")
-    amplitude = _option(traj_raw, "trajectory.amplitude", "trajectory_amplitude")
-    led_window = _option(traj_raw, "trajectory.led_window")
-    device_raw = _object(raw.get("device", {}), "device")
-    _reject_unknown(device_raw, _DEVICE_KEYS, "device")
-    with _section("device"):
-        device = DeviceConfig(**{
-            key: _integer(value, f"device.{key}") if key == "encoder_counts_per_rev"
-            else _finite(value, f"device.{key}") for key, value in device_raw.items()})
-    limb_raw = _object(raw.get("limb", {}), "limb")
-    _reject_unknown(limb_raw, _LIMB_KEYS, "limb")
-    with _section("limb"):
-        limb = LimbConfig(**{key: _finite(value, f"limb.{key}")
-                             for key, value in limb_raw.items()})
-    with _section("staircase"):
-        staircase = default_config(
-            reference, device.torque_limit, amplitude,
-            **{key: _integer(value, f"staircase.{key}")
-               if _STAIRCASE_KEYS[key] is int
-               else float(_finite(value, f"staircase.{key}"))
-               for key, value in stair_raw.items()})
-
-    if not isinstance(velocities_raw, list):
-        raise ConfigError(f"velocities must be a JSON array, got {velocities_raw!r}")
-    velocities = []
-    for index, entry in enumerate(velocities_raw):
+    velocities = raw["velocities"]
+    if not isinstance(velocities, list):
+        raise ConfigError(f"velocities must be a JSON array, got {velocities!r}")
+    conditions = []
+    for index, entry in enumerate(velocities):
         where = f"velocities[{index}]"
-        entry = _object(entry, where)
-        _reject_unknown(entry, _VELOCITY_KEYS, "velocities")
+        entry = read_fields(VelocityCondition, entry, where)
         if "bpm" not in entry:
-            raise ConfigError("missing required key in velocities: 'bpm'")
-        bpm = float(_finite(entry["bpm"], f"{where}.bpm"))
-        if bpm <= 0.0:
-            raise ConfigError(f"{where}.bpm must be positive, got {bpm}")
-        deg_s = float(_finite(entry.get("deg_s", amplitude * bpm / 60.0),
-                              f"{where}.deg_s"))
-        # runs, summary rows and velocity_scaling are keyed by deg_s
-        if any(v.deg_s == deg_s for v in velocities):
-            raise ConfigError(f"velocities: deg_s {deg_s} appears twice")
-        velocities.append(VelocityCondition(bpm=bpm, deg_s=deg_s))
-
-    scaling = _object(observer.get("velocity_scaling", {}), "observer.velocity_scaling")
-    for key, value in observer.items():
-        if key not in ("family", "velocity_scaling"):  # the rest are numbers
-            _finite(value, f"observer.{key}")
-    # a scaling key is looked up by exact velocity: one naming no configured
-    # velocity would silently leave that velocity unscaled
-    configured = {v.deg_s for v in velocities}
-    for key, value in scaling.items():
-        _finite(value, f"observer.velocity_scaling.{key}")
-        try:
-            matched = float(key) in configured
-        except ValueError:
-            matched = False
-        if not matched:
-            raise ConfigError(f"observer.velocity_scaling key {key!r} matches no "
-                              f"configured deg_s {sorted(configured)}")
-    with _section("observer"):
-        observer_from_config(observer)  # validate now, construct again at run time
-    return SessionConfig(
-        seed=seed,
-        reference_stiffness=reference,
-        staircase=staircase,
-        velocities=tuple(velocities),
-        limb=limb,
-        device=device,
-        observer=observer,
-        trajectory_amplitude=amplitude,
-        led_window=led_window,
-        **{key: _option(raw, key) for key in _OPTION_KEYS},
-    )
+            raise ConfigError(f"missing required key in {where}: 'bpm'")
+        entry.setdefault("deg_s", trajectory.amplitude * entry["bpm"] / 60.0)
+        with section(where):
+            conditions.append(VelocityCondition(**entry))
+    # before the staircase, whose default cap divides by the amplitude
+    with section("trajectory"):
+        for condition in conditions:
+            plan_for_bpm(condition.bpm, trajectory.amplitude, device.control_rate,
+                         trajectory.led_window)
+    with section("staircase"):
+        staircase = default_config(
+            reference, device.torque_limit, trajectory.amplitude,
+            **read_fields(StaircaseConfig, raw.get("staircase", {}), "staircase",
+                          skip=("reference_stiffness",)))  # the document's own
+    return SessionConfig(**values, staircase=staircase, velocities=tuple(conditions),
+                         observer=observer_from_config(raw["observer"]))
 
 
 def config_to_dict(config: SessionConfig) -> dict:
-    # vars(): the sections' fields, all plain values (asdict, minus its deep copy)
-    stair = vars(config.staircase).copy()
-    stair.pop("reference_stiffness")
-    return {
-        "seed": config.seed,
-        "reference_stiffness": config.reference_stiffness,
-        "staircase": stair,
-        "velocities": [vars(v).copy() for v in config.velocities],
-        "trajectory": {"amplitude": config.trajectory_amplitude,
-                       "led_window": config.led_window},
-        "limb": vars(config.limb).copy(),
-        "device": vars(config.device).copy(),
-        "observer": config.observer,
-        **{key: getattr(config, key) for key in _OPTION_KEYS},
-    }
+    """The config document of ``config``, every field of every section
+    written out."""
+    document = write(config)
+    del document["staircase"]["reference_stiffness"]  # the document's own
+    document["observer"]["family"] = config.observer.family
+    return document
 
 
 def default_config_dict(seed: int = 0, plant_mode: str = "full") -> dict:
@@ -400,18 +263,19 @@ def _emit_session(config: SessionConfig, source, events: list) \
     plain tuple of an Event's fields, so that the caller keeps those emitted
     before an error; return each run's result and trial rows.
     Every event is computed here from ``config`` and the inputs ``source``
-    gives, asked for in the runner's draw order: the run order, then per
-    trial its catch flag and presentation order, each exploration's outcome
-    and the response.  An exploration's outcome is (accepted by the velocity
-    check, the recording's digest when accepted, achieved mean velocity, LED
-    event count).  ``_Drawn`` draws the inputs from the seed; ``_Logged``
-    reads them back from a log for replay."""
+    gives: the config ``document`` to log, then, asked for in the runner's
+    draw order, the run order, then per trial its catch flag and
+    presentation order, each exploration's outcome and the response.  An
+    exploration's outcome is (accepted by the velocity check, the
+    recording's digest when accepted, achieved mean velocity, LED event
+    count).  ``_Drawn`` draws the inputs from the seed; ``_Logged`` reads
+    them back from a log for replay."""
     clock = 0.0  # the simulated session clock, seconds
 
     def emit(kind: str, payload: dict) -> None:
         events.append((len(events), kind, clock, payload))
 
-    emit("SessionStarted", {"config": config_to_dict(config)})
+    emit("SessionStarted", {"config": source.document})
     order = source.order(len(config.velocities))
     stair = config.staircase
     runs, trials = [], []
@@ -421,7 +285,8 @@ def _emit_session(config: SessionConfig, source, events: list) \
         condition = config.velocities[index]
         emit("RunStarted", {"velocity_deg_s": condition.deg_s, "bpm": condition.bpm,
                             "staircase": vars(stair).copy()})
-        plan = _plan(config, condition)
+        plan = plan_for_bpm(condition.bpm, config.trajectory.amplitude,
+                            config.device.control_rate, config.trajectory.led_window)
         exploration_time = 2.0 * plan.beat_duration
         state = new_staircase(stair)
         rows = []
@@ -510,9 +375,9 @@ class _Drawn:
 
     def __init__(self, config: SessionConfig, memo: dict):
         self.config = config
+        self.document = config_to_dict(config)
         self.memo = memo
         self.rng = np.random.default_rng(config.seed)
-        self.observer = observer_from_config(config.observer)
 
     def order(self, count: int) -> list[int]:
         return [int(i) for i in self.rng.permutation(count)]
@@ -544,7 +409,8 @@ class _Drawn:
         return outcome
 
     def respond(self, springs: tuple[float, float], deg_s: float) -> str:
-        return self.observer.respond(springs[0], springs[1], deg_s, self.rng).value
+        return self.config.observer.respond(springs[0], springs[1], deg_s,
+                                            self.rng).value
 
 
 def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
@@ -555,14 +421,18 @@ def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
 class _Logged:
     """The inputs a parsed log recorded, handed back as the emitter asks.
 
-    The run order comes from the RunStarted events' velocities.  A trial's
-    inputs come from its Presented event, the ExplorationRejected events
-    after it (each matched to an exploration by its interval) and its
-    Responded event.  The emitter recomputes everything else in the log.
+    The config document is SessionStarted's as the log spells it, which
+    may leave defaults out or write a number otherwise than config_to_dict:
+    replay checks it by reading it into ``config``.  The run order comes
+    from the RunStarted events' velocities.  A trial's inputs come from its
+    Presented event, the ExplorationRejected events after it (each matched
+    to an exploration by its interval) and its Responded event.  The
+    emitter recomputes everything else in the log.
     """
 
     def __init__(self, events: list[Event], config: SessionConfig):
         self.config = config
+        self.document = events[0].payload["config"]
         runs = []  # (RunStarted, [[Presented, rejections, Responded], ...])
         run = None  # the trials of the run being read
         for event in events:
@@ -785,7 +655,6 @@ def replay(log_text: str) -> SessionResult:
         config = config_from_dict(events[0].payload.get("config"))
     except ConfigError as exc:
         raise CorruptLogError(f"SessionStarted config: {exc}", 0) from None
-
     source, emitted = _Logged(events, config), []
     try:
         runs, _ = _emit_session(config, source, emitted)
@@ -821,28 +690,6 @@ def _check_re_emitted(logged: list[Event], emitted: list[tuple]) -> None:
         key = next(k for k in sorted(old.payload.keys() | new.payload.keys())
                    if old.payload.get(k, _ABSENT) != new.payload.get(k, _ABSENT))
     raise CorruptLogError(f"{old.kind}.{key} disagrees with the re-emitted log", old.seq)
-
-
-def sdt_rates(log_text: str) -> tuple[float, float]:
-    """(hit rate, false-alarm rate) over the log's standard and catch trials.
-
-    Hits are Different responses to genuinely different pairs; false alarms
-    are Different responses on catch (identical) pairs.
-    """
-    hits = signal_trials = false_alarms = catch_trials = 0
-    for event in parse_log(log_text):
-        if event.kind != "Responded":
-            continue
-        different = event.payload["response"] == "different"
-        if event.payload["catch"]:
-            catch_trials += 1
-            false_alarms += int(different)
-        else:
-            signal_trials += 1
-            hits += int(different)
-    hit_rate = hits / signal_trials if signal_trials else float("nan")
-    fa_rate = false_alarms / catch_trials if catch_trials else float("nan")
-    return hit_rate, fa_rate
 
 
 def summary_rows(session_id: str, config: SessionConfig,

@@ -13,7 +13,10 @@ All operations are pure: they return new state values and never mutate.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+
+from .plant import DeviceConfig, TrajectoryConfig
 
 
 class Direction(str, enum.Enum):
@@ -71,6 +74,8 @@ class StaircaseConfig:
             raise InvalidConfigError(
                 "need 0 < level_floor <= initial_level <= level_cap"
             )
+        if not math.isfinite(self.level_cap):  # the default cap can overflow
+            raise InvalidConfigError(f"level_cap must be finite, got {self.level_cap}")
 
     @property
     def down_step(self) -> float:
@@ -79,8 +84,8 @@ class StaircaseConfig:
 
 def default_config(
     reference_stiffness: float,
-    torque_limit: float = 300.0,
-    amplitude: float = 90.0,
+    torque_limit: float = DeviceConfig.torque_limit,
+    amplitude: float = TrajectoryConfig.amplitude,
     **overrides,
 ) -> StaircaseConfig:
     """Standard configuration for a given reference stiffness.

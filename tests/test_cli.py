@@ -80,6 +80,16 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("sessions", ["0", "-3"])
+    def test_no_sessions_exits_2_and_writes_nothing(self, tmp_path, config_path, capsys,
+                                                    sessions):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", config_path, "--sessions", sessions,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --sessions must be at least 1, got {sessions}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mutate,match", [
         (lambda r: r["velocities"][0].update(bpm=0), "bpm"),
         (lambda r: r["velocities"][1].update(bpm=-75), "bpm"),
@@ -501,6 +511,15 @@ class TestReplayInputs:
 class TestUsage:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("args", [["simulate", "--config", "{dir}", "--out", "{dir}/o"],
+                                      ["replay", "--log", "{dir}"]])
+    def test_directory_path_exits_2(self, tmp_path, capsys, args):
+        args = [arg.format(dir=tmp_path) for arg in args]
+        assert main(args) == 2  # main returns: no IsADirectoryError escaped
+        assert capsys.readouterr().err == \
+            f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag(self):
         assert main(["simulate", "--config", "x", "--frobnicate"]) == 2

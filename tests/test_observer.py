@@ -14,7 +14,6 @@ from stifflab.observer import (
     d_prime,
     inverse_normal_cdf,
     normal_cdf,
-    observer_from_config,
 )
 
 
@@ -171,31 +170,3 @@ class TestInverseNormalCdf:
     def test_out_of_domain(self, p):
         with pytest.raises(ValueError):
             inverse_normal_cdf(p)
-
-
-class TestObserverFactory:
-    def test_weibull(self):
-        obs = observer_from_config({
-            "family": "weibull", "alpha": 1.2, "beta": 3.0,
-            "velocity_scaling": {"67.5": 1.0, "112.5": 0.85},
-        })
-        assert isinstance(obs, WeibullObserver)
-        assert obs.velocity_scaling[112.5] == 0.85
-
-    def test_sdt(self):
-        obs = observer_from_config({"family": "sdt", "sigma": 0.3,
-                                    "criterion": 0.2, "bias": 0.05})
-        assert isinstance(obs, SdtObserver)
-
-    def test_bernoulli(self):
-        obs = observer_from_config({"family": "bernoulli", "p_different": 0.8})
-        assert isinstance(obs, BernoulliObserver)
-
-    def test_unknown_family(self):
-        with pytest.raises(ObserverConfigError):
-            observer_from_config({"family": "oracle"})
-
-    def test_unknown_key(self):
-        with pytest.raises(ObserverConfigError, match="bogus"):
-            observer_from_config({"family": "weibull", "alpha": 1.0,
-                                  "beta": 2.0, "bogus": 1})

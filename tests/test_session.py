@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stifflab import session
-from stifflab.observer import alpha_for_target
+from stifflab.observer import (
+    BernoulliObserver,
+    SdtObserver,
+    WeibullObserver,
+    alpha_for_target,
+)
 from stifflab.plant import simulate_exploration
 from stifflab.session import (
     ConfigError,
@@ -24,7 +29,6 @@ from stifflab.session import (
     parse_log,
     replay,
     run_session,
-    sdt_rates,
     serialize_log,
     summary_rows,
 )
@@ -49,16 +53,61 @@ def noisy_config(seed=0, **overrides):
 
 
 class TestConfig:
-    def test_round_trip(self):
-        config = ideal_config(seed=3)
+    @pytest.mark.parametrize("observer,cls", [
+        ({"family": "weibull", "alpha": 1.2, "beta": 3.0,
+          "velocity_scaling": {"67.5": 1.0, "112.5": 0.85}}, WeibullObserver),
+        ({"family": "sdt", "sigma": 0.3, "criterion": 0.2, "bias": 0.05}, SdtObserver),
+        ({"family": "bernoulli", "p_different": 0.8}, BernoulliObserver),
+    ])
+    def test_round_trip(self, observer, cls):
+        config = ideal_config(seed=3, observer=observer)
+        assert type(config.observer) is cls
         again = config_from_dict(json.loads(json.dumps(config_to_dict(config))))
         assert again == config
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_any_mutation_is_rejected_or_round_trips(self, data):
+        # one changed value, dropped key or added key, at any depth
+        raw = json.loads(json.dumps(data.draw(st.sampled_from(_mutation_bases()))))
+        paths = list(_field_paths(raw))
+
+        def at(path):
+            return functools.reduce(lambda value, step: value[step], path, raw)
+
+        kind = data.draw(st.sampled_from(["change", "drop", "add"]), label="kind")
+        if kind == "add":
+            path = data.draw(st.sampled_from(
+                [()] + [p for p in paths if isinstance(at(p), dict)]), label="path")
+            key = data.draw(st.sampled_from(_config_keys()) | st.text(max_size=6))
+        else:
+            *path, key = data.draw(st.sampled_from(paths), label="path")
+        owner = at(path)
+        if kind == "drop":
+            del owner[key]
+        else:
+            old = owner.get(key) if isinstance(owner, dict) else owner[key]
+            # extremes find what overflows: a derived deg_s or staircase cap
+            extremes = st.sampled_from([1e308, -1e308, 5e-324, 10**400])
+            owner[key] = data.draw(st.one_of(extremes, st.sampled_from(_nearby(old)),
+                                             _JSON_VALUES), label="new value")
+        try:
+            config = config_from_dict(raw)
+        except ConfigError:
+            return
+        document = config_to_dict(config)
+        again = config_from_dict(json.loads(json.dumps(document)))
+        assert again == config
+        assert config_to_dict(again) == document
 
     @pytest.mark.parametrize("mutate,match", [
         (lambda r: r.update(extra=1), "extra"),
         (lambda r: r["staircase"].update(step="big"), "step"),
+        (lambda r: r["staircase"].update(reference_stiffness=1.0),
+         "unknown key in staircase: 'reference_stiffness'"),
         (lambda r: r["velocities"][0].update(tempo=1), "tempo"),
         (lambda r: r.update(device={"gear_ratio": 3}), "gear_ratio"),
+        (lambda r: r["observer"].update(bogus=1), "unknown key in observer: 'bogus'"),
     ])
     def test_unknown_keys_rejected(self, mutate, match):
         raw = default_config_dict()
@@ -93,6 +142,19 @@ class TestConfig:
         (lambda r: r.update(limb={"damping": "low"}), "limb"),
         (lambda r: r.update(staircase={"down_rule": "three"}), "staircase"),
         (lambda r: r["velocities"].append({"bpm": 45}), "appears twice"),
+        (lambda r: r["observer"].update(family="oracle"),
+         "observer: unknown observer family: 'oracle'"),
+        (lambda r: r.update(observer={"family": "sdt", "sigma": 0.3}),
+         "missing required key in observer: 'criterion'"),
+        (lambda r: r.update(plant_mode=3), "plant_mode must be a string, got 3"),
+        # the staircase's default cap divides by the amplitude
+        (lambda r: r.update(trajectory={"amplitude": 0}),
+         "trajectory: amplitude, beat_duration, sample_rate and led_window"),
+        (lambda r: r.update(trajectory={"amplitude": 0.1},
+                            device={"torque_limit": 1e308}),
+         "staircase: level_cap must be finite, got inf"),
+        (lambda r: r.update(velocities=[{"bpm": 1e308}]),  # deg_s = 90 * bpm / 60
+         r"velocities\[0\]: deg_s must be finite, got inf"),
     ])
     def test_sub_object_errors_are_config_errors(self, mutate, match):
         raw = default_config_dict()
@@ -185,14 +247,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="velocities must be a JSON array"):
             config_from_dict(raw)
 
-    def test_plant_numbers_are_logged_as_given(self):
+    def test_float_fields_are_logged_as_floats(self):
         raw = default_config_dict()
         raw.update(limb={"inertia": 1}, device={"torque_limit": 300})
+        raw["observer"].update(alpha=2)
         logged = config_to_dict(config_from_dict(raw))
-        assert (logged["limb"]["inertia"], logged["device"]["torque_limit"]) == (1, 300)
-        assert type(logged["limb"]["inertia"]) is int
+        read = (logged["limb"]["inertia"], logged["device"]["torque_limit"],
+                logged["observer"]["alpha"])
+        assert read == (1.0, 300.0, 2.0)
+        assert all(type(value) is float for value in read)
 
-    @pytest.mark.parametrize("key", ["112", "112.50001", "fast"])
+    @pytest.mark.parametrize("key", ["112", "112.50001", "fast", "67.50"])
     def test_velocity_scaling_key_must_name_a_velocity(self, key):
         raw = default_config_dict()
         raw["observer"]["velocity_scaling"] = {"67.5": 1.0, key: 0.847}
@@ -334,15 +399,6 @@ class TestCatchTrials:
                    for e in catch)
         assert replay(run.log_text) == run.result
 
-    def test_sdt_rates(self):
-        observer = {"family": "sdt", "sigma": 0.3, "criterion": 0.2}
-        run = run_session(ideal_config(seed=10, catch_trial_rate=0.25,
-                                       observer=observer))
-        hit_rate, fa_rate = sdt_rates(run.log_text)
-        assert 0.0 <= fa_rate <= 1.0
-        assert 0.0 <= hit_rate <= 1.0
-        assert hit_rate > fa_rate
-
 
 class TestReplay:
     def test_replay_equals_result(self):
@@ -354,6 +410,23 @@ class TestReplay:
         raw["staircase"] = {"reversal_limit": 4, "reversals_averaged": 2}
         run = run_session(config_from_dict(raw))
         assert replay(run.log_text) == run.result
+
+    def test_log_in_an_older_spelling_replays(self):
+        # logs once held the config as given: the observer without its
+        # defaults, integers in float fields, scaling keys as spelled
+        observer = {"family": "sdt", "sigma": 0.3, "criterion": 0.2}
+        config = ideal_config(seed=10, catch_trial_rate=0.25, observer=observer,
+                              device={"torque_limit": 300})
+        events = _events(config)
+        logged = events[0]["payload"]["config"]
+        assert logged["observer"] == {**observer, "bias": 0.0, "velocity_scaling": {}}
+        logged["observer"] = observer
+        logged["device"]["torque_limit"] = 300
+        assert replay(_log(events)).runs == run_session(config).result.runs
+        events = _events(ideal_config(seed=11))
+        events[0]["payload"]["config"]["observer"]["velocity_scaling"] = \
+            {"67.50": 1.0, "1.125e2": 0.847}
+        assert replay(_log(events)).runs == run_session(ideal_config(seed=11)).result.runs
 
     def test_amendment_overrides_response(self):
         run = run_session(ideal_config(seed=14))
@@ -603,6 +676,25 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=5)
+
+
+@functools.cache
+def _mutation_bases():
+    """Valid config documents: as users write them, and with every field."""
+    derived = {**default_config_dict(plant_mode="ideal"),  # deg_s from bpm
+               "velocities": [{"bpm": 45}, {"bpm": 75}], "trajectory": {"amplitude": 60.0},
+               "observer": {"family": "sdt", "sigma": 0.3, "criterion": 0.2,
+                            "velocity_scaling": {"75": 0.9}}}
+    return (default_config_dict(), derived,
+            config_to_dict(noisy_config(staircase=SHORT_STAIRCASE)))
+
+
+@functools.cache
+def _config_keys():
+    """Every key of a config document."""
+    return sorted({path[-1] for base in _mutation_bases()
+                   for path in _field_paths(base) if isinstance(path[-1], str)}
+                  | {"family", "bias", "p_different", "deg_s"})
 
 
 def _exempt(mode, event, path):
