@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emg, plant
-from .observer import BernoulliObserver, WeibullObserver, alpha_for_target
+from .observer import WeibullObserver, alpha_for_target
 from .session import (
     SUMMARY_COLUMNS,
     ConfigError,
@@ -33,6 +33,7 @@ from .session import (
     SessionConfig,
     config_from_dict,
     default_config_dict,
+    parse_log,
     replay,
     run_session,
     summary_rows,
@@ -131,39 +132,33 @@ def cmd_validate_convergence(args) -> int:
           f"(rule={args.rule}-down, ratio={args.ratio})")
     rng = np.random.default_rng(args.seed)
 
-    reference = default_config_dict()["reference_stiffness"]
+    protocol = default_config_dict()
+    reference = protocol["reference_stiffness"]
     stair = default_config(reference, down_rule=args.rule, down_up_ratio=args.ratio)
 
     # drift of the level under a constant-probability responder at the target
     wide = replace(stair, reversal_limit=10**9, reversals_averaged=1,
                    level_floor=1e-9, level_cap=1e9)
-    bernoulli = BernoulliObserver(p_different=target)
     state = new_staircase(wide)
     n_trials = 100_000
     for _ in range(n_trials):
-        correct = bernoulli.respond(1.0, 2.0, 67.5, rng).value == "different"
-        state = record_response(state, correct, wide)
+        state = record_response(state, rng.random() < target, wide)
     drift = (state.level - wide.initial_level) / n_trials / wide.up_step
     print(f"mean signed step per trial (up-step units): {drift:+.5f}")
 
     # threshold recovery with a Weibull observer whose target point is known
     alpha = alpha_for_target(reference, target, beta=3.0)
     observer = WeibullObserver(alpha=alpha, beta=3.0)
-    thresholds = []
-    tail_correct = tail_total = 0
+    velocity = protocol["velocities"][0]["deg_s"]
+    finals = []
     for _ in range(args.runs):
         state = new_staircase(stair)
         while not state.terminated:
-            delta = state.level
-            p = observer.p_different(delta, 67.5)
-            correct = rng.random() < p
-            if len(state.reversals) >= 2:
-                tail_total += 1
-                tail_correct += int(correct)
+            correct = rng.random() < observer.p_different(state.level, velocity)
             state = record_response(state, correct, stair)
-        thresholds.append(
-            threshold_estimate(state, stair).percent_of_reference)
-    tail = tail_correct / tail_total
+        finals.append(state)
+    thresholds = [threshold_estimate(s, stair).percent_of_reference for s in finals]
+    tail = sum(s.tail_correct for s in finals) / sum(s.tail_total for s in finals)
     mean_pct = float(np.mean(thresholds))
     sem = float(np.std(thresholds, ddof=1) / np.sqrt(len(thresholds)))
     bias = abs(mean_pct - 100.0)
@@ -182,12 +177,22 @@ def cmd_trace(args) -> int:
     out = Path(args.out)
     _check_overwrite([out], args.force)
     run = run_session(config)
-    rows = run.trials[0]  # the first executed run
+    rows = []  # [trial, level, response, reversal flag] of run 1's staircase trials
+    for _, kind, _, payload in parse_log(run.log_text):
+        if kind == "RunTerminated":
+            break
+        # a catch trial's events carry the next staircase trial's number: skip them
+        if kind == "Presented" and not payload["catch"]:
+            rows.append([payload["trial"], payload["level"], None, 0])
+        elif kind == "Responded" and not payload["catch"]:
+            rows[-1][2] = payload["response"]
+        elif kind == "Reversal":
+            rows[-1][3] = 1
     with open(out, "w", newline="") as fh:
         fh.write("trial,level_pct,response,reversal_flag\n")
-        for row in rows:
-            pct = 100.0 * row.level / config.reference_stiffness
-            fh.write(f"{row.trial},{pct!r},{row.response},{int(row.reversal)}\n")
+        for trial, level, response, reversal in rows:
+            pct = 100.0 * level / config.reference_stiffness
+            fh.write(f"{trial},{pct!r},{response},{reversal}\n")
     print(f"wrote {out} ({len(rows)} trials, "
           f"velocity {run.result.velocity_order[0]} deg/s)")
     return EXIT_OK
@@ -209,9 +214,10 @@ def cmd_emg_demo(args) -> int:
     _check_overwrite(paths, args.force)
 
     rng = np.random.default_rng(args.seed)
-    plan = plant.plan_for_bpm(45.0)
+    protocol = default_config_dict()  # its reference spring at its slower pace
     recording = plant.simulate_exploration(
-        plant.SpringParam(k=1.11), plan, plant.LimbConfig(),
+        plant.SpringParam(k=protocol["reference_stiffness"]),
+        plant.plan_for_bpm(protocol["velocities"][0]["bpm"]), plant.LimbConfig(),
         plant.DeviceConfig(), rng)
 
     t = np.arange(n) / emg_rate
@@ -282,12 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--force", action="store_true")
 
+    protocol = default_config(default_config_dict()["reference_stiffness"])
     p = sub.add_parser("validate-convergence",
                        help="check the staircase converges to its target")
     p.add_argument("--runs", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rule", type=int, default=3)
-    p.add_argument("--ratio", type=float, default=0.7393)
+    p.add_argument("--rule", type=int, default=protocol.down_rule)
+    p.add_argument("--ratio", type=float, default=protocol.down_up_ratio)
 
     p = sub.add_parser("trace", help="per-trial staircase trace for one run")
     p.add_argument("--config", required=True)

@@ -35,10 +35,6 @@ class ObserverConfigError(ValueError):
     pass
 
 
-def _scale_for(velocity: float, scaling: dict[float, float]) -> float:
-    return scaling.get(velocity, 1.0)
-
-
 @dataclass(frozen=True)
 class WeibullObserver:
     """Weibull psychometric observer on the stiffness difference.
@@ -61,14 +57,18 @@ class WeibullObserver:
             raise ObserverConfigError("alpha and beta must be positive")
         if not 0 <= self.gamma < 1 - self.lapse <= 1:
             raise ObserverConfigError("need 0 <= gamma < 1 - lapse <= 1")
+        if any(scale <= 0 for scale in self.velocity_scaling.values()):
+            raise ObserverConfigError("velocity_scaling values must be positive")
 
     def p_different(self, delta_k: float, velocity: float) -> float:
         if delta_k < 0:
             raise ValueError("delta_k must be nonnegative")
-        alpha = self.alpha * _scale_for(velocity, self.velocity_scaling)
-        return self.gamma + (1.0 - self.gamma - self.lapse) * (
-            1.0 - math.exp(-((delta_k / alpha) ** self.beta))
-        )
+        alpha = self.alpha * self.velocity_scaling.get(velocity, 1.0)
+        try:
+            decay = math.exp(-((delta_k / alpha) ** self.beta))
+        except (OverflowError, ZeroDivisionError):  # alpha' tiny or underflowed to 0
+            decay = 0.0 if delta_k > 0 else 1.0
+        return self.gamma + (1.0 - self.gamma - self.lapse) * (1.0 - decay)
 
     def respond(
         self,
@@ -118,6 +118,8 @@ class SdtObserver:
             raise ObserverConfigError("sigma must be positive")
         if self.criterion < 0:
             raise ObserverConfigError("criterion must be nonnegative")
+        if any(scale <= 0 for scale in self.velocity_scaling.values()):
+            raise ObserverConfigError("velocity_scaling values must be positive")
 
     def respond(
         self,
@@ -128,7 +130,7 @@ class SdtObserver:
     ) -> Response:
         if k_first <= 0 or k_second <= 0:
             raise ValueError("stiffness values must be positive")
-        sigma = self.sigma * _scale_for(velocity, self.velocity_scaling)
+        sigma = self.sigma * self.velocity_scaling.get(velocity, 1.0)
         est_first = k_first + rng.normal(0.0, sigma)
         est_second = k_second + rng.normal(0.0, sigma)
         if abs(est_first - est_second) > self.criterion + self.bias:

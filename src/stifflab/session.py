@@ -136,10 +136,6 @@ class Event(NamedTuple):
     t_wall: float  # simulated session clock, seconds
     payload: dict
 
-    def to_dict(self) -> dict:
-        return {"seq": self.seq, "kind": self.kind,
-                "t_wall": self.t_wall, "payload": self.payload}
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -157,22 +153,12 @@ class SessionResult:
     log_digest: str
 
 
-class TrialRow(NamedTuple):
-    """One staircase trial: what was presented and what it did."""
-
-    trial: int
-    level: float     # stiffness difference presented, mNm/deg
-    response: str
-    reversal: bool   # the response reversed the staircase
-
-
 @dataclass(frozen=True)
 class SessionRun:
     """Result of an executed session plus its serialized event log."""
 
     result: SessionResult
     log_text: str
-    trials: tuple[tuple[TrialRow, ...], ...]  # per run, in executed order
 
 
 # sections read with the others' values: staircase defaults and deg_s from
@@ -257,11 +243,10 @@ def default_config_dict(seed: int = 0, plant_mode: str = "full") -> dict:
     }
 
 
-def _emit_session(config: SessionConfig, source, events: list) \
-        -> tuple[tuple[RunResult, ...], tuple[tuple[TrialRow, ...], ...]]:
+def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResult, ...]:
     """Append the session's events to the empty list ``events``, each as the
     plain tuple of an Event's fields, so that the caller keeps those emitted
-    before an error; return each run's result and trial rows.
+    before an error; return each run's result.
     Every event is computed here from ``config`` and the inputs ``source``
     gives: the config ``document`` to log, then, asked for in the runner's
     draw order, the run order, then per trial its catch flag and
@@ -278,7 +263,7 @@ def _emit_session(config: SessionConfig, source, events: list) \
     emit("SessionStarted", {"config": source.document})
     order = source.order(len(config.velocities))
     stair = config.staircase
-    runs, trials = [], []
+    runs = []
     for position, index in enumerate(order):
         emit("Metadata", {"note": "training", "duration_s": TRAINING_DURATION_S})
         clock += TRAINING_DURATION_S
@@ -289,8 +274,6 @@ def _emit_session(config: SessionConfig, source, events: list) \
                             config.device.control_rate, config.trajectory.led_window)
         exploration_time = 2.0 * plan.beat_duration
         state = new_staircase(stair)
-        rows = []
-        tail_correct = tail_total = 0  # staircase responses after the second reversal
         while not state.terminated:
             trial = state.trial_index
             catch, reference_first = source.present(position)
@@ -331,18 +314,13 @@ def _emit_session(config: SessionConfig, source, events: list) \
                 continue  # catch trials never drive the staircase
             before = state
             state = record_response(before, correct, stair)
-            reversal = len(state.reversals) > len(before.reversals)
-            rows.append(TrialRow(trial, before.level, response, reversal))
-            if len(before.reversals) >= 2:
-                tail_correct += correct
-                tail_total += 1
             if state.level != before.level or \
                     state.last_move_direction != before.last_move_direction:
                 emit("StaircaseMoved", {"trial": trial,
                                         "direction": state.last_move_direction.value,
                                         "level_before": before.level,
                                         "level_after": state.level})
-            if reversal:
+            if len(state.reversals) > len(before.reversals):
                 record = state.reversals[-1]
                 emit("Reversal", {"trial": record.trial_index,
                                   "index": len(state.reversals),
@@ -352,20 +330,20 @@ def _emit_session(config: SessionConfig, source, events: list) \
         result = RunResult(
             velocity=condition.deg_s,
             threshold=threshold_estimate(state, stair),
-            trial_count=len(rows),
+            trial_count=state.trial_index,
             reversal_levels=tuple(r.level_at_reversal for r in state.reversals),
-            proportion_correct_tail=tail_correct / tail_total if tail_total else None,
+            proportion_correct_tail=(state.tail_correct / state.tail_total
+                                     if state.tail_total else None),
         )
         emit("RunTerminated", {**_run_summary(result),
                                "reversal_levels": list(result.reversal_levels)})
         runs.append(result)
-        trials.append(tuple(rows))
         if position < len(order) - 1:
             emit("Metadata", {"note": "break", "duration_s": BREAK_DURATION_S})
             clock += BREAK_DURATION_S
     emit("SessionEnded", {"velocity_order": [r.velocity for r in runs], "runs": [
         {**_run_summary(r), "reversals": len(r.reversal_levels)} for r in runs]})
-    return tuple(runs), tuple(trials)
+    return tuple(runs)
 
 
 class _Drawn:
@@ -537,11 +515,11 @@ def run_session(config: SessionConfig,
     """
     emitted: list[tuple] = []
     source = _Drawn(config, {} if memo is None else memo)
-    runs, trials = _emit_session(config, source, emitted)
+    runs = _emit_session(config, source, emitted)
     log_text = serialize_log(emitted)
     result = SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
                            log_digest=_digest(log_text))
-    return SessionRun(result=result, log_text=log_text, trials=trials)
+    return SessionRun(result=result, log_text=log_text)
 
 
 def serialize_log(events: list[tuple]) -> str:
@@ -657,7 +635,7 @@ def replay(log_text: str) -> SessionResult:
         raise CorruptLogError(f"SessionStarted config: {exc}", 0) from None
     source, emitted = _Logged(events, config), []
     try:
-        runs, _ = _emit_session(config, source, emitted)
+        runs = _emit_session(config, source, emitted)
         source.check_all_read()
     except CorruptLogError:
         if not amended:  # an event that differs before the faulty input comes first

@@ -25,19 +25,15 @@ class Direction(str, enum.Enum):
     DOWN = "down"
 
 
-class StaircaseError(ValueError):
-    """Base class for staircase misuse."""
-
-
-class InvalidConfigError(StaircaseError):
+class InvalidConfigError(ValueError):
     pass
 
 
-class TerminatedError(StaircaseError):
+class TerminatedError(ValueError):
     """record_response was called on a finished staircase."""
 
 
-class NotTerminatedError(StaircaseError):
+class NotTerminatedError(ValueError):
     """threshold_estimate was called before termination."""
 
 
@@ -130,6 +126,9 @@ class StaircaseState:
     reversals: tuple[ReversalRecord, ...]
     trial_index: int
     terminated: bool
+    # the tail: responses recorded once the state had two reversals
+    tail_correct: int = 0
+    tail_total: int = 0
 
 
 @dataclass(frozen=True)
@@ -179,9 +178,12 @@ def record_response(
         consecutive = 0
 
     trial_index = state.trial_index + 1
+    in_tail = len(state.reversals) >= 2
+    tail_correct = state.tail_correct + (in_tail and correct)
+    tail_total = state.tail_total + in_tail
     if intended is None:
         return StaircaseState(state.level, consecutive, state.last_move_direction,
-                              state.reversals, trial_index, terminated=False)
+                              state.reversals, trial_index, False, tail_correct, tail_total)
 
     if intended is Direction.DOWN:
         target = state.level - config.down_step
@@ -210,6 +212,8 @@ def record_response(
         reversals=reversals,
         trial_index=trial_index,
         terminated=len(reversals) >= config.reversal_limit,
+        tail_correct=tail_correct,
+        tail_total=tail_total,
     )
 
 

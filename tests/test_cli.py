@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from stifflab.session import (
     replay,
     run_session,
 )
+from stifflab.staircase import default_config
 
 
 @pytest.fixture
@@ -101,6 +103,13 @@ class TestSimulate:
         (lambda r: r["observer"].update(family="weibul"),
          "unknown observer family: 'weibul'"),
         (lambda r: r["observer"].update(alpha=-1), "alpha and beta must be positive"),
+        # alpha' = 0 would divide by zero in the Weibull observer at run time
+        (lambda r: r["observer"]["velocity_scaling"].update({"67.5": 0}),
+         "observer: velocity_scaling values must be positive"),
+        # sigma' < 0 would be refused by NumPy's normal() at run time
+        (lambda r: r.update(observer={"family": "sdt", "sigma": 0.3, "criterion": 0.2,
+                                      "velocity_scaling": {"67.5": -1}}),
+         "observer: velocity_scaling values must be positive"),
         (lambda r: r.update(limb={"inertia": 0}), "inertia must be positive"),
         (lambda r: r.update(device={"control_rate": 0}),
          "torque_limit and control_rate must be positive"),
@@ -156,6 +165,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and match in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_tiny_weibull_alpha_runs_and_replays(self, tmp_path, capsys, scale):
+        """(delta_k / alpha') ** beta overflows, or alpha' underflows to 0:
+        the observer answers at its ceiling instead of raising."""
+        raw = default_config_dict(plant_mode="ideal")
+        raw["observer"].update(alpha=1e-300, velocity_scaling={"67.5": scale})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+        assert main(["replay", "--log", str(out / "session_00000000.jsonl")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("command", ["simulate", "trace"])
     @pytest.mark.parametrize("update,match", [
@@ -257,6 +278,32 @@ class TestValidateConvergence:
     def test_too_few_runs(self, capsys):
         assert main(["validate-convergence", "--runs", "50"]) == 2
 
+    def test_rule_and_ratio_default_to_the_protocol(self):
+        args = build_parser().parse_args(["validate-convergence"])
+        protocol = default_config(default_config_dict()["reference_stiffness"])
+        assert (args.rule, args.ratio) == (protocol.down_rule, protocol.down_up_ratio)
+
+    @pytest.mark.parametrize("flags,expected", [
+        ([], """\
+zero-drift proportion-correct target: 0.8315 (rule=3-down, ratio=0.7393)
+mean signed step per trial (up-step units): +0.00030
+tail proportion correct over 100 runs: 0.8272 (target 0.8315)
+mean recovered threshold: 100.01% of reference (SE 0.77%), observer target point 100%
+PASS
+"""),
+        (["--rule", "2", "--ratio", "0.5"], """\
+zero-drift proportion-correct target: 0.8165 (rule=2-down, ratio=0.5)
+mean signed step per trial (up-step units): +0.00039
+tail proportion correct over 100 runs: 0.8131 (target 0.8165)
+mean recovered threshold: 100.99% of reference (SE 0.78%), observer target point 100%
+PASS
+"""),
+    ])
+    def test_output_is_pinned(self, capsys, flags, expected):
+        assert main(["validate-convergence", "--runs", "100", "--seed", "0",
+                     *flags]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_overridden_rule_and_ratio_pass(self, capsys):
         # threshold recovery must aim at the overridden target, not 0.8315
         assert main(["validate-convergence", "--runs", "300", "--seed", "1",
@@ -306,6 +353,26 @@ class TestTrace:
         levels = [float(line.split(",")[1])
                   for line in out.read_text().splitlines()[1:]]
         assert all(b <= a for a, b in zip(levels, levels[1:]))
+
+    @pytest.mark.parametrize("plant_mode,seed,update,digest", [
+        ("ideal", 0, {},
+         "ba30cf9b4f45631be23ba055cb3c7b21981bdc6152ae886be86f4888c45e5082"),
+        ("ideal", 1, {},
+         "0b4d27c666d56812f2195a4ac8599ce78280ac56d45e19b53edd0ca5ef0cf3f8"),
+        ("ideal", 2, {},
+         "191ea59c0b66d81b8c21e409a8ce45257bbcabaeb77f759320bdb37e2f4012a1"),
+        ("full", 0, {},
+         "ba30cf9b4f45631be23ba055cb3c7b21981bdc6152ae886be86f4888c45e5082"),
+        # the first run holds catch trials, two of them in a row
+        ("full", 0, {"limb": {"motor_noise_std": 0.3}, "catch_trial_rate": 0.1},
+         "a2fc89715e49ddba16460715ba9fdebc9888007b724361720420c9f0536baec9"),
+    ])
+    def test_csv_is_pinned(self, tmp_path, plant_mode, seed, update, digest):
+        raw = {**default_config_dict(seed=seed, plant_mode=plant_mode), **update}
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_refuses_overwrite(self, tmp_path):
         raw = default_config_dict(seed=3, plant_mode="ideal")

@@ -50,6 +50,13 @@ class TestWeibull:
         assert obs.p_different(0.5, 99.0) == \
             obs.p_different(0.5, 67.5)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_tiny_alpha_gives_the_ceiling_not_an_error(self, scale):
+        # (delta_k / alpha') ** beta overflows, or alpha' underflows to 0
+        obs = WeibullObserver(alpha=1e-300, beta=3.0, velocity_scaling={67.5: scale})
+        assert obs.p_different(0.1, 67.5) == 0.05 + (1.0 - 0.05 - 0.02)
+        assert obs.p_different(0.0, 67.5) == 0.05
+
     def test_negative_delta_rejected(self):
         obs = WeibullObserver(alpha=1.0, beta=2.0)
         with pytest.raises(ValueError):
@@ -59,6 +66,8 @@ class TestWeibull:
         {"alpha": 0.0, "beta": 2.0},
         {"alpha": 1.0, "beta": -1.0},
         {"alpha": 1.0, "beta": 2.0, "gamma": 0.5, "lapse": 0.6},
+        {"alpha": 1.0, "beta": 2.0, "velocity_scaling": {67.5: 0.0}},
+        {"alpha": 1.0, "beta": 2.0, "velocity_scaling": {67.5: 1.0, 112.5: -1.0}},
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ObserverConfigError):
@@ -90,6 +99,12 @@ class TestSdt:
             obs.respond(2.0, 2.0, 67.5, rng) is Response.DIFFERENT
             for _ in range(n))
         assert hits / n == pytest.approx(expected, abs=0.003)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_nonpositive_velocity_scaling_rejected(self, scale):
+        # a negative sigma' would reach NumPy's normal() only at run time
+        with pytest.raises(ObserverConfigError):
+            SdtObserver(sigma=1.0, criterion=0.5, velocity_scaling={67.5: scale})
 
     def test_nonpositive_stiffness_rejected(self):
         obs = SdtObserver(sigma=1.0, criterion=0.5)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,9 +239,30 @@ class TestProperties:
             record_response(record_response(state, True, cfg), True, cfg),
             True, cfg)
         up = record_response(state, False, cfg)
-        down_mag = state.level - down.level
-        up_mag = up.level - state.level
-        assert down_mag / up_mag == pytest.approx(ratio, rel=1e-12)
+        # the exact levels: a ratio of the two differences would lose digits
+        # to cancellation against the level of 100
+        assert down.level == 100.0 - ratio * up_step
+        assert up.level == 100.0 + up_step
+
+    @given(responses=st.lists(st.booleans(), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_tail_counts_match_a_recount(self, responses):
+        """The state counts the responses given after its second reversal,
+        as a driver that counts them itself does (``_run_staircase`` in
+        test_acceptance.py)."""
+        cfg = replace(default_config(REF), reversal_limit=20, reversals_averaged=8)
+        state = new_staircase(cfg)
+        tail_correct = tail_total = given_responses = 0
+        for correct in responses:
+            if state.terminated:
+                break
+            if len(state.reversals) >= 2:
+                tail_total += 1
+                tail_correct += int(correct)
+            state = record_response(state, correct, cfg)
+            given_responses += 1
+            assert (state.tail_correct, state.tail_total) == (tail_correct, tail_total)
+        assert state.trial_index == given_responses
 
     @given(seed=st.integers(0, 10_000), p=st.floats(0.2, 0.95))
     @settings(max_examples=50, deadline=None)
