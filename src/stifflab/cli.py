@@ -33,7 +33,7 @@ from .session import (
     SessionConfig,
     config_from_dict,
     default_config_dict,
-    parse_log,
+    first_run,
     replay,
     run_session,
     summary_rows,
@@ -176,9 +176,9 @@ def cmd_trace(args) -> int:
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
     _check_overwrite([out], args.force)
-    run = run_session(config)
+    run, events = first_run(config)
     rows = []  # [trial, level, response, reversal flag] of run 1's staircase trials
-    for _, kind, _, payload in parse_log(run.log_text):
+    for _, kind, _, payload in events:
         if kind == "RunTerminated":
             break
         # a catch trial's events carry the next staircase trial's number: skip them
@@ -194,7 +194,7 @@ def cmd_trace(args) -> int:
             pct = 100.0 * level / config.reference_stiffness
             fh.write(f"{trial},{pct!r},{response},{reversal}\n")
     print(f"wrote {out} ({len(rows)} trials, "
-          f"velocity {run.result.velocity_order[0]} deg/s)")
+          f"velocity {run.velocity} deg/s)")
     return EXIT_OK
 
 

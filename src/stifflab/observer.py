@@ -27,6 +27,10 @@ class Response(str, enum.Enum):
     DIFFERENT = "different"
 
 
+# the members as module constants: a lookup on the enum class costs more
+_SAME, _DIFFERENT = Response.SAME, Response.DIFFERENT
+
+
 class DegenerateRateError(ValueError):
     """Hit or false-alarm rate of exactly 0 or 1; caller must correct."""
 
@@ -78,7 +82,7 @@ class WeibullObserver:
         rng: np.random.Generator,
     ) -> Response:
         p = self.p_different(abs(k_second - k_first), velocity)
-        return Response.DIFFERENT if rng.random() < p else Response.SAME
+        return _DIFFERENT if rng.random() < p else _SAME
 
 
 def alpha_for_target(
@@ -134,8 +138,8 @@ class SdtObserver:
         est_first = k_first + rng.normal(0.0, sigma)
         est_second = k_second + rng.normal(0.0, sigma)
         if abs(est_first - est_second) > self.criterion + self.bias:
-            return Response.DIFFERENT
-        return Response.SAME
+            return _DIFFERENT
+        return _SAME
 
 
 @dataclass(frozen=True)
@@ -156,11 +160,7 @@ class BernoulliObserver:
         velocity: float,
         rng: np.random.Generator,
     ) -> Response:
-        return (
-            Response.DIFFERENT
-            if rng.random() < self.p_different
-            else Response.SAME
-        )
+        return _DIFFERENT if rng.random() < self.p_different else _SAME
 
 
 Observer = WeibullObserver | SdtObserver | BernoulliObserver

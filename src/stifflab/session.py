@@ -263,6 +263,8 @@ def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResul
     emit("SessionStarted", {"config": source.document})
     order = source.order(len(config.velocities))
     stair = config.staircase
+    reference = config.reference_stiffness
+    ideal = config.plant_mode == "ideal"
     runs = []
     for position, index in enumerate(order):
         emit("Metadata", {"note": "training", "duration_s": TRAINING_DURATION_S})
@@ -275,20 +277,19 @@ def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResul
         exploration_time = 2.0 * plan.beat_duration
         state = new_staircase(stair)
         while not state.terminated:
-            trial = state.trial_index
+            trial, level = state.trial_index, state.level
             catch, reference_first = source.present(position)
             # the reference and a comparison ``level`` above it (equal to it
             # on a catch trial), in presented order
-            reference = config.reference_stiffness
-            comparison = reference if catch else reference + state.level
+            comparison = reference if catch else reference + level
             springs = (reference, comparison) if reference_first else (comparison, reference)
-            emit("Presented", {"trial": trial, "level": state.level, "catch": catch,
+            emit("Presented", {"trial": trial, "level": level, "catch": catch,
                                "reference_first": reference_first,
                                "k_first": springs[0], "k_second": springs[1]})
             # both intervals; a rejected exploration repeats its interval only
             digests = []
             for interval, k in enumerate(springs):
-                if config.plant_mode == "ideal":
+                if ideal:
                     clock += exploration_time
                     digests.append("ideal")
                     continue
@@ -314,18 +315,16 @@ def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResul
                 continue  # catch trials never drive the staircase
             before = state
             state = record_response(before, correct, stair)
-            if state.level != before.level or \
-                    state.last_move_direction != before.last_move_direction:
-                emit("StaircaseMoved", {"trial": trial,
-                                        "direction": state.last_move_direction.value,
-                                        "level_before": before.level,
-                                        "level_after": state.level})
+            moved = state.last_move_direction
+            if state.level != level or moved is not before.last_move_direction:
+                emit("StaircaseMoved", {"trial": trial, "direction": moved._value_,
+                                        "level_before": level, "level_after": state.level})
             if len(state.reversals) > len(before.reversals):
                 record = state.reversals[-1]
                 emit("Reversal", {"trial": record.trial_index,
                                   "index": len(state.reversals),
                                   "level": record.level_at_reversal,
-                                  "new_direction": record.new_direction.value})
+                                  "new_direction": record.new_direction._value_})
 
         result = RunResult(
             velocity=condition.deg_s,
@@ -388,7 +387,7 @@ class _Drawn:
 
     def respond(self, springs: tuple[float, float], deg_s: float) -> str:
         return self.config.observer.respond(springs[0], springs[1], deg_s,
-                                            self.rng).value
+                                            self.rng)._value_
 
 
 def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
@@ -522,12 +521,94 @@ def run_session(config: SessionConfig,
     return SessionRun(result=result, log_text=log_text)
 
 
+class _FirstRun(_Drawn):
+    """``_Drawn``'s inputs for the session's first run alone: the whole run
+    order is drawn, so the first run draws what it draws in the session."""
+
+    def order(self, count: int) -> list[int]:
+        return super().order(count)[:1]
+
+
+def first_run(config: SessionConfig) -> tuple[RunResult, list[tuple]]:
+    """The result of the session's first run and the events emitted for a
+    session of that run alone, as tuples of an Event's fields; no later run
+    is simulated."""
+    events: list[tuple] = []
+    (run,) = _emit_session(config, _FirstRun(config, {}), events)
+    return run, events
+
+
+_BOOL = ("false", "true")  # a bool's JSON, indexed by the bool
+_RESPONSES = ("same", "different")
+_DIRECTIONS = ("up", "down")
+
+
 def serialize_log(events: list[tuple]) -> str:
-    """The JSONL log of ``events``, Events or plain tuples of their fields."""
-    join = "".join
-    lines = [join(_encode({"kind": kind, "payload": payload, "seq": seq,
-                           "t_wall": t_wall}, 0))
-             for seq, kind, t_wall, payload in events]
+    """The JSONL log of ``events``, Events or plain tuples of their fields:
+    each line is ``json.dumps(event, sort_keys=True)`` of the event's dict.
+
+    A Presented, Responded, StaircaseMoved or Reversal event is written
+    from its kind's template, whose keys are in sorted order, when its
+    payload has exactly the kind's keys and every value is one the template
+    writes as json does: an exact int, bool, or finite float (``repr``), a
+    response or direction word, digests of ASCII letters and digits.  Any
+    other event goes through json's encoder, ``_encode``.  The guards stay
+    inline: a helper call per value costs as much as the encoder.
+    """
+    lines = []
+    line = lines.append
+    isfinite = math.isfinite
+    for seq, kind, t_wall, p in events:
+        if type(kind) is str and type(p) is dict and type(seq) is int \
+                and type(t_wall) is float and isfinite(t_wall):
+            n = len(p)
+            if kind == "Presented" and n == 6:
+                catch, first, trial = p.get("catch"), p.get("reference_first"), p.get("trial")
+                level, k1, k2 = p.get("level"), p.get("k_first"), p.get("k_second")
+                if type(catch) is bool and type(first) is bool and type(trial) is int \
+                        and type(level) is float and type(k1) is float and type(k2) is float \
+                        and isfinite(level) and isfinite(k1) and isfinite(k2):
+                    line(f'{{"kind": "Presented", "payload": {{"catch": {_BOOL[catch]}, '
+                         f'"k_first": {k1!r}, "k_second": {k2!r}, "level": {level!r}, '
+                         f'"reference_first": {_BOOL[first]}, "trial": {trial}}}, '
+                         f'"seq": {seq}, "t_wall": {t_wall!r}}}')
+                    continue
+            elif kind == "Responded" and n == 5:
+                catch, correct, trial = p.get("catch"), p.get("correct"), p.get("trial")
+                response, digests = p.get("response"), p.get("recording_digests")
+                if type(catch) is bool and type(correct) is bool and type(trial) is int \
+                        and type(response) is str and response in _RESPONSES \
+                        and type(digests) is list and len(digests) == 2:
+                    a, b = digests
+                    if type(a) is str and type(b) is str and (a + b).isascii() \
+                            and a.isalnum() and b.isalnum():
+                        line(f'{{"kind": "Responded", "payload": {{"catch": {_BOOL[catch]}, '
+                             f'"correct": {_BOOL[correct]}, "recording_digests": '
+                             f'["{a}", "{b}"], "response": "{response}", "trial": {trial}}}, '
+                             f'"seq": {seq}, "t_wall": {t_wall!r}}}')
+                        continue
+            elif kind == "StaircaseMoved" and n == 4:
+                direction, trial = p.get("direction"), p.get("trial")
+                before, after = p.get("level_before"), p.get("level_after")
+                if type(direction) is str and direction in _DIRECTIONS \
+                        and type(trial) is int and type(before) is float \
+                        and type(after) is float and isfinite(before) and isfinite(after):
+                    line(f'{{"kind": "StaircaseMoved", "payload": {{"direction": '
+                         f'"{direction}", "level_after": {after!r}, "level_before": '
+                         f'{before!r}, "trial": {trial}}}, "seq": {seq}, '
+                         f'"t_wall": {t_wall!r}}}')
+                    continue
+            elif kind == "Reversal" and n == 4:
+                index, level = p.get("index"), p.get("level")
+                direction, trial = p.get("new_direction"), p.get("trial")
+                if type(index) is int and type(trial) is int and type(level) is float \
+                        and isfinite(level) \
+                        and type(direction) is str and direction in _DIRECTIONS:
+                    line(f'{{"kind": "Reversal", "payload": {{"index": {index}, '
+                         f'"level": {level!r}, "new_direction": "{direction}", '
+                         f'"trial": {trial}}}, "seq": {seq}, "t_wall": {t_wall!r}}}')
+                    continue
+        line("".join(_encode({"kind": kind, "payload": p, "seq": seq, "t_wall": t_wall}, 0)))
     return "\n".join(lines) + "\n"
 
 
@@ -590,6 +671,29 @@ def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> st
     return log_text + serialize_log([amendment])
 
 
+def _check_amendment(amendment: Event, kind: str, update: dict, payload: dict) -> None:
+    """Raise unless ``amendment`` targets a Responded event and ``update``
+    sets only its ``response``, to a response word, and its ``correct``, to
+    the value that response gives; ``payload`` is the target's payload with
+    its amendments so far applied."""
+    for key in update:
+        if kind != "Responded" or key != "response" and key != "correct":
+            raise CorruptLogError(f"amendment may set only Responded.response and "
+                                  f".correct, not {kind}.{key}", amendment.seq)
+    if kind != "Responded":
+        raise CorruptLogError(f"amendment target_seq names a {kind}, not a Responded "
+                              "event", amendment.seq)
+    response = payload.get("response")
+    if "response" in update and response != "same" and response != "different":
+        raise CorruptLogError(f'amendment sets Responded.response to {response!r}, not '
+                              '"same" or "different"', amendment.seq)
+    if "correct" in update and payload["correct"] is not \
+            (response == ("same" if payload.get("catch") else "different")):
+        raise CorruptLogError(f"amendment sets Responded.correct to {payload['correct']!r}, "
+                              f"which disagrees with its response {response!r}",
+                              amendment.seq)
+
+
 def replay(log_text: str) -> SessionResult:
     """Recompute the session result from the event log alone.
 
@@ -598,7 +702,9 @@ def replay(log_text: str) -> SessionResult:
     unamended log must come out again as logged: the first re-emitted event
     whose value differs raises CorruptLogError naming its seq, kind and key.
     An amended log is re-emitted from its amended inputs and not compared.
-    A malformed log also raises CorruptLogError.
+    An amendment may set only a Responded event's ``response`` and, to the
+    value that response gives, its ``correct``.  A malformed log, or an
+    amendment of anything else, raises CorruptLogError.
     """
     events = parse_log(log_text)
     if not events:
@@ -619,7 +725,9 @@ def replay(log_text: str) -> SessionResult:
             raise CorruptLogError("amendment targets missing event", event.seq)
         if type(update) is not dict:
             raise CorruptLogError("amendment update is not an object", event.seq)
-        amended.setdefault(target, dict(events[target].payload)).update(update)
+        payload = amended.setdefault(target, dict(events[target].payload))
+        payload.update(update)
+        _check_amendment(event, events[target].kind, update, payload)
 
     if events[0].kind != "SessionStarted":
         raise CorruptLogError("log does not start with SessionStarted", 0)

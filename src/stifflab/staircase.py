@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .plant import DeviceConfig, TrajectoryConfig
 
@@ -23,6 +24,10 @@ class Direction(str, enum.Enum):
     NONE = "none"
     UP = "up"
     DOWN = "down"
+
+
+# the members as module constants: a lookup on the enum class costs more
+_NONE, _UP, _DOWN = Direction.NONE, Direction.UP, Direction.DOWN
 
 
 class InvalidConfigError(ValueError):
@@ -118,8 +123,10 @@ class ReversalRecord:
     new_direction: Direction
 
 
-@dataclass(frozen=True)
-class StaircaseState:
+class StaircaseState(NamedTuple):
+    """One staircase's state; a NamedTuple, which is cheaper to build on
+    every trial than a frozen dataclass and as immutable."""
+
     level: float
     consecutive_correct: int
     last_move_direction: Direction
@@ -141,15 +148,11 @@ def new_staircase(config: StaircaseConfig) -> StaircaseState:
     return StaircaseState(
         level=config.initial_level,
         consecutive_correct=0,
-        last_move_direction=Direction.NONE,
+        last_move_direction=_NONE,
         reversals=(),
         trial_index=0,
         terminated=False,
     )
-
-
-def _opposite(direction: Direction) -> Direction:
-    return Direction.UP if direction is Direction.DOWN else Direction.DOWN
 
 
 def record_response(
@@ -163,58 +166,36 @@ def record_response(
     is recorded as a bounce in the opposite direction, so reversals keep
     accumulating at the floor or cap instead of deadlocking.
     """
-    if state.terminated:
+    level, consecutive, last, reversals, trial, terminated, tail_correct, tail_total = state
+    if terminated:
         raise TerminatedError("staircase already terminated")
 
-    consecutive = state.consecutive_correct
-    intended: Direction | None = None
+    in_tail = len(reversals) >= 2
+    tail_correct += in_tail and correct
+    tail_total += in_tail
     if correct:
         consecutive += 1
-        if consecutive >= config.down_rule:
-            intended = Direction.DOWN
-            consecutive = 0
+        if consecutive < config.down_rule:
+            return StaircaseState(level, consecutive, last, reversals, trial + 1, False,
+                                  tail_correct, tail_total)
+        intended = _DOWN
+        target = level - config.down_step
     else:
-        intended = Direction.UP
-        consecutive = 0
-
-    trial_index = state.trial_index + 1
-    in_tail = len(state.reversals) >= 2
-    tail_correct = state.tail_correct + (in_tail and correct)
-    tail_total = state.tail_total + in_tail
-    if intended is None:
-        return StaircaseState(state.level, consecutive, state.last_move_direction,
-                              state.reversals, trial_index, False, tail_correct, tail_total)
-
-    if intended is Direction.DOWN:
-        target = state.level - config.down_step
-    else:
-        target = state.level + config.up_step
+        intended = _UP
+        target = level + config.up_step
     new_level = min(max(target, config.level_floor), config.level_cap)
 
     moved = intended
-    if new_level == state.level and state.last_move_direction is not Direction.NONE:
-        moved = _opposite(state.last_move_direction)
+    if new_level == level and last is not _NONE:
+        moved = _UP if last is _DOWN else _DOWN  # a bounce off the bound
 
-    reversals = state.reversals
-    if state.last_move_direction is not Direction.NONE and moved is not state.last_move_direction:
+    if last is not _NONE and moved is not last:
         reversals = reversals + (
-            ReversalRecord(
-                trial_index=state.trial_index,
-                level_at_reversal=state.level,
-                new_direction=moved,
-            ),
+            ReversalRecord(trial_index=trial, level_at_reversal=level, new_direction=moved),
         )
 
-    return StaircaseState(
-        level=new_level,
-        consecutive_correct=consecutive,
-        last_move_direction=moved,
-        reversals=reversals,
-        trial_index=trial_index,
-        terminated=len(reversals) >= config.reversal_limit,
-        tail_correct=tail_correct,
-        tail_total=tail_total,
-    )
+    return StaircaseState(new_level, 0, moved, reversals, trial + 1,
+                          len(reversals) >= config.reversal_limit, tail_correct, tail_total)
 
 
 def threshold_estimate(

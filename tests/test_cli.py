@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stifflab.cli import build_parser, main
+from stifflab.plant import simulate_exploration
 from stifflab.session import (
     config_from_dict,
     default_config_dict,
@@ -373,6 +374,21 @@ class TestTrace:
         assert main(["trace", "--config", write_config(tmp_path, raw),
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_only_the_first_run_is_simulated(self, tmp_path, monkeypatch, capsys):
+        # the noisy session at seed 0 integrates 255 explorations, 162 of
+        # them in its first run
+        calls = []
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: calls.append(a) or simulate_exploration(*a))
+        raw = {**default_config_dict(seed=0), "limb": {"motor_noise_std": 0.3},
+               "catch_trial_rate": 0.1}
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 162
+        assert capsys.readouterr().out == \
+            f"wrote {out} (66 trials, velocity 67.5 deg/s)\n"
 
     def test_refuses_overwrite(self, tmp_path):
         raw = default_config_dict(seed=3, plant_mode="ideal")

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from stifflab import session
 from stifflab.observer import (
     BernoulliObserver,
+    Response,
     SdtObserver,
     WeibullObserver,
     alpha_for_target,
 )
 from stifflab.plant import simulate_exploration
+from stifflab.staircase import Direction
 from stifflab.session import (
     ConfigError,
     CorruptLogError,
@@ -456,6 +458,43 @@ class TestReplay:
         assert response_only.runs != run.result.runs
         assert response_only.runs == both.runs
 
+    @pytest.mark.parametrize("kind,update,key", [
+        ("Presented", {"level": 99}, "Presented.level"),
+        ("Presented", {"k_first": 5}, "Presented.k_first"),
+        ("Responded", {"bogus": 1}, "Responded.bogus"),
+        ("Responded", {"response": "different", "trial": 3}, "Responded.trial"),
+        ("Responded", {"response": "maybe"}, "Responded.response"),
+        ("Responded", {"response": ["same"]}, "Responded.response"),
+        ("StaircaseMoved", {}, "target_seq"),
+        ("RunTerminated", {"threshold_pct": 1.0}, "RunTerminated.threshold_pct"),
+    ])
+    def test_amendment_of_anything_but_a_response_rejected(self, kind, update, key):
+        run = run_session(ideal_config(seed=14))
+        events = parse_log(run.log_text)
+        target = next(e for e in events if e.kind == kind)
+        with pytest.raises(CorruptLogError, match=key) as err:
+            replay(append_amendment(run.log_text, target.seq, update))
+        assert err.value.seq == len(events)
+
+    def test_amended_correct_must_agree_with_the_response(self):
+        run = run_session(ideal_config(seed=14))
+        events = parse_log(run.log_text)
+        target = next(e for e in events if e.kind == "Responded")
+        correct, response = target.payload["correct"], target.payload["response"]
+        flipped = "same" if response == "different" else "different"
+        for update in ({"correct": not correct}, {"correct": int(correct)},
+                       {"response": flipped, "correct": correct}):
+            with pytest.raises(CorruptLogError, match="Responded.correct") as err:
+                replay(append_amendment(run.log_text, target.seq, update))
+            assert err.value.seq == len(events)
+        # agreeing with the response as amended so far, by earlier amendments too
+        assert replay(append_amendment(run.log_text, target.seq,
+                                       {"correct": correct})).runs == run.result.runs
+        text = append_amendment(run.log_text, target.seq, {"response": flipped})
+        text = append_amendment(text, target.seq, {"correct": not correct})
+        assert replay(text).runs == replay(append_amendment(
+            run.log_text, target.seq, {"response": flipped})).runs
+
     def test_flipped_correct_rejected(self):
         run = run_session(ideal_config(seed=19))
         lines = run.log_text.splitlines()
@@ -858,7 +897,166 @@ _EVENT_TUPLES = st.tuples(st.integers(-2**70, 2**70), _STRINGS,
                           st.floats() | st.integers(), _PAYLOADS)
 
 
+class _Float(float):
+    """A float that spells itself otherwise, as NumPy's float64 does."""
+
+    def __repr__(self):
+        return f"_Float({float(self)!r})"
+
+    __str__ = __repr__
+
+
+class _Str(str):
+    """A string that spells itself otherwise, as an enum member may."""
+
+    def __str__(self):
+        return f"_Str({str.__str__(self)!r})"
+
+    __repr__ = __str__
+
+    def __format__(self, spec):
+        return str(self)
+
+
+def _mostly(good, bad):
+    """``good`` nine times in ten, else ``bad``."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+# the payload keys of each kind written from a template, and values for them:
+# mostly values of the kind the emitter writes, else values the template must
+# leave to json's encoder (NaN, infinities, ints and bools for floats,
+# subclasses, strings that need escaping, digest lists of another length)
+_FLOATS = _mostly(
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308]),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    | st.builds(_Float, st.floats()) | st.integers(-3, 3) | st.booleans())
+_INTS = _mostly(st.integers(-2**70, 2**70),
+                st.booleans() | st.floats(-3, 3) | st.builds(_Float, st.integers(0, 3)))
+_BOOLS = _mostly(st.booleans(), st.integers(0, 1) | st.none())
+_ODD_WORDS = st.sampled_from(["none", "Up", "", *Response, *Direction]) \
+    | st.builds(_Str, st.sampled_from(["same", "different", "up", "down"])) | _STRINGS
+_RESPONSE_WORDS = _mostly(st.sampled_from(["same", "different"]), _ODD_WORDS)
+_DIRECTION_WORDS = _mostly(st.sampled_from(["up", "down"]), _ODD_WORDS)
+_DIGEST = _mostly(st.sampled_from(["ideal", hashlib.sha256(b"").hexdigest()])
+                  | st.text("0123456789abcdefXYZ", min_size=1, max_size=8),
+                  # letters and digits past ASCII, and characters json escapes
+                  st.text("0a\u00e9\u00b2\u0663 \"\\\x00\u2028", max_size=4) | _STRINGS)
+_DIGESTS = _mostly(st.lists(_DIGEST, min_size=2, max_size=2),
+                   st.lists(_DIGEST, max_size=3) | st.tuples(_DIGEST, _DIGEST))
+_FIELDS = {
+    "Presented": {"catch": _BOOLS, "k_first": _FLOATS, "k_second": _FLOATS,
+                  "level": _FLOATS, "reference_first": _BOOLS, "trial": _INTS},
+    "Responded": {"catch": _BOOLS, "correct": _BOOLS, "recording_digests": _DIGESTS,
+                  "response": _RESPONSE_WORDS, "trial": _INTS},
+    "StaircaseMoved": {"direction": _DIRECTION_WORDS, "level_after": _FLOATS,
+                       "level_before": _FLOATS, "trial": _INTS},
+    "Reversal": {"index": _INTS, "level": _FLOATS, "new_direction": _DIRECTION_WORDS,
+                 "trial": _INTS},
+}
+
+
+@st.composite
+def _template_events(draw):
+    """An event of a kind written from a template, with the kind's keys
+    (or one too few or too many) and the values above."""
+    kind = draw(st.sampled_from(sorted(_FIELDS)))
+    payload = {key: draw(values) for key, values in _FIELDS[kind].items()}
+    change = draw(_mostly(st.just(None), st.sampled_from(["drop", "add"])))
+    if change == "drop":
+        del payload[draw(st.sampled_from(sorted(payload)))]
+    elif change == "add":
+        payload[draw(_STRINGS)] = draw(_PAYLOAD_VALUES)
+    return (draw(_mostly(st.integers(0, 2**70), st.booleans())),
+            draw(_mostly(st.just(kind), st.just(_Str(kind)))), draw(_FLOATS), payload)
+
+
+# a valid payload of each template kind, and for each type of field the
+# values its template must leave to json's encoder
+_VALID_PAYLOADS = {
+    "Presented": {"catch": False, "k_first": 1.11, "k_second": 2.22, "level": 1.11,
+                  "reference_first": True, "trial": 0},
+    "Responded": {"catch": False, "correct": True, "recording_digests": ["ideal", "ideal"],
+                  "response": "different", "trial": 0},
+    "StaircaseMoved": {"direction": "up", "level_after": 1.221, "level_before": 1.11,
+                       "trial": 1},
+    "Reversal": {"index": 1, "level": 1.665, "new_direction": "down", "trial": 10},
+}
+_NONFINITE = [float("nan"), float("inf"), float("-inf")]
+_UNTEMPLATED = {
+    float: [*_NONFINITE, 1, True, _Float(1.5), None],
+    bool: [1, 0, None],
+    int: [True, 1.0, _Float(1.0), None],
+    "response": ["maybe", "", "Same", _Str("same"), Response.SAME, "\u2028", None],
+    "direction": ["none", "", _Str("up"), Direction.UP, None],
+    "digests": [["caf\u00e9", "ideal"], ["ideal", "x\u00b2"], ["\u0663", "ideal"],
+                ["a b", "ideal"], ['a"', "ideal"], ["a\\", "ideal"], ["", "ideal"],
+                ["ideal"], ["ideal"] * 3, ("ideal", "ideal"), [_Str("ideal"), "ideal"],
+                [1, "ideal"], None],
+}
+
+
+def _untemplated_events():
+    """Valid template events with one value, the kind, seq or t_wall
+    replaced by one its template must leave to json, or one key too many
+    or too few."""
+    for kind, payload in _VALID_PAYLOADS.items():
+        for key, value in payload.items():
+            field = {"response": "response", "direction": "direction",
+                     "new_direction": "direction",
+                     "recording_digests": "digests"}.get(key, type(value))
+            for odd in _UNTEMPLATED[field]:
+                yield (7, kind, 120.0, {**payload, key: odd})
+            less = dict(payload)
+            del less[key]
+            yield (7, kind, 120.0, less)
+        yield (7, kind, 120.0, {**payload, "extra": 1})
+        yield (7, _Str(kind), 120.0, payload)
+        for seq in (True, 7.0, _Float(7.0)):
+            yield (seq, kind, 120.0, payload)
+        for t_wall in (*_NONFINITE, 120, _Float(120.0)):
+            yield (7, kind, t_wall, payload)
+
+
 class TestLogEncoding:
+    @settings(max_examples=500, deadline=None)
+    @given(events=st.lists(_template_events(), max_size=6))
+    def test_template_lines_match_the_json_encoder(self, events):
+        expected = _reference_serialize_log(events)
+        assert serialize_log(events) == expected
+        with mock.patch.object(json.encoder, "c_make_encoder", None), \
+                mock.patch.object(session, "_encode", session._chunk_encoder(None)):
+            assert serialize_log(events) == expected
+
+    def test_each_guard_leaves_its_value_to_json(self):
+        events = list(_untemplated_events())
+        encoded, encode = [], session._encode
+        with mock.patch.object(session, "_encode",
+                               lambda obj, level: encoded.append(obj) or encode(obj, level)):
+            for event in events:
+                assert serialize_log([event]) == _reference_line(event) + "\n"
+            assert len(encoded) == len(events)
+            # the valid events themselves are written from their templates
+            valid = [(7, kind, 120.0, payload) for kind, payload in _VALID_PAYLOADS.items()]
+            assert serialize_log(valid) == _reference_serialize_log(valid)
+            assert len(encoded) == len(events)
+
+    @pytest.mark.parametrize("config,others", [
+        (ideal_config(seed=0), set()),
+        (noisy_config(seed=1, staircase=SHORT_STAIRCASE), {"ExplorationRejected"}),
+    ])
+    def test_only_other_kinds_reach_the_json_encoder(self, config, others):
+        encoded, encode = [], session._encode
+        with mock.patch.object(session, "_encode",
+                               lambda obj, level: encoded.append(obj["kind"])
+                               or encode(obj, level)):
+            text = run_session(config).log_text
+        assert text == _reference_serialize_log(parse_log(text))
+        assert encoded == [e.kind for e in parse_log(text) if e.kind not in _FIELDS]
+        assert set(encoded) == {"SessionStarted", "Metadata", "RunStarted",
+                                "RunTerminated", "SessionEnded", *others}
+
     @settings(max_examples=300, deadline=None)
     @given(events=st.lists(_EVENT_TUPLES, max_size=4))
     def test_lines_match_the_json_encoder(self, events):
