@@ -75,7 +75,7 @@ class RepeatLimitError(RuntimeError):
 class CorruptLogError(ValueError):
     def __init__(self, message: str, seq: int | None = None):
         super().__init__(message if seq is None else f"seq {seq}: {message}")
-        self.seq = seq
+        self.message, self.seq = message, seq
 
 
 @dataclass(frozen=True)
@@ -403,12 +403,14 @@ class _Logged:
     replay checks it by reading it into ``config``.  The run order comes
     from the RunStarted events' velocities.  A trial's inputs come from its
     Presented event, the ExplorationRejected events after it (each matched
-    to an exploration by its interval) and its Responded event.  The
-    emitter recomputes everything else in the log.
+    to an exploration by its interval) and its Responded event, whose
+    response ``responses`` may override by its seq.  The emitter recomputes
+    everything else in the log.
     """
 
-    def __init__(self, events: list[Event], config: SessionConfig):
-        self.config = config
+    def __init__(self, events: list[Event], config: SessionConfig,
+                 responses: dict[int, str]):
+        self.config, self.responses = config, responses
         self.document = events[0].payload["config"]
         runs = []  # (RunStarted, [[Presented, rejections, Responded], ...])
         run = None  # the trials of the run being read
@@ -428,8 +430,6 @@ class _Logged:
                     run[-1][2] = event
                 else:
                     run[-1][1].append(event)
-            elif kind not in ("StaircaseMoved", "Reversal"):
-                run = None
         self.runs = [(start, iter(trials)) for start, trials in runs]
         self.trial = None  # the trial being read
 
@@ -468,20 +468,23 @@ class _Logged:
                 if attempt == self.config.repeat_cap:
                     raise CorruptLogError(f"interval {interval} rejected repeat_cap "
                                           f"({attempt}) times", event.seq)
+                achieved = event.payload.get("achieved_mean_velocity")
+                if type(achieved) is not int and (type(achieved) is not float
+                                                  or not math.isfinite(achieved)):
+                    raise _mistyped(event, "achieved_mean_velocity", "a finite number")
+                led_events = event.payload.get("led_events")
+                if type(led_events) is not int or led_events < 0:
+                    raise _mistyped(event, "led_events", "a nonnegative integer")
                 rejections.remove(event)
-                return (False, "", event.payload.get("achieved_mean_velocity"),
-                        event.payload.get("led_events"))
+                return False, "", achieved, led_events
         digests = responded.payload.get("recording_digests")  # each interval checks its own
         if type(digests) is not list or len(digests) != 2 or type(digests[interval]) is not str:
             raise _mistyped(responded, "recording_digests", "a list of two strings")
         return True, digests[interval], 0.0, 0
 
     def respond(self, springs: tuple[float, float], deg_s: float) -> str:
-        _, rejections, responded = self.trial
-        if rejections:
-            raise CorruptLogError("ExplorationRejected matches no exploration",
-                                  rejections[0].seq)
-        response = responded.payload.get("response")
+        responded = self.trial[2]
+        response = self.responses.get(responded.seq, responded.payload.get("response"))
         if response != "same" and response != "different":
             raise _mistyped(responded, "response", '"same" or "different"')
         return response
@@ -671,89 +674,85 @@ def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> st
     return log_text + serialize_log([amendment])
 
 
-def _check_amendment(amendment: Event, kind: str, update: dict, payload: dict) -> None:
-    """Raise unless ``amendment`` targets a Responded event and ``update``
-    sets only its ``response``, to a response word, and its ``correct``, to
-    the value that response gives; ``payload`` is the target's payload with
-    its amendments so far applied."""
-    for key in update:
-        if kind != "Responded" or key != "response" and key != "correct":
-            raise CorruptLogError(f"amendment may set only Responded.response and "
-                                  f".correct, not {kind}.{key}", amendment.seq)
-    if kind != "Responded":
-        raise CorruptLogError(f"amendment target_seq names a {kind}, not a Responded "
-                              "event", amendment.seq)
-    response = payload.get("response")
-    if "response" in update and response != "same" and response != "different":
-        raise CorruptLogError(f'amendment sets Responded.response to {response!r}, not '
-                              '"same" or "different"', amendment.seq)
-    if "correct" in update and payload["correct"] is not \
-            (response == ("same" if payload.get("catch") else "different")):
-        raise CorruptLogError(f"amendment sets Responded.correct to {payload['correct']!r}, "
-                              f"which disagrees with its response {response!r}",
-                              amendment.seq)
+def _amended_responses(events: list[Event], end: int) -> dict[int, str]:
+    """The responses set by the events after SessionEnded, ``events[end]``,
+    by their Responded event's seq.  Raise unless each is an Amendment of a
+    Responded event's ``response``, to a response word, and ``correct``, to
+    the value that response (as amended so far) gives; ``correct`` is no
+    input, the emitter recomputes it."""
+    responses = {}
+    for amendment in events[end + 1:]:
+        if amendment.kind != "Amendment":
+            raise CorruptLogError(f"{amendment.kind} after SessionEnded", amendment.seq)
+        target = amendment.payload.get("target_seq")
+        update = amendment.payload.get("update")
+        if type(target) is not int or not 0 <= target < len(events):
+            raise CorruptLogError("amendment targets missing event", amendment.seq)
+        if type(update) is not dict:
+            raise CorruptLogError("amendment update is not an object", amendment.seq)
+        kind, payload = events[target].kind, events[target].payload
+        for key in update:
+            if kind != "Responded" or key != "response" and key != "correct":
+                raise CorruptLogError(f"amendment may set only Responded.response and "
+                                      f".correct, not {kind}.{key}", amendment.seq)
+        if kind != "Responded":
+            raise CorruptLogError(f"amendment target_seq names a {kind}, not a Responded "
+                                  "event", amendment.seq)
+        response = update.get("response", responses.get(target, payload.get("response")))
+        if "response" in update and response != "same" and response != "different":
+            raise CorruptLogError(f'amendment sets Responded.response to {response!r}, not '
+                                  '"same" or "different"', amendment.seq)
+        if "correct" in update and update["correct"] is not \
+                (response == ("same" if payload.get("catch") else "different")):
+            raise CorruptLogError(f"amendment sets Responded.correct to {update['correct']!r}, "
+                                  f"which disagrees with its response {response!r}",
+                                  amendment.seq)
+        responses[target] = response
+    return responses
 
 
 def replay(log_text: str) -> SessionResult:
     """Recompute the session result from the event log alone.
 
-    The log's recorded inputs (see ``_Logged``), after amendment resolution,
-    are fed back through ``_emit_session``, the code that wrote the log.  An
-    unamended log must come out again as logged: the first re-emitted event
-    whose value differs raises CorruptLogError naming its seq, kind and key.
-    An amended log is re-emitted from its amended inputs and not compared.
-    An amendment may set only a Responded event's ``response`` and, to the
-    value that response gives, its ``correct``.  A malformed log, or an
-    amendment of anything else, raises CorruptLogError.
+    A log is the emitted session followed only by Amendments.  Its recorded
+    inputs (see ``_Logged``) are fed back through ``_emit_session``, the
+    code that wrote the log, and the log must come out again as logged: the
+    first re-emitted event whose value differs raises CorruptLogError naming
+    its seq, kind and key.  An amendment may set only a Responded event's
+    ``response`` and, to the value that response gives, its ``correct``;
+    an amended log is then re-emitted once more with the amended responses
+    for the result.  A malformed log, an amendment of anything else, or
+    amended responses the logged trials cannot carry raise CorruptLogError.
     """
     events = parse_log(log_text)
     if not events:
         raise CorruptLogError("empty log")
-    amendments, end = [], None
     for i, event in enumerate(events):
         if event.seq != i:
             raise CorruptLogError("sequence gap", event.seq)
-        if event.kind == "Amendment":
-            amendments.append(event)
-        elif event.kind == "SessionEnded" and end is None:
-            end = i
-
-    amended: dict[int, dict] = {}  # seq -> payload after its amendments
-    for event in amendments:
-        target, update = event.payload.get("target_seq"), event.payload.get("update")
-        if type(target) is not int or not 0 <= target < len(events):
-            raise CorruptLogError("amendment targets missing event", event.seq)
-        if type(update) is not dict:
-            raise CorruptLogError("amendment update is not an object", event.seq)
-        payload = amended.setdefault(target, dict(events[target].payload))
-        payload.update(update)
-        _check_amendment(event, events[target].kind, update, payload)
-
     if events[0].kind != "SessionStarted":
         raise CorruptLogError("log does not start with SessionStarted", 0)
+    end = next((i for i, event in enumerate(events) if event.kind == "SessionEnded"), None)
     if end is None:
-        raise CorruptLogError("missing SessionEnded terminator",
-                              events[-1].seq)
-    if amended:
-        events = [event._replace(payload=amended[event.seq]) if event.seq in amended
-                  else event for event in events]
+        raise CorruptLogError("missing SessionEnded terminator", events[-1].seq)
+    responses = _amended_responses(events, end)
     try:
         config = config_from_dict(events[0].payload.get("config"))
     except ConfigError as exc:
         raise CorruptLogError(f"SessionStarted config: {exc}", 0) from None
-    source, emitted = _Logged(events, config), []
+    emitted = []  # a trial logged past its staircase's end differs from RunTerminated
     try:
-        runs = _emit_session(config, source, emitted)
-        source.check_all_read()
-    except CorruptLogError:
-        if not amended:  # an event that differs before the faulty input comes first
-            _check_re_emitted(events, emitted)
-        raise
-    if not amended:  # an amendment changes what follows it, so it is not compared
+        runs = _emit_session(config, _Logged(events, config, {}), emitted)
+    finally:  # an event that differs before a faulty input comes first
         _check_re_emitted(events, emitted)
-    for event in events[end + 1:]:
-        if event.kind != "Amendment":
-            raise CorruptLogError(f"{event.kind} after SessionEnded", event.seq)
+    if responses:
+        source = _Logged(events, config, responses)
+        try:
+            runs = _emit_session(config, source, [])
+            source.check_all_read()
+        except CorruptLogError as exc:
+            raise CorruptLogError(f"with the amended responses, {exc.message}",
+                                  exc.seq) from None
     return SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
                          log_digest=_digest(log_text))
 

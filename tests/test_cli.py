@@ -12,6 +12,7 @@ import pytest
 from stifflab.cli import build_parser, main
 from stifflab.plant import simulate_exploration
 from stifflab.session import (
+    append_amendment,
     config_from_dict,
     default_config_dict,
     parse_log,
@@ -465,6 +466,27 @@ class TestReplayCommand:
         log.write_text("\n".join(lines) + "\n")
         assert main(["replay", "--log", str(log)]) == 2
         assert "corrupt log" in capsys.readouterr().err
+
+    def test_amended_log_is_checked_as_logged(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        main(["simulate", "--config", config_path, "--out", str(out)])
+        log = next(out.glob("session_*.jsonl"))
+        text = log.read_text()
+        events = parse_log(text)
+        last = [e for e in events if e.kind == "Responded"][-1]
+        noop = {"response": last.payload["response"]}
+        log.write_text(append_amendment(text, last.seq, noop))
+        assert main(["replay", "--log", str(log)]) == 0
+        moved = next(e for e in events if e.kind == "StaircaseMoved")
+        lines = text.splitlines()
+        lines[moved.seq] = json.dumps({**moved._asdict(), "payload": {
+            **moved.payload, "level_after": 9.0}}, sort_keys=True)
+        log.write_text(append_amendment("\n".join(lines) + "\n", last.seq, noop))
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log)]) == 2
+        assert capsys.readouterr().err == (f"corrupt log: seq {moved.seq}: "
+                                           "StaircaseMoved.level_after disagrees with "
+                                           "the re-emitted log\n")
 
     def test_corrupt_log(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -495,6 +496,71 @@ class TestReplay:
         assert replay(text).runs == replay(append_amendment(
             run.log_text, target.seq, {"response": flipped})).runs
 
+    def test_amended_log_is_compared_as_logged(self):
+        # a no-op amendment: the last response, set to its own value
+        events = _events(ideal_config(seed=0))
+        assert events[7]["kind"] == "StaircaseMoved"
+        events[7]["payload"]["level_after"] = 9.0
+        last = [e for e in events if e["kind"] == "Responded"][-1]
+        text = append_amendment(_log(events), last["seq"],
+                                {"response": last["payload"]["response"]})
+        with pytest.raises(CorruptLogError) as err:
+            replay(text)
+        assert str(err.value) == \
+            "seq 7: StaircaseMoved.level_after disagrees with the re-emitted log"
+        assert err.value.seq == 7
+
+    @pytest.mark.parametrize("kind", ["StaircaseMoved", "SessionEnded"])
+    def test_amendment_before_session_end_rejected(self, kind):
+        events = _events(ideal_config(seed=0))
+        responded = next(e for e in events if e["kind"] == "Responded")
+        at = next(e["seq"] for e in events if e["kind"] == kind)
+        events.insert(at, {"seq": 0, "kind": "Amendment", "t_wall": events[at]["t_wall"],
+                           "payload": {"target_seq": responded["seq"], "update": {
+                               "response": responded["payload"]["response"]}}})
+        for seq, event in enumerate(events):
+            event["seq"] = seq
+        with pytest.raises(CorruptLogError, match=f"logged Amendment where the "
+                                                  f"re-emitted log has {kind}") as err:
+            replay(_log(events))
+        assert err.value.seq == at
+
+    @pytest.mark.parametrize("target,seq,message", [
+        (27, 2, "run ends before its staircase does"),
+        (82, 106, "Presented after its run's staircase ended"),
+    ])
+    def test_amendment_that_changes_the_trial_count_is_named(self, target, seq, message):
+        run = run_session(ideal_config(seed=0))
+        responded = parse_log(run.log_text)[target]
+        assert responded.kind == "Responded"
+        flipped = "same" if responded.payload["response"] == "different" else "different"
+        assert replay(run.log_text) == run.result
+        with pytest.raises(CorruptLogError) as err:
+            replay(append_amendment(run.log_text, target, {"response": flipped}))
+        assert str(err.value) == f"seq {seq}: with the amended responses, {message}"
+        assert err.value.seq == seq
+
+    @pytest.mark.parametrize("key,value,expected", [
+        *[("achieved_mean_velocity", value, "a finite number")
+          for value in ("fast", None, [1, 2], True, math.inf, math.nan)],
+        *[("led_events", value, "a nonnegative integer")
+          for value in ("fast", None, [1, 2], False, -1, 2.0)],
+        ("achieved_mean_velocity", 50, None), ("achieved_mean_velocity", -1e300, None),
+        ("led_events", 0, None), ("led_events", 10**30, None),
+    ])
+    def test_rejected_exploration_inputs_are_type_checked(self, key, value, expected):
+        logged = _log([json.loads(line) for line in _edit_target_logs()[2][1]])  # noisy
+        events = [json.loads(line) for line in logged.splitlines()]
+        rejected = next(e for e in events if e["kind"] == "ExplorationRejected")
+        rejected["payload"][key] = value
+        if expected is None:  # taken as logged
+            assert replay(_log(events)).runs == replay(logged).runs
+            return
+        with pytest.raises(CorruptLogError) as err:
+            replay(_log(events))
+        assert str(err.value) == (f"seq {rejected['seq']}: ExplorationRejected.{key} "
+                                  f"must be {expected}, got {value!r}")
+
     def test_flipped_correct_rejected(self):
         run = run_session(ideal_config(seed=19))
         lines = run.log_text.splitlines()
@@ -736,38 +802,76 @@ def _config_keys():
                   | {"family", "bias", "p_different", "deg_s"})
 
 
-def _exempt(mode, event, path):
-    """Whether ``path`` of ``event`` is an input replay cannot recompute."""
+def _exempt(mode, event, path, new):
+    """Whether ``path`` of ``event`` is an input replay cannot recompute,
+    and ``new`` a value of that input's type."""
     kind, field = event["kind"], path[:2]
     return (mode == "full" and kind == "Responded"
             and field == ("payload", "recording_digests")) \
-        or (kind == "ExplorationRejected" and field in (
-            ("payload", "interval"), ("payload", "achieved_mean_velocity"),
-            ("payload", "led_events"))) \
+        or (kind == "ExplorationRejected" and (
+            field == ("payload", "interval")
+            or field == ("payload", "achieved_mean_velocity")
+            and (type(new) is int or type(new) is float and math.isfinite(new))
+            or field == ("payload", "led_events") and type(new) is int and new >= 0)) \
         or (kind == "Presented" and event["payload"]["catch"]
             and field == ("payload", "reference_first"))
+
+
+@functools.cache
+def _amended_edit_target_logs():
+    """(plant mode, log lines, amendment line): each field-edit log with one
+    appended amendment, the last response flip that still replays and
+    changes the result."""
+    logs = []
+    for mode, lines in _edit_target_logs():
+        text = "\n".join(lines) + "\n"
+        for event in reversed(parse_log(text)):
+            if event.kind != "Responded":
+                continue
+            flipped = "same" if event.payload["response"] == "different" else "different"
+            amended = append_amendment(text, event.seq, {"response": flipped})
+            try:
+                if replay(amended).runs != replay(text).runs:
+                    break
+            except CorruptLogError:  # the flip changes a run's trial count
+                pass
+        else:
+            raise AssertionError(f"no response flip of a {mode} log replays")
+        logs.append((mode, lines, amended[len(text):]))
+    return tuple(logs)
+
+
+def _edit_one_field(data, logs):
+    """Replay one of ``logs`` with one field of one of its events edited,
+    and fail unless the edit is rejected or exempt."""
+    mode, lines, amendment = data.draw(st.sampled_from(logs))
+    index = data.draw(st.integers(1, len(lines) - 1), label="seq")
+    event = json.loads(lines[index])
+    path = data.draw(st.sampled_from(list(_field_paths(event))), label="path")
+    *parents, key = path
+    owner = functools.reduce(lambda value, step: value[step], parents, event)
+    old = owner[key]
+    owner[key] = data.draw(st.one_of(st.sampled_from(_nearby(old)), _JSON_VALUES)
+                           .filter(lambda new: new != old), label="new value")
+    edited = lines[:index] + [json.dumps(event, sort_keys=True)] + lines[index + 1:]
+    try:
+        replay("\n".join(edited) + "\n" + amendment)
+    except CorruptLogError:
+        return
+    assert _exempt(mode, json.loads(lines[index]), path, owner[key]), \
+        f"replay accepted {owner[key]!r} for {old!r} at {path} of seq {index}"
 
 
 class TestReplayRecomputesEveryField:
     @settings(max_examples=400, deadline=None)
     @given(data=st.data())
     def test_any_edited_field_is_rejected(self, data):
-        mode, lines = data.draw(st.sampled_from(_edit_target_logs()))
-        index = data.draw(st.integers(1, len(lines) - 1), label="seq")
-        event = json.loads(lines[index])
-        path = data.draw(st.sampled_from(list(_field_paths(event))), label="path")
-        *parents, key = path
-        owner = functools.reduce(lambda value, step: value[step], parents, event)
-        old = owner[key]
-        owner[key] = data.draw(st.one_of(st.sampled_from(_nearby(old)), _JSON_VALUES)
-                               .filter(lambda new: new != old), label="new value")
-        edited = lines[:index] + [json.dumps(event, sort_keys=True)] + lines[index + 1:]
-        try:
-            replay("\n".join(edited) + "\n")
-        except CorruptLogError:
-            return
-        assert _exempt(mode, json.loads(lines[index]), path), \
-            f"replay accepted {owner[key]!r} for {old!r} at {path} of seq {index}"
+        _edit_one_field(data, [(mode, lines, "") for mode, lines in _edit_target_logs()])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_any_edited_field_of_an_amended_log_is_rejected(self, data):
+        _edit_one_field(data, _amended_edit_target_logs())
 
 
 def _events(config):
