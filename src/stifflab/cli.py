@@ -32,6 +32,7 @@ from .session import (
     RepeatLimitError,
     SessionConfig,
     config_from_dict,
+    config_to_dict,
     default_config_dict,
     first_run,
     replay,
@@ -64,16 +65,17 @@ def _load_config(path: str, seed: int | None) -> SessionConfig:
     return config_from_dict(raw)
 
 
-def _session_worker(args: tuple[SessionConfig, list[int]]) \
+def _session_worker(args: tuple[SessionConfig, dict, list[int]]) \
         -> list[tuple[str, list[dict]]]:
     """(log, summary rows) of each of the consecutive seeds' sessions, in
-    seed order; the sessions share one exploration memo."""
-    base, seeds = args
+    seed order; the sessions share one exploration memo and ``base``'s
+    config document."""
+    base, document, seeds = args
     memo: dict = {}
     outputs = []
     for seed in seeds:
         config = replace(base, seed=seed)
-        run = run_session(config, memo)
+        run = run_session(config, memo, document)
         rows = summary_rows(f"session_{seed:08d}", config, run.result)
         outputs.append((run.log_text, rows))
     return outputs
@@ -101,14 +103,16 @@ def cmd_simulate(args) -> int:
     summary_path = out / "summary.csv"
     _check_overwrite([*paths, summary_path], args.force)
 
+    document = config_to_dict(config)  # the sessions' documents differ only in seed
     if workers > 1 and len(seeds) > 1:
         size = -(-len(seeds) // workers)  # one contiguous chunk per worker
-        chunks = [(config, seeds[i:i + size]) for i in range(0, len(seeds), size)]
+        chunks = [(config, document, seeds[i:i + size])
+                  for i in range(0, len(seeds), size)]
         # a pool may start all its workers at once: start none without a chunk
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             outputs = [o for chunk in pool.map(_session_worker, chunks) for o in chunk]
     else:
-        outputs = _session_worker((config, seeds))
+        outputs = _session_worker((config, document, seeds))
 
     out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     all_rows = []

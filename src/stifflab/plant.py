@@ -10,6 +10,7 @@ boundary; the integrator works in SI internally.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -140,6 +141,20 @@ def min_jerk_trajectory(plan: TrajectoryPlan) -> ReferenceTrajectory:
                                acceleration=acceleration)
 
 
+@functools.lru_cache(maxsize=8)  # a run explores one plan throughout
+def _plan_reference(plan: TrajectoryPlan) -> tuple[ReferenceTrajectory, list, list, np.ndarray]:
+    """What an exploration needs of its plan alone: the reference trajectory,
+    its angle and velocity as float lists and its out-stroke mask.  Keyed by
+    the plan's value (a cache on the instance would grow with the plans the
+    exploration memo keeps alive); the arrays are read-only, as recordings
+    share ``time``."""
+    ref = min_jerk_trajectory(plan)
+    out = ref.time <= plan.beat_duration
+    for series in (ref.time, ref.angle, ref.velocity, ref.acceleration, out):
+        series.flags.writeable = False
+    return ref, ref.angle.tolist(), ref.velocity.tolist(), out
+
+
 def spring_torque(spring: SpringParam, angle: float, device: DeviceConfig) -> float:
     """Restoring torque -k * angle, saturated at the device limit."""
     tau = -spring.k * angle
@@ -166,7 +181,7 @@ class TrialRecording:
         h = hashlib.sha256()
         for series in (self.time, self.angle, self.quantized_angle,
                        self.commanded_torque, self.muscle_torque, self.activation):
-            h.update(np.ascontiguousarray(series, dtype=np.float64).tobytes())
+            h.update(np.ascontiguousarray(series, dtype=np.float64))  # no copy
         h.update(np.asarray(self.led_events, dtype=np.float64).tobytes())
         h.update(np.float64(self.achieved_mean_velocity).tobytes())
         return h.hexdigest()
@@ -187,7 +202,7 @@ def simulate_exploration(
     plus PD tracking feedback plus white noise, zero-order-held over each
     control period; the state is advanced with fixed-step RK4.
     """
-    ref = min_jerk_trajectory(plan)
+    ref, ref_angle, ref_velocity, out = _plan_reference(plan)
     n = len(ref.time)
     dt = 1.0 / plan.sample_rate
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
@@ -219,8 +234,8 @@ def simulate_exploration(
     velocity: list[float] = []
     angle_append, velocity_append = angle.append, velocity.append
     try:
-        for ff, a_ref, v_ref, w in zip(tau_ff.tolist(), ref.angle.tolist(),
-                                       ref.velocity.tolist(), noise.tolist()):
+        for ff, a_ref, v_ref, w in zip(tau_ff.tolist(), ref_angle, ref_velocity,
+                                       noise.tolist()):
             t_dev = neg_k * (floor(theta / resolution) * resolution)  # mNm
             if t_dev < torque_min:
                 t_dev = torque_min
@@ -261,7 +276,6 @@ def simulate_exploration(
                + kd * (ref.velocity - np.array(velocity)) * deg + noise) / mnm
     activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
     # one LED event per stroke, at the first sample inside its target window
-    out = ref.time <= plan.beat_duration
     near = np.where(out, np.abs(theta_arr - plan.amplitude),
                     np.abs(theta_arr)) < plan.led_window
     led = tuple(ref.time[hits.argmax()].item()

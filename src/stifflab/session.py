@@ -350,9 +350,10 @@ class _Drawn:
     presentation from the RNG, explorations from the plant and responses
     from the observer."""
 
-    def __init__(self, config: SessionConfig, memo: dict):
+    def __init__(self, config: SessionConfig, memo: dict, document: dict | None = None):
         self.config = config
-        self.document = config_to_dict(config)
+        self.document = (config_to_dict(config) if document is None
+                         else {**document, "seed": config.seed})
         self.memo = memo
         self.rng = np.random.default_rng(config.seed)
 
@@ -508,15 +509,17 @@ def _run_summary(run: RunResult) -> dict:
     }
 
 
-def run_session(config: SessionConfig,
-                memo: dict | None = None) -> SessionRun:
+def run_session(config: SessionConfig, memo: dict | None = None,
+                document: dict | None = None) -> SessionRun:
     """Execute the full protocol and return results plus the event log.
 
     ``memo`` holds the noise-free explorations simulated so far; sessions
     given the same dict share them.  Without one the session gets its own.
+    ``document``, ``config_to_dict`` of a config that differs from ``config``
+    at most in its seed, spares a batch building it per session.
     """
     emitted: list[tuple] = []
-    source = _Drawn(config, {} if memo is None else memo)
+    source = _Drawn(config, {} if memo is None else memo, document)
     runs = _emit_session(config, source, emitted)
     log_text = serialize_log(emitted)
     result = SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),

@@ -14,6 +14,7 @@ from stifflab.plant import simulate_exploration
 from stifflab.session import (
     append_amendment,
     config_from_dict,
+    config_to_dict,
     default_config_dict,
     parse_log,
     replay,
@@ -267,6 +268,24 @@ class TestSimulate:
         assert len(names) == 4  # three logs and summary.csv
         for name in names:
             assert (outs[None] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def test_batch_builds_its_config_document_once(self, tmp_path, monkeypatch):
+        raw = default_config_dict(seed=6, plant_mode="ideal")
+        path = write_config(tmp_path, raw)
+        calls = []
+        for module in ("stifflab.cli", "stifflab.session"):
+            monkeypatch.setattr(f"{module}.config_to_dict",
+                                lambda c: calls.append(c) or config_to_dict(c))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--sessions", "3",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        # each session logs its own seed, as a session run alone does
+        monkeypatch.undo()
+        for seed in (6, 7, 8):
+            raw["seed"] = seed
+            assert (out / f"session_{seed:08d}.jsonl").read_text() == \
+                run_session(config_from_dict(raw)).log_text
 
 
 class TestValidateConvergence:

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from stifflab.plant import (
     TrajectoryPlan,
     TrialRecording,
     UnstableIntegrationError,
+    _plan_reference,
     achieved_velocity_ok,
     min_jerk_trajectory,
     plan_for_bpm,
@@ -368,6 +372,59 @@ class TestKernelMatchesReference:
     def test_same_instability_diagnosis_without_overflow(self):
         # the angle passes the limit and stays finite to the end of the plan
         self._assert_same_instability(300.0)
+
+
+class TestPlanReferenceCache:
+    def test_recording_time_is_read_only(self):
+        rec = simulate_exploration(SpringParam(k=1.11), plan_for_bpm(45.0), LimbConfig(),
+                                   DeviceConfig(), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="read-only"):
+            rec.time[0] = 1.0
+        # the public trajectory is built afresh, so its callers may change it
+        ref = min_jerk_trajectory(plan_for_bpm(45.0))
+        ref.time[0] = 1.0
+        assert rec.time[0] == 0.0
+
+    def test_keyed_by_plan_value(self):
+        assert plan_for_bpm(45.0) is not plan_for_bpm(45.0)
+        assert _plan_reference(plan_for_bpm(45.0)) is _plan_reference(plan_for_bpm(45.0))
+
+    def test_size_stays_within_its_bound(self):
+        bound = _plan_reference.cache_info().maxsize
+        for bpm in range(40, 40 + 3 * bound):
+            simulate_exploration(SpringParam(k=1.11), plan_for_bpm(bpm, sample_rate=100.0),
+                                 LimbConfig(), DeviceConfig(), np.random.default_rng(0))
+            assert _plan_reference.cache_info().currsize <= bound
+
+
+_SERIES = ("time", "angle", "quantized_angle", "commanded_torque", "muscle_torque",
+           "activation")
+
+
+def _digest_by_copy(rec):
+    """TrialRecording.digest as first written: each series copied by tobytes."""
+    h = hashlib.sha256()
+    for name in _SERIES:
+        h.update(np.ascontiguousarray(getattr(rec, name), dtype=np.float64).tobytes())
+    h.update(np.asarray(rec.led_events, dtype=np.float64).tobytes())
+    h.update(np.float64(rec.achieved_mean_velocity).tobytes())
+    return h.hexdigest()
+
+
+class TestDigest:
+    @pytest.mark.parametrize("layout", [
+        lambda a: a,                                     # contiguous float64
+        lambda a: np.repeat(a, 2)[::2],                  # strided
+        lambda a: a.astype(np.float32),                  # not float64
+        lambda a: np.round(a * 100.0).astype(np.int64),  # not float
+    ], ids=["contiguous", "strided", "float32", "int64"])
+    def test_equals_the_digest_of_copied_bytes(self, layout):
+        rec = simulate_exploration(SpringParam(k=1.11), plan_for_bpm(75.0),
+                                   LimbConfig(motor_noise_std=0.3), DeviceConfig(),
+                                   np.random.default_rng(4))
+        rec = dataclasses.replace(rec, **{name: layout(getattr(rec, name))
+                                          for name in _SERIES})
+        assert rec.digest() == _digest_by_copy(rec)
 
 
 class TestVelocityCheck:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stifflab import session
+from stifflab import plant, session
 from stifflab.observer import (
     BernoulliObserver,
     Response,
@@ -18,7 +18,7 @@ from stifflab.observer import (
     WeibullObserver,
     alpha_for_target,
 )
-from stifflab.plant import simulate_exploration
+from stifflab.plant import min_jerk_trajectory, simulate_exploration
 from stifflab.staircase import Direction
 from stifflab.session import (
     ConfigError,
@@ -1281,6 +1281,15 @@ class TestExplorationMemo:
         assert memo == {}
         assert len(calls) == _explorations(run.log_text)
         assert any(e.kind == "ExplorationRejected" for e in parse_log(run.log_text))
+
+    def test_noisy_session_builds_each_plan_reference_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(plant, "min_jerk_trajectory",
+                            lambda plan: calls.append(plan) or min_jerk_trajectory(plan))
+        plant._plan_reference.cache_clear()
+        run = run_session(noisy_config(seed=1, **self.SHORT))
+        assert _explorations(run.log_text) > 50
+        assert len(calls) == len(set(calls)) == 2  # one per pace, not per exploration
 
     def test_noise_free_session_simulates_each_exploration_once(self, monkeypatch):
         calls = []
