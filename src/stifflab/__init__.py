@@ -7,7 +7,6 @@ and a deterministic, replayable session runner.
 
 from .observer import (
     BernoulliObserver,
-    Response,
     SdtObserver,
     WeibullObserver,
     alpha_for_target,

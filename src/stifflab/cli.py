@@ -65,6 +65,11 @@ def _load_config(path: str, seed: int | None) -> SessionConfig:
     return config_from_dict(raw)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # NumPy would refuse it only once the command is under way
+        raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
+
+
 def _session_worker(args: tuple[SessionConfig, dict, list[int]]) \
         -> list[tuple[str, list[dict]]]:
     """(log, summary rows) of each of the consecutive seeds' sessions, in
@@ -131,14 +136,17 @@ def cmd_validate_convergence(args) -> int:
     if args.runs < 100:
         print("error: --runs must be at least 100", file=sys.stderr)
         return EXIT_USAGE
+    _check_seed(args.seed)
+    # every refused --rule or --ratio is refused here, before any output
     target = convergence_target(args.rule, args.ratio)
-    print(f"zero-drift proportion-correct target: {target:.4f} "
-          f"(rule={args.rule}-down, ratio={args.ratio})")
-    rng = np.random.default_rng(args.seed)
-
     protocol = default_config_dict()
     reference = protocol["reference_stiffness"]
     stair = default_config(reference, down_rule=args.rule, down_up_ratio=args.ratio)
+    # a Weibull observer whose target point is known, for threshold recovery
+    observer = WeibullObserver(alpha=alpha_for_target(reference, target, beta=3.0), beta=3.0)
+    print(f"zero-drift proportion-correct target: {target:.4f} "
+          f"(rule={args.rule}-down, ratio={args.ratio})")
+    rng = np.random.default_rng(args.seed)
 
     # drift of the level under a constant-probability responder at the target
     wide = replace(stair, reversal_limit=10**9, reversals_averaged=1,
@@ -150,9 +158,7 @@ def cmd_validate_convergence(args) -> int:
     drift = (state.level - wide.initial_level) / n_trials / wide.up_step
     print(f"mean signed step per trial (up-step units): {drift:+.5f}")
 
-    # threshold recovery with a Weibull observer whose target point is known
-    alpha = alpha_for_target(reference, target, beta=3.0)
-    observer = WeibullObserver(alpha=alpha, beta=3.0)
+    # threshold recovery with the observer
     velocity = protocol["velocities"][0]["deg_s"]
     finals = []
     for _ in range(args.runs):
@@ -210,8 +216,8 @@ def cmd_emg_demo(args) -> int:
         print(f"error: --duration must be finite and round to at least one "
               f"{emg_rate:g} Hz sample, got {args.duration}", file=sys.stderr)
         return EXIT_USAGE
+    _check_seed(args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     names = [f"{ch}_{kind}.csv" for ch in ("pq", "pt")
              for kind in ("raw", "envelope")]
     paths = [out / n for n in names]
@@ -229,12 +235,12 @@ def cmd_emg_demo(args) -> int:
     activation = np.interp(t % cycle, recording.time, recording.activation)
     spec = emg.design_butterworth_lowpass(5.5, emg_rate)
 
+    out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     # PQ carries more activity than PT in this task
     for channel, gain in (("PQ", 1.0), ("PT", 0.5)):
         signal = emg.synthesize_emg(activation, emg_rate, gain=gain,
                                     dc_offset=0.1, rng=rng)
-        signal = emg.EmgSignal(sample_rate=emg_rate, samples=signal.samples,
-                               channel=channel)
+        signal = replace(signal, channel=channel)
         envelope = emg.linear_envelope(signal, spec)
         emg.write_signal_csv(signal, out / f"{channel.lower()}_raw.csv")
         emg.write_signal_csv(envelope, out / f"{channel.lower()}_envelope.csv")

@@ -39,13 +39,12 @@ def read_object(value, where: str) -> dict:
 
 @contextmanager
 def section(where: str):
-    """Turn the validation error of a dataclass built inside the block (a
-    ValueError such as ObserverConfigError) into a ConfigError naming the
-    config section ``where``."""
+    """Turn every ValueError raised inside the block, such as the validation
+    error of a dataclass built there, into a ConfigError that names the
+    config section ``where``; the block reads no value whose error already
+    names its path."""
     try:
         yield
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 

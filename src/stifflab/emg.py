@@ -43,12 +43,6 @@ class EmgSignal:
 
 
 @dataclass(frozen=True)
-class Envelope:
-    sample_rate: float
-    samples: np.ndarray
-
-
-@dataclass(frozen=True)
 class FilterSpec:
     """Cascade of (b0, b1, b2, 1, a1, a2) second-order sections."""
 
@@ -194,14 +188,12 @@ def linear_envelope(
     signal: EmgSignal,
     spec: FilterSpec,
     mode: str = "forward",
-) -> Envelope:
+) -> EmgSignal:
     """DC removal, rectification, low-pass — the linear-envelope chain."""
-    stage = rectify(remove_dc(signal))
-    filtered = apply_filter(stage, spec, mode=mode)
-    return Envelope(sample_rate=signal.sample_rate, samples=filtered.samples)
+    return apply_filter(rectify(remove_dc(signal)), spec, mode=mode)
 
 
-def write_signal_csv(signal: EmgSignal | Envelope, path) -> None:
+def write_signal_csv(signal: EmgSignal, path) -> None:
     t = np.arange(signal.samples.size) / signal.sample_rate
     np.savetxt(path, np.column_stack([t, signal.samples]),
                delimiter=",", comments="", header="time,value")

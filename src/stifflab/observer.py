@@ -1,16 +1,16 @@
 """Simulated participants and signal-detection utilities.
 
-Observers map a presented spring pair and an exploration velocity to a
-Same/Different response.  Two families are provided: a Weibull psychometric
-observer (direct control of the percent-correct point the staircase should
-converge to) and a differencing signal-detection observer (noisy internal
-stiffness estimates compared against a criterion).  A constant-probability
-Bernoulli responder is included for convergence validation.
+Observers map a presented spring pair and an exploration velocity to the
+response "same" or "different".  Two families are provided: a Weibull
+psychometric observer (direct control of the percent-correct point the
+staircase should converge to) and a differencing signal-detection observer
+(noisy internal stiffness estimates compared against a criterion).  A
+constant-probability Bernoulli responder is included for convergence
+validation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -22,21 +22,8 @@ from .config import ConfigError, read, read_object
 _SQRT2 = math.sqrt(2.0)
 
 
-class Response(str, enum.Enum):
-    SAME = "same"
-    DIFFERENT = "different"
-
-
-# the members as module constants: a lookup on the enum class costs more
-_SAME, _DIFFERENT = Response.SAME, Response.DIFFERENT
-
-
 class DegenerateRateError(ValueError):
     """Hit or false-alarm rate of exactly 0 or 1; caller must correct."""
-
-
-class ObserverConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -58,11 +45,11 @@ class WeibullObserver:
 
     def __post_init__(self):
         if self.alpha <= 0 or self.beta <= 0:
-            raise ObserverConfigError("alpha and beta must be positive")
+            raise ConfigError("alpha and beta must be positive")
         if not 0 <= self.gamma < 1 - self.lapse <= 1:
-            raise ObserverConfigError("need 0 <= gamma < 1 - lapse <= 1")
+            raise ConfigError("need 0 <= gamma < 1 - lapse <= 1")
         if any(scale <= 0 for scale in self.velocity_scaling.values()):
-            raise ObserverConfigError("velocity_scaling values must be positive")
+            raise ConfigError("velocity_scaling values must be positive")
 
     def p_different(self, delta_k: float, velocity: float) -> float:
         if delta_k < 0:
@@ -80,9 +67,9 @@ class WeibullObserver:
         k_second: float,
         velocity: float,
         rng: np.random.Generator,
-    ) -> Response:
+    ) -> str:
         p = self.p_different(abs(k_second - k_first), velocity)
-        return _DIFFERENT if rng.random() < p else _SAME
+        return "different" if rng.random() < p else "same"
 
 
 def alpha_for_target(
@@ -97,7 +84,7 @@ def alpha_for_target(
     Closed-form inversion of the Weibull psychometric function.
     """
     if not gamma < target_p < 1 - lapse:
-        raise ObserverConfigError("target_p must lie between gamma and 1 - lapse")
+        raise ConfigError("target_p must lie between gamma and 1 - lapse")
     inner = 1.0 - (target_p - gamma) / (1.0 - gamma - lapse)
     return delta_k / (-math.log(inner)) ** (1.0 / beta)
 
@@ -119,11 +106,11 @@ class SdtObserver:
 
     def __post_init__(self):
         if self.sigma <= 0:
-            raise ObserverConfigError("sigma must be positive")
+            raise ConfigError("sigma must be positive")
         if self.criterion < 0:
-            raise ObserverConfigError("criterion must be nonnegative")
+            raise ConfigError("criterion must be nonnegative")
         if any(scale <= 0 for scale in self.velocity_scaling.values()):
-            raise ObserverConfigError("velocity_scaling values must be positive")
+            raise ConfigError("velocity_scaling values must be positive")
 
     def respond(
         self,
@@ -131,15 +118,15 @@ class SdtObserver:
         k_second: float,
         velocity: float,
         rng: np.random.Generator,
-    ) -> Response:
+    ) -> str:
         if k_first <= 0 or k_second <= 0:
             raise ValueError("stiffness values must be positive")
         sigma = self.sigma * self.velocity_scaling.get(velocity, 1.0)
         est_first = k_first + rng.normal(0.0, sigma)
         est_second = k_second + rng.normal(0.0, sigma)
         if abs(est_first - est_second) > self.criterion + self.bias:
-            return _DIFFERENT
-        return _SAME
+            return "different"
+        return "same"
 
 
 @dataclass(frozen=True)
@@ -151,7 +138,7 @@ class BernoulliObserver:
 
     def __post_init__(self):
         if not 0 <= self.p_different <= 1:
-            raise ObserverConfigError("p_different must be in [0, 1]")
+            raise ConfigError("p_different must be in [0, 1]")
 
     def respond(
         self,
@@ -159,8 +146,8 @@ class BernoulliObserver:
         k_second: float,
         velocity: float,
         rng: np.random.Generator,
-    ) -> Response:
-        return _DIFFERENT if rng.random() < self.p_different else _SAME
+    ) -> str:
+        return "different" if rng.random() < self.p_different else "same"
 
 
 Observer = WeibullObserver | SdtObserver | BernoulliObserver

@@ -207,11 +207,11 @@ def config_from_dict(raw: dict) -> SessionConfig:
         for condition in conditions:
             plan_for_bpm(condition.bpm, trajectory.amplitude, device.control_rate,
                          trajectory.led_window)
+    overrides = read_fields(StaircaseConfig, raw.get("staircase", {}), "staircase",
+                            skip=("reference_stiffness",))  # the document's own
     with section("staircase"):
-        staircase = default_config(
-            reference, device.torque_limit, trajectory.amplitude,
-            **read_fields(StaircaseConfig, raw.get("staircase", {}), "staircase",
-                          skip=("reference_stiffness",)))  # the document's own
+        staircase = default_config(reference, device.torque_limit, trajectory.amplitude,
+                                   **overrides)
     return SessionConfig(**values, staircase=staircase, velocities=tuple(conditions),
                          observer=observer_from_config(raw["observer"]))
 
@@ -316,15 +316,15 @@ def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResul
             before = state
             state = record_response(before, correct, stair)
             moved = state.last_move_direction
-            if state.level != level or moved is not before.last_move_direction:
-                emit("StaircaseMoved", {"trial": trial, "direction": moved._value_,
+            if state.level != level or moved != before.last_move_direction:
+                emit("StaircaseMoved", {"trial": trial, "direction": moved,
                                         "level_before": level, "level_after": state.level})
             if len(state.reversals) > len(before.reversals):
                 record = state.reversals[-1]
                 emit("Reversal", {"trial": record.trial_index,
                                   "index": len(state.reversals),
                                   "level": record.level_at_reversal,
-                                  "new_direction": record.new_direction._value_})
+                                  "new_direction": record.new_direction})
 
         result = RunResult(
             velocity=condition.deg_s,
@@ -387,8 +387,7 @@ class _Drawn:
         return outcome
 
     def respond(self, springs: tuple[float, float], deg_s: float) -> str:
-        return self.config.observer.respond(springs[0], springs[1], deg_s,
-                                            self.rng)._value_
+        return self.config.observer.respond(springs[0], springs[1], deg_s, self.rng)
 
 
 def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
@@ -663,18 +662,17 @@ def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> st
     """Append an Amendment event overriding fields of a prior event's payload.
 
     Nothing is deleted; replay resolves the amendment.  Mirrors the manual
-    override an experimenter applies when a wrong button was hit.
+    override an experimenter applies when a wrong button was hit.  The
+    amended log is replayed first: one that replay refuses raises its
+    CorruptLogError and is not returned.
     """
     events = parse_log(log_text)
-    if not 0 <= target_seq < len(events):
-        raise CorruptLogError("amendment targets a nonexistent event", target_seq)
-    amendment = Event(
-        seq=len(events),
-        kind="Amendment",
-        t_wall=events[-1].t_wall,
-        payload={"target_seq": target_seq, "update": dict(payload_update)},
-    )
-    return log_text + serialize_log([amendment])
+    if not events:
+        raise CorruptLogError("empty log")
+    amended = log_text + serialize_log([Event(len(events), "Amendment", events[-1].t_wall, {
+        "target_seq": target_seq, "update": dict(payload_update)})])
+    replay(amended)
+    return amended
 
 
 def _amended_responses(events: list[Event], end: int) -> dict[int, str]:

@@ -12,26 +12,12 @@ All operations are pure: they return new state values and never mutate.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .config import ConfigError
 from .plant import DeviceConfig, TrajectoryConfig
-
-
-class Direction(str, enum.Enum):
-    NONE = "none"
-    UP = "up"
-    DOWN = "down"
-
-
-# the members as module constants: a lookup on the enum class costs more
-_NONE, _UP, _DOWN = Direction.NONE, Direction.UP, Direction.DOWN
-
-
-class InvalidConfigError(ValueError):
-    pass
 
 
 class TerminatedError(ValueError):
@@ -62,21 +48,21 @@ class StaircaseConfig:
 
     def __post_init__(self):
         if self.reference_stiffness <= 0:
-            raise InvalidConfigError("reference_stiffness must be positive")
+            raise ConfigError("reference_stiffness must be positive")
         if self.up_step <= 0:
-            raise InvalidConfigError("up_step must be positive")
+            raise ConfigError("up_step must be positive")
         if not 0 < self.down_up_ratio <= 1:
-            raise InvalidConfigError("down_up_ratio must be in (0, 1]")
+            raise ConfigError("down_up_ratio must be in (0, 1]")
         if self.down_rule < 1:
-            raise InvalidConfigError("down_rule must be at least 1")
+            raise ConfigError("down_rule must be at least 1")
         if self.reversals_averaged > self.reversal_limit:
-            raise InvalidConfigError("reversals_averaged exceeds reversal_limit")
+            raise ConfigError("reversals_averaged exceeds reversal_limit")
         if not 0 < self.level_floor <= self.initial_level <= self.level_cap:
-            raise InvalidConfigError(
+            raise ConfigError(
                 "need 0 < level_floor <= initial_level <= level_cap"
             )
         if not math.isfinite(self.level_cap):  # the default cap can overflow
-            raise InvalidConfigError(f"level_cap must be finite, got {self.level_cap}")
+            raise ConfigError(f"level_cap must be finite, got {self.level_cap}")
 
     @property
     def down_step(self) -> float:
@@ -120,7 +106,7 @@ def default_config(
 class ReversalRecord:
     trial_index: int
     level_at_reversal: float
-    new_direction: Direction
+    new_direction: str  # "up" or "down"
 
 
 class StaircaseState(NamedTuple):
@@ -129,7 +115,7 @@ class StaircaseState(NamedTuple):
 
     level: float
     consecutive_correct: int
-    last_move_direction: Direction
+    last_move_direction: str  # "none" before the first move, then "up" or "down"
     reversals: tuple[ReversalRecord, ...]
     trial_index: int
     terminated: bool
@@ -148,7 +134,7 @@ def new_staircase(config: StaircaseConfig) -> StaircaseState:
     return StaircaseState(
         level=config.initial_level,
         consecutive_correct=0,
-        last_move_direction=_NONE,
+        last_move_direction="none",
         reversals=(),
         trial_index=0,
         terminated=False,
@@ -178,18 +164,18 @@ def record_response(
         if consecutive < config.down_rule:
             return StaircaseState(level, consecutive, last, reversals, trial + 1, False,
                                   tail_correct, tail_total)
-        intended = _DOWN
+        intended = "down"
         target = level - config.down_step
     else:
-        intended = _UP
+        intended = "up"
         target = level + config.up_step
     new_level = min(max(target, config.level_floor), config.level_cap)
 
     moved = intended
-    if new_level == level and last is not _NONE:
-        moved = _UP if last is _DOWN else _DOWN  # a bounce off the bound
+    if new_level == level and last != "none":
+        moved = "up" if last == "down" else "down"  # a bounce off the bound
 
-    if last is not _NONE and moved is not last:
+    if last != "none" and moved != last:
         reversals = reversals + (
             ReversalRecord(trial_index=trial, level_at_reversal=level, new_direction=moved),
         )
@@ -223,5 +209,5 @@ def convergence_target(down_rule: int, down_up_ratio: float) -> float:
     p = (1 / (1 + ratio)) ** (1 / n).
     """
     if down_rule < 1 or down_up_ratio <= 0:
-        raise InvalidConfigError("down_rule >= 1 and down_up_ratio > 0 required")
+        raise ConfigError("down_rule >= 1 and down_up_ratio > 0 required")
     return (1.0 / (1.0 + down_up_ratio)) ** (1.0 / down_rule)

@@ -12,6 +12,7 @@ import pytest
 from stifflab.cli import build_parser, main
 from stifflab.plant import simulate_exploration
 from stifflab.session import (
+    Event,
     append_amendment,
     config_from_dict,
     config_to_dict,
@@ -19,6 +20,7 @@ from stifflab.session import (
     parse_log,
     replay,
     run_session,
+    serialize_log,
 )
 from stifflab.staircase import default_config
 
@@ -325,6 +327,20 @@ PASS
                      *flags]) == 0
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("flags", [["--rule", "0"], ["--ratio", "2"],
+                                       ["--ratio", "nan"], ["--rule", "50"],
+                                       ["--seed", "-1"]])
+    def test_refused_parameters_exit_2(self, capsys, flags):
+        # --rule 50 puts the target above the Weibull observer's ceiling
+        assert main(["validate-convergence", "--runs", "100", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+    def test_negative_seed_message(self, capsys):
+        assert main(["validate-convergence", "--seed", "-1"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: --seed must be a nonnegative integer, got -1\n")
+
     def test_overridden_rule_and_ratio_pass(self, capsys):
         # threshold recovery must aim at the overridden target, not 0.8315
         assert main(["validate-convergence", "--runs", "300", "--seed", "1",
@@ -455,6 +471,14 @@ class TestEmgDemo:
         assert capsys.readouterr().err.startswith("error: --duration")
         assert not out.exists()
 
+    def test_negative_seed_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "emg"
+        assert main(["emg-demo", "--duration", "1", "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr() == \
+            ("", "error: --seed must be a nonnegative integer, got -1\n")
+        assert not out.exists()
+
 
 class TestReplayCommand:
     def test_replays_written_log(self, tmp_path, config_path, capsys):
@@ -500,7 +524,10 @@ class TestReplayCommand:
         lines = text.splitlines()
         lines[moved.seq] = json.dumps({**moved._asdict(), "payload": {
             **moved.payload, "level_after": 9.0}}, sort_keys=True)
-        log.write_text(append_amendment("\n".join(lines) + "\n", last.seq, noop))
+        # append_amendment refuses to write this log: append its line unchecked
+        amendment = Event(len(events), "Amendment", events[-1].t_wall,
+                          {"target_seq": last.seq, "update": noop})
+        log.write_text("\n".join(lines) + "\n" + serialize_log([amendment]))
         capsys.readouterr()
         assert main(["replay", "--log", str(log)]) == 2
         assert capsys.readouterr().err == (f"corrupt log: seq {moved.seq}: "

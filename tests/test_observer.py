@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from stifflab.config import ConfigError
 from stifflab.observer import (
     BernoulliObserver,
     DegenerateRateError,
-    ObserverConfigError,
-    Response,
     SdtObserver,
     WeibullObserver,
     alpha_for_target,
@@ -70,7 +69,7 @@ class TestWeibull:
         {"alpha": 1.0, "beta": 2.0, "velocity_scaling": {67.5: 1.0, 112.5: -1.0}},
     ])
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ObserverConfigError):
+        with pytest.raises(ConfigError):
             WeibullObserver(**kwargs)
 
 
@@ -79,13 +78,13 @@ class TestSdt:
         obs = SdtObserver(sigma=1e-12, criterion=0.1)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert obs.respond(1.0, 2.0, 67.5, rng) is Response.DIFFERENT
+            assert obs.respond(1.0, 2.0, 67.5, rng) == "different"
 
     def test_noise_free_same(self):
         obs = SdtObserver(sigma=1e-12, criterion=0.1)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            assert obs.respond(1.5, 1.5, 67.5, rng) is Response.SAME
+            assert obs.respond(1.5, 1.5, 67.5, rng) == "same"
 
     def test_false_alarm_rate_matches_closed_form(self):
         # estimate difference ~ N(0, sqrt(2) sigma); P(Different) follows
@@ -96,14 +95,14 @@ class TestSdt:
         rng = np.random.default_rng(42)
         n = 1_000_000
         hits = sum(
-            obs.respond(2.0, 2.0, 67.5, rng) is Response.DIFFERENT
+            obs.respond(2.0, 2.0, 67.5, rng) == "different"
             for _ in range(n))
         assert hits / n == pytest.approx(expected, abs=0.003)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0])
     def test_nonpositive_velocity_scaling_rejected(self, scale):
         # a negative sigma' would reach NumPy's normal() only at run time
-        with pytest.raises(ObserverConfigError):
+        with pytest.raises(ConfigError):
             SdtObserver(sigma=1.0, criterion=0.5, velocity_scaling={67.5: scale})
 
     def test_nonpositive_stiffness_rejected(self):
@@ -117,7 +116,7 @@ class TestBernoulli:
         obs = BernoulliObserver(p_different=0.25)
         rng = np.random.default_rng(7)
         n = 100_000
-        count = sum(obs.respond(1.0, 2.0, 67.5, rng) is Response.DIFFERENT
+        count = sum(obs.respond(1.0, 2.0, 67.5, rng) == "different"
                     for _ in range(n))
         assert count / n == pytest.approx(0.25, abs=0.005)
 

@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 from stifflab import plant, session
 from stifflab.observer import (
     BernoulliObserver,
-    Response,
     SdtObserver,
     WeibullObserver,
     alpha_for_target,
 )
 from stifflab.plant import min_jerk_trajectory, simulate_exploration
-from stifflab.staircase import Direction
 from stifflab.session import (
     ConfigError,
     CorruptLogError,
@@ -502,8 +500,8 @@ class TestReplay:
         assert events[7]["kind"] == "StaircaseMoved"
         events[7]["payload"]["level_after"] = 9.0
         last = [e for e in events if e["kind"] == "Responded"][-1]
-        text = append_amendment(_log(events), last["seq"],
-                                {"response": last["payload"]["response"]})
+        text = _log(events) + _amendment_line(_log(events), last["seq"],
+                                              {"response": last["payload"]["response"]})
         with pytest.raises(CorruptLogError) as err:
             replay(text)
         assert str(err.value) == \
@@ -524,6 +522,21 @@ class TestReplay:
                                                   f"re-emitted log has {kind}") as err:
             replay(_log(events))
         assert err.value.seq == at
+
+    def test_amendment_replay_would_refuse_is_not_written(self):
+        run = run_session(ideal_config(seed=0))
+        events = parse_log(run.log_text)
+        presented = next(e for e in events if e.kind == "Presented")
+        with pytest.raises(CorruptLogError, match="not Presented.level") as err:
+            append_amendment(run.log_text, presented.seq, {"level": 99})
+        assert err.value.seq == len(events)
+        # a response flip that changes the first run's trial count
+        flipped = "same" if events[27].payload["response"] == "different" else "different"
+        with pytest.raises(CorruptLogError, match="with the amended responses, run "
+                                                  "ends before its staircase does"):
+            append_amendment(run.log_text, 27, {"response": flipped})
+        with pytest.raises(CorruptLogError, match="amendment targets missing event"):
+            append_amendment(run.log_text, -1, {"response": "same"})
 
     @pytest.mark.parametrize("target,seq,message", [
         (27, 2, "run ends before its staircase does"),
@@ -829,8 +842,8 @@ def _amended_edit_target_logs():
             if event.kind != "Responded":
                 continue
             flipped = "same" if event.payload["response"] == "different" else "different"
-            amended = append_amendment(text, event.seq, {"response": flipped})
             try:
+                amended = append_amendment(text, event.seq, {"response": flipped})
                 if replay(amended).runs != replay(text).runs:
                     break
             except CorruptLogError:  # the flip changes a run's trial count
@@ -915,6 +928,14 @@ def _parsed(parse, text):
         return str(exc), exc.seq
 
 
+def _amendment_line(text, target, update):
+    """The line of an Amendment of ``update`` to ``target`` appended to the
+    log ``text``, written unchecked, as append_amendment would refuse it."""
+    last = parse_log(text)[-1]
+    return serialize_log([Event(last.seq + 1, "Amendment", last.t_wall,
+                                {"target_seq": target, "update": update})])
+
+
 @functools.cache
 def _small_log():
     return run_session(ideal_config(seed=30)).log_text
@@ -928,7 +949,7 @@ class TestParseEquivalence:
         lambda: run_session(ideal_config(seed=31)).log_text,
         lambda: run_session(full_config(seed=32, staircase=SHORT_STAIRCASE)).log_text,
         lambda: run_session(noisy_config(seed=33, staircase=SHORT_STAIRCASE)).log_text,
-        lambda: append_amendment(_small_log(), 5, {"note": "checked"}),
+        lambda: _small_log() + _amendment_line(_small_log(), 5, {"note": "checked"}),
     ])
     def test_valid_logs_parse_to_the_same_events(self, make):
         text = make()
@@ -1039,8 +1060,9 @@ _FLOATS = _mostly(
 _INTS = _mostly(st.integers(-2**70, 2**70),
                 st.booleans() | st.floats(-3, 3) | st.builds(_Float, st.integers(0, 3)))
 _BOOLS = _mostly(st.booleans(), st.integers(0, 1) | st.none())
-_ODD_WORDS = st.sampled_from(["none", "Up", "", *Response, *Direction]) \
-    | st.builds(_Str, st.sampled_from(["same", "different", "up", "down"])) | _STRINGS
+_WORDS = ["same", "different", "up", "down"]
+_ODD_WORDS = st.sampled_from(["none", "Up", "", *map(_Str, _WORDS)]) \
+    | st.builds(_Str, st.sampled_from(_WORDS)) | _STRINGS
 _RESPONSE_WORDS = _mostly(st.sampled_from(["same", "different"]), _ODD_WORDS)
 _DIRECTION_WORDS = _mostly(st.sampled_from(["up", "down"]), _ODD_WORDS)
 _DIGEST = _mostly(st.sampled_from(["ideal", hashlib.sha256(b"").hexdigest()])
@@ -1092,8 +1114,8 @@ _UNTEMPLATED = {
     float: [*_NONFINITE, 1, True, _Float(1.5), None],
     bool: [1, 0, None],
     int: [True, 1.0, _Float(1.0), None],
-    "response": ["maybe", "", "Same", _Str("same"), Response.SAME, "\u2028", None],
-    "direction": ["none", "", _Str("up"), Direction.UP, None],
+    "response": ["maybe", "", "Same", _Str("same"), _Str("different"), "\u2028", None],
+    "direction": ["none", "", _Str("up"), _Str("down"), None],
     "digests": [["caf\u00e9", "ideal"], ["ideal", "x\u00b2"], ["\u0663", "ideal"],
                 ["a b", "ideal"], ['a"', "ideal"], ["a\\", "ideal"], ["", "ideal"],
                 ["ideal"], ["ideal"] * 3, ("ideal", "ideal"), [_Str("ideal"), "ideal"],
@@ -1185,7 +1207,7 @@ class TestLogEncoding:
         expected = text + _reference_line(Event(
             last.seq + 1, "Amendment", last.t_wall,
             {"target_seq": target, "update": update})) + "\n"
-        assert append_amendment(text, target, update) == expected
+        assert text + _amendment_line(text, target, update) == expected
 
 
 class TestSummary:

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stifflab.config import ConfigError
 from stifflab.staircase import (
-    Direction,
-    InvalidConfigError,
     NotTerminatedError,
     ReversalRecord,
     StaircaseConfig,
@@ -65,7 +64,7 @@ class TestConfig:
             reversals_averaged=8, level_floor=0.0820623, level_cap=2.22,
         )
         kwargs.update(overrides)
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ConfigError):
             StaircaseConfig(**kwargs)
 
 
@@ -74,7 +73,7 @@ class TestTransitions:
         state = new_staircase(cfg)
         assert state.level == REF
         assert state.consecutive_correct == 0
-        assert state.last_move_direction is Direction.NONE
+        assert state.last_move_direction == "none"
         assert state.reversals == ()
         assert not state.terminated
 
@@ -82,19 +81,19 @@ class TestTransitions:
         state = run_responses(cfg, [True, True, True])
         assert state.level == pytest.approx(1.11 - 0.0820623, abs=1e-12)
         assert state.consecutive_correct == 0
-        assert state.last_move_direction is Direction.DOWN
+        assert state.last_move_direction == "down"
 
     def test_incorrect_moves_up(self, cfg):
         state = run_responses(cfg, [False])
         assert state.level == pytest.approx(1.221, abs=1e-12)
-        assert state.last_move_direction is Direction.UP
+        assert state.last_move_direction == "up"
 
     def test_interrupted_streak_resets_counter(self, cfg):
         state = run_responses(cfg, [True, True, False])
         assert state.level == pytest.approx(1.221, abs=1e-12)
         assert state.consecutive_correct == 0
         # only the up move happened
-        assert state.last_move_direction is Direction.UP
+        assert state.last_move_direction == "up"
         assert state.reversals == ()
 
     def test_reversal_records_local_extremum(self, cfg):
@@ -103,8 +102,23 @@ class TestTransitions:
         assert len(state.reversals) == 1
         rev = state.reversals[0]
         assert rev.level_at_reversal == pytest.approx(1.0279377, abs=1e-12)
-        assert rev.new_direction is Direction.UP
+        assert rev.new_direction == "up"
         assert state.level == pytest.approx(1.0279377 + 0.111, abs=1e-12)
+
+    @pytest.mark.parametrize("responses,reversals", [
+        ([True, True, True], ["down"]),  # the down move reverses the up
+        ([False], []),  # a second up move does not
+    ])
+    def test_directions_compare_by_value(self, cfg, responses, reversals):
+        # a direction built at run time is an equal string, not the literal
+        literal = run_responses(cfg, [False])
+        built = literal._replace(last_move_direction="".join(["u", "p"]))
+        assert built.last_move_direction is not literal.last_move_direction
+        for correct in responses:
+            literal = record_response(literal, correct, cfg)
+            built = record_response(built, correct, cfg)
+        assert built == literal
+        assert [r.new_direction for r in built.reversals] == reversals
 
     def test_terminated_raises(self, cfg):
         rng = np.random.default_rng(0)
@@ -167,7 +181,7 @@ class TestBounds:
 
 class TestThreshold:
     def _terminated_state(self, levels):
-        directions = [Direction.UP if i % 2 == 0 else Direction.DOWN
+        directions = ["up" if i % 2 == 0 else "down"
                       for i in range(len(levels))]
         reversals = tuple(
             ReversalRecord(trial_index=i, level_at_reversal=lv, new_direction=d)
@@ -221,7 +235,7 @@ class TestConvergenceTarget:
 
     @pytest.mark.parametrize("rule,ratio", [(0, 0.7), (3, 0.0), (3, -1.0)])
     def test_invalid_inputs(self, rule, ratio):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ConfigError):
             convergence_target(rule, ratio)
 
 
