@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import math
 import os
@@ -89,10 +90,14 @@ def _session_worker(args: tuple[SessionConfig, dict, list[int]]) \
 def _worker_count() -> int:
     threads = os.environ.get("STIFFLAB_THREADS", "0")
     try:
-        return int(threads)
+        requested = int(threads)
     except ValueError:
         raise ConfigError(
             f"STIFFLAB_THREADS must be an integer, got {threads!r}") from None
+    # no more workers than the CPUs this process may run on: a pool may fork
+    # every worker it is allowed on its first task
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return min(requested, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def cmd_simulate(args) -> int:
@@ -230,9 +235,13 @@ def cmd_emg_demo(args) -> int:
         plant.plan_for_bpm(protocol["velocities"][0]["bpm"]), plant.LimbConfig(),
         plant.DeviceConfig(), rng)
 
-    t = np.arange(n) / emg_rate
-    cycle = recording.time[-1]
-    activation = np.interp(t % cycle, recording.time, recording.activation)
+    try:  # a record too long to hold is refused before anything is written
+        t = np.arange(n) / emg_rate
+        cycle = recording.time[-1]
+        activation = np.interp(t % cycle, recording.time, recording.activation)
+    except MemoryError as exc:
+        print(f"error: --duration {args.duration} s is too long: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     spec = emg.design_butterworth_lowpass(5.5, emg_rate)
 
     out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
@@ -240,7 +249,6 @@ def cmd_emg_demo(args) -> int:
     for channel, gain in (("PQ", 1.0), ("PT", 0.5)):
         signal = emg.synthesize_emg(activation, emg_rate, gain=gain,
                                     dc_offset=0.1, rng=rng)
-        signal = replace(signal, channel=channel)
         envelope = emg.linear_envelope(signal, spec)
         emg.write_signal_csv(signal, out / f"{channel.lower()}_raw.csv")
         emg.write_signal_csv(envelope, out / f"{channel.lower()}_envelope.csv")
@@ -268,7 +276,8 @@ def cmd_replay(args) -> int:
     with open(args.log, "rb") as fh:
         data = fh.read()
     try:
-        result = replay(_log_text(data))
+        text = _log_text(data)
+        result = replay(text)
     except CorruptLogError as exc:
         print(f"corrupt log: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -276,7 +285,7 @@ def cmd_replay(args) -> int:
         print(f"velocity {run.velocity} deg/s: threshold "
               f"{run.threshold.percent_of_reference:.2f}% "
               f"({run.trial_count} trials)")
-    print(f"log digest: {result.log_digest}")
+    print(f"log digest: {hashlib.sha256(text.encode()).hexdigest()}")
     return EXIT_OK
 
 

@@ -17,23 +17,10 @@ import numpy as np
 _CHUNK = 8192  # samples per Python-float pass of the section recurrence
 
 
-class EmptySignalError(ValueError):
-    pass
-
-
-class FilterDesignError(ValueError):
-    pass
-
-
-class BandOutOfRangeError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EmgSignal:
     sample_rate: float
     samples: np.ndarray  # mV
-    channel: str = "PQ"  # PQ or PT
 
     def __post_init__(self):
         if self.sample_rate <= 0:
@@ -46,8 +33,6 @@ class EmgSignal:
 class FilterSpec:
     """Cascade of (b0, b1, b2, 1, a1, a2) second-order sections."""
 
-    order: int
-    cutoff: float
     sample_rate: float
     sections: tuple[tuple[float, float, float, float, float, float], ...]
 
@@ -67,12 +52,12 @@ def synthesize_emg(
     """
     activation = np.asarray(activation, dtype=np.float64)
     if activation.size == 0:
-        raise EmptySignalError("activation series is empty")
+        raise ValueError("activation series is empty")
     if np.any(activation < 0) or np.any(activation > 1):
         raise ValueError("activation values must lie in [0, 1]")
     lo, hi = band
     if not 0 <= lo < hi < sample_rate / 2:
-        raise BandOutOfRangeError(f"band {band} not inside (0, Nyquist)")
+        raise ValueError(f"band {band} not inside (0, Nyquist)")
     if rng is None:
         rng = np.random.default_rng()
 
@@ -95,7 +80,7 @@ def rectify(signal: EmgSignal) -> EmgSignal:
 
 def remove_dc(signal: EmgSignal) -> EmgSignal:
     if signal.samples.size == 0:
-        raise EmptySignalError("cannot remove DC from an empty signal")
+        raise ValueError("cannot remove DC from an empty signal")
     return replace(signal, samples=signal.samples - signal.samples.mean())
 
 
@@ -108,7 +93,7 @@ def design_butterworth_lowpass(cutoff: float, sample_rate: float) -> FilterSpec:
     normalized to unit DC gain.
     """
     if not 0 < cutoff < sample_rate / 2:
-        raise FilterDesignError(
+        raise ValueError(
             f"cutoff {cutoff} Hz must lie in (0, {sample_rate / 2}) Hz"
         )
     w = math.tan(math.pi * cutoff / sample_rate)  # warped analog cutoff
@@ -122,8 +107,7 @@ def design_butterworth_lowpass(cutoff: float, sample_rate: float) -> FilterSpec:
     # real pole: H(s) = w / (s + w)
     e0 = 1.0 + w
     first_order = (w / e0, w / e0, 0.0, 1.0, (w - 1.0) / e0, 0.0)
-    return FilterSpec(order=3, cutoff=cutoff, sample_rate=sample_rate,
-                      sections=(biquad, first_order))
+    return FilterSpec(sample_rate=sample_rate, sections=(biquad, first_order))
 
 
 def section_poles(spec: FilterSpec) -> np.ndarray:

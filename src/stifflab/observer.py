@@ -22,10 +22,6 @@ from .config import ConfigError, read, read_object
 _SQRT2 = math.sqrt(2.0)
 
 
-class DegenerateRateError(ValueError):
-    """Hit or false-alarm rate of exactly 0 or 1; caller must correct."""
-
-
 @dataclass(frozen=True)
 class WeibullObserver:
     """Weibull psychometric observer on the stiffness difference.
@@ -76,8 +72,8 @@ def alpha_for_target(
     delta_k: float,
     target_p: float,
     beta: float,
-    gamma: float = 0.05,
-    lapse: float = 0.02,
+    gamma: float = WeibullObserver.gamma,
+    lapse: float = WeibullObserver.lapse,
 ) -> float:
     """Alpha placing the P(Different) = target_p point at ``delta_k``.
 
@@ -211,7 +207,7 @@ def d_prime(hit_rate: float, false_alarm_rate: float) -> float:
     """Sensitivity index z(hits) - z(false alarms)."""
     for rate, name in ((hit_rate, "hit_rate"), (false_alarm_rate, "false_alarm_rate")):
         if not 0.0 < rate < 1.0:
-            raise DegenerateRateError(
+            raise ValueError(
                 f"{name}={rate} is degenerate; apply a correction before calling"
             )
     return inverse_normal_cdf(hit_rate) - inverse_normal_cdf(false_alarm_rate)

@@ -15,7 +15,6 @@ construction, including manual response amendments.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -47,20 +46,13 @@ from .staircase import (
 _JSON = json.JSONEncoder(sort_keys=True)  # one line of the event log
 
 
-def _chunk_encoder(make_encoder):
-    """``encode(obj, 0)``, the chunks of ``obj``'s line as ``_JSON.encode``
-    writes it: json's C encoder built once from ``make_encoder`` with the
-    arguments ``_JSON.iterencode`` builds it with per call, bar the cycle
-    check (payloads are trees), or ``_JSON.encode`` where ``make_encoder`` is
-    None (a Python without the ``_json`` module)."""
-    if make_encoder is None:
-        return lambda obj, _level: (_JSON.encode(obj),)
-    return make_encoder(None, _JSON.default, json.encoder.encode_basestring_ascii,
-                        _JSON.indent, _JSON.key_separator, _JSON.item_separator,
-                        _JSON.sort_keys, _JSON.skipkeys, _JSON.allow_nan)
-
-
-_encode = _chunk_encoder(json.encoder.c_make_encoder)
+# ``_encode(obj, 0)``: the chunks of ``obj``'s line as ``_JSON.encode`` writes
+# it, from json's C encoder built once with the arguments ``_JSON.iterencode``
+# builds it with per call, bar the cycle check (payloads are trees)
+_encode = json.encoder.c_make_encoder(
+    None, _JSON.default, json.encoder.encode_basestring_ascii, _JSON.indent,
+    _JSON.key_separator, _JSON.item_separator, _JSON.sort_keys, _JSON.skipkeys,
+    _JSON.allow_nan)
 _raw_decode = json.JSONDecoder().raw_decode  # a line as json.loads reads it, bar padding
 
 TRAINING_DURATION_S = 120.0
@@ -149,8 +141,6 @@ class RunResult:
 @dataclass(frozen=True)
 class SessionResult:
     runs: tuple[RunResult, ...]
-    velocity_order: tuple[float, ...]
-    log_digest: str
 
 
 @dataclass(frozen=True)
@@ -520,10 +510,7 @@ def run_session(config: SessionConfig, memo: dict | None = None,
     emitted: list[tuple] = []
     source = _Drawn(config, {} if memo is None else memo, document)
     runs = _emit_session(config, source, emitted)
-    log_text = serialize_log(emitted)
-    result = SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
-                           log_digest=_digest(log_text))
-    return SessionRun(result=result, log_text=log_text)
+    return SessionRun(result=SessionResult(runs=runs), log_text=serialize_log(emitted))
 
 
 class _FirstRun(_Drawn):
@@ -654,10 +641,6 @@ def parse_log(text: str) -> list[Event]:
     return events
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def append_amendment(log_text: str, target_seq: int, payload_update: dict) -> str:
     """Append an Amendment event overriding fields of a prior event's payload.
 
@@ -754,8 +737,7 @@ def replay(log_text: str) -> SessionResult:
         except CorruptLogError as exc:
             raise CorruptLogError(f"with the amended responses, {exc.message}",
                                   exc.seq) from None
-    return SessionResult(runs=runs, velocity_order=tuple(r.velocity for r in runs),
-                         log_digest=_digest(log_text))
+    return SessionResult(runs=runs)
 
 
 _ABSENT = object()  # a payload key one of two events lacks

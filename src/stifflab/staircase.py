@@ -20,14 +20,6 @@ from .config import ConfigError
 from .plant import DeviceConfig, TrajectoryConfig
 
 
-class TerminatedError(ValueError):
-    """record_response was called on a finished staircase."""
-
-
-class NotTerminatedError(ValueError):
-    """threshold_estimate was called before termination."""
-
-
 @dataclass(frozen=True)
 class StaircaseConfig:
     """Parameters of the weighted up-down rule.
@@ -154,7 +146,7 @@ def record_response(
     """
     level, consecutive, last, reversals, trial, terminated, tail_correct, tail_total = state
     if terminated:
-        raise TerminatedError("staircase already terminated")
+        raise ValueError("staircase already terminated")
 
     in_tail = len(reversals) >= 2
     tail_correct += in_tail and correct
@@ -189,7 +181,7 @@ def threshold_estimate(
 ) -> ThresholdEstimate:
     """Mean level over the final ``reversals_averaged`` reversal records."""
     if not state.terminated:
-        raise NotTerminatedError(
+        raise ValueError(
             f"staircase has {len(state.reversals)} of "
             f"{config.reversal_limit} reversals"
         )

@@ -222,10 +222,23 @@ class TestSimulate:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("threads,sessions,blocks", [
-        ("5000", 2, 2), ("3", 4, 2), ("2", 3, 2), ("4", 4, 4)])
+    # the pool size is STIFFLAB_THREADS capped at the CPUs this process may
+    # run on (every CPU where sched_getaffinity is missing), then at one
+    # worker per block of seeds; a single worker runs without a pool
+    @pytest.mark.parametrize("threads,sessions,cpus,affinity,pools_started", [
+        ("5000", 2, 8, True, [2]), ("3", 4, 8, True, [2]), ("2", 3, 8, True, [2]),
+        ("4", 4, 8, True, [4]), ("5000", 6, 3, True, [3]), ("5000", 6, 3, False, [3]),
+        ("4", 4, 2, True, [2]), ("4", 4, 1, True, []), ("4", 4, 1, False, [])])
     def test_worker_pool_starts_one_worker_per_seed_block(
-            self, tmp_path, config_path, monkeypatch, threads, sessions, blocks):
+            self, tmp_path, config_path, monkeypatch, threads, sessions, cpus,
+            affinity, pools_started):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+        else:  # a platform without sched_getaffinity counts every CPU
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         pools = []
 
         class SerialPool:  # records the pool size and maps in this process
@@ -248,7 +261,7 @@ class TestSimulate:
             outs[env] = tmp_path / f"threads_{env}"
             assert main(["simulate", "--config", config_path, "--sessions",
                          str(sessions), "--out", str(outs[env])]) == 0
-        assert pools == [blocks]
+        assert pools == pools_started
         for path in outs["0"].iterdir():
             assert path.read_bytes() == (outs[threads] / path.name).read_bytes()
 
@@ -479,6 +492,16 @@ class TestEmgDemo:
             ("", "error: --seed must be a nonnegative integer, got -1\n")
         assert not out.exists()
 
+    def test_record_too_long_to_hold_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # 2e15 samples: NumPy refuses the allocation at once, allocating nothing
+        out = tmp_path / "emg"
+        assert main(["emg-demo", "--duration", "1e12", "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("error: --duration 1000000000000.0 s is too long: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestReplayCommand:
     def test_replays_written_log(self, tmp_path, config_path, capsys):
@@ -533,6 +556,20 @@ class TestReplayCommand:
         assert capsys.readouterr().err == (f"corrupt log: seq {moved.seq}: "
                                            "StaircaseMoved.level_after disagrees with "
                                            "the re-emitted log\n")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_prints_the_digest_of_the_lf_text(self, tmp_path, config_path, capsys,
+                                              newline):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+        log = next(out.glob("session_*.jsonl"))
+        text = log.read_bytes()
+        log.write_bytes(text.replace(b"\n", newline))
+        capsys.readouterr()
+        assert main(["replay", "--log", str(log)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"log digest: {hashlib.sha256(text).hexdigest()}"
+        assert len(lines) == 3  # one line per run, then the digest
 
     def test_corrupt_log(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

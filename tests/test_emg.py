@@ -4,10 +4,7 @@ from scipy import signal as sps
 
 from stifflab.emg import (
     _CHUNK,
-    BandOutOfRangeError,
     EmgSignal,
-    EmptySignalError,
-    FilterDesignError,
     apply_filter,
     design_butterworth_lowpass,
     frequency_response,
@@ -50,7 +47,6 @@ class TestFilterDesign:
         assert abs(db(h)[0] - continuous_db) < 3.0
 
     def test_structure(self, spec):
-        assert spec.order == 3
         assert len(spec.sections) == 2
         # one degenerate first-order section
         assert any(s[2] == 0.0 and s[5] == 0.0 for s in spec.sections)
@@ -83,7 +79,7 @@ class TestFilterDesign:
 
     @pytest.mark.parametrize("fc", [0.0, -1.0, 1000.0, 2000.0])
     def test_invalid_cutoff(self, fc):
-        with pytest.raises(FilterDesignError):
+        with pytest.raises(ValueError, match=f"cutoff {fc} Hz must lie in"):
             design_butterworth_lowpass(fc, FS)
 
 
@@ -189,7 +185,7 @@ class TestStages:
         assert np.allclose(out, x, atol=1e-12 * np.abs(x).max())
 
     def test_remove_dc_empty(self):
-        with pytest.raises(EmptySignalError):
+        with pytest.raises(ValueError, match="cannot remove DC from an empty signal"):
             remove_dc(EmgSignal(FS, np.array([])))
 
 
@@ -215,7 +211,7 @@ class TestSynthesis:
         assert np.allclose(b.samples - 0.5, 2 * (a.samples - 0.5), atol=1e-12)
 
     def test_band_out_of_range(self):
-        with pytest.raises(BandOutOfRangeError):
+        with pytest.raises(ValueError, match=r"not inside \(0, Nyquist\)"):
             synthesize_emg(np.ones(100), FS, band=(20.0, 1200.0))
 
     def test_activation_out_of_range(self):
@@ -262,7 +258,7 @@ class TestEnvelope:
 
 class TestIo:
     def test_csv_round_trip(self, tmp_path):
-        sig = EmgSignal(FS, np.sin(np.linspace(0, 3, 500)), channel="PT")
+        sig = EmgSignal(FS, np.sin(np.linspace(0, 3, 500)))
         path = tmp_path / "sig.csv"
         write_signal_csv(sig, path)
         assert path.read_text().startswith("time,value\n")

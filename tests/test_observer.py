@@ -6,7 +6,6 @@ import pytest
 from stifflab.config import ConfigError
 from stifflab.observer import (
     BernoulliObserver,
-    DegenerateRateError,
     SdtObserver,
     WeibullObserver,
     alpha_for_target,
@@ -140,7 +139,7 @@ class TestDPrime:
 
     @pytest.mark.parametrize("h,f", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)])
     def test_degenerate_rates_rejected(self, h, f):
-        with pytest.raises(DegenerateRateError):
+        with pytest.raises(ValueError, match="is degenerate; apply a correction"):
             d_prime(h, f)
 
 

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from stifflab.config import ConfigError
 from stifflab.staircase import (
-    NotTerminatedError,
     ReversalRecord,
     StaircaseConfig,
     StaircaseState,
-    TerminatedError,
     convergence_target,
     default_config,
     new_staircase,
@@ -126,7 +124,7 @@ class TestTransitions:
         while not state.terminated:
             state = record_response(state, bool(rng.random() < 0.8), cfg)
         assert len(state.reversals) == cfg.reversal_limit
-        with pytest.raises(TerminatedError):
+        with pytest.raises(ValueError, match="staircase already terminated"):
             record_response(state, True, cfg)
 
     def test_termination_exactly_at_reversal_limit(self, cfg):
@@ -207,7 +205,7 @@ class TestThreshold:
 
     def test_not_terminated_raises(self, cfg):
         state = new_staircase(cfg)
-        with pytest.raises(NotTerminatedError):
+        with pytest.raises(ValueError, match="staircase has 0 of 10 reversals"):
             threshold_estimate(state, cfg)
 
     def test_replayed_run_hits_table_value(self, cfg):
