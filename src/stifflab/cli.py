@@ -102,9 +102,7 @@ def _worker_count() -> int:
 
 def cmd_simulate(args) -> int:
     if args.sessions < 1:
-        print(f"error: --sessions must be at least 1, got {args.sessions}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--sessions must be at least 1, got {args.sessions}")
     workers = _worker_count()
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
@@ -139,8 +137,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate_convergence(args) -> int:
     if args.runs < 100:
-        print("error: --runs must be at least 100", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("--runs must be at least 100")
     _check_seed(args.seed)
     # every refused --rule or --ratio is refused here, before any output
     target = convergence_target(args.rule, args.ratio)
@@ -218,9 +215,8 @@ def cmd_emg_demo(args) -> int:
     # nan and inf have no sample count; a duration under half a sample has none
     n = round(args.duration * emg_rate) if math.isfinite(args.duration) else 0
     if n < 1:
-        print(f"error: --duration must be finite and round to at least one "
-              f"{emg_rate:g} Hz sample, got {args.duration}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--duration must be finite and round to at least one "
+                          f"{emg_rate:g} Hz sample, got {args.duration}")
     _check_seed(args.seed)
     out = Path(args.out)
     names = [f"{ch}_{kind}.csv" for ch in ("pq", "pt")
@@ -240,8 +236,7 @@ def cmd_emg_demo(args) -> int:
         cycle = recording.time[-1]
         activation = np.interp(t % cycle, recording.time, recording.activation)
     except MemoryError as exc:
-        print(f"error: --duration {args.duration} s is too long: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--duration {args.duration} s is too long: {exc}") from None
     spec = emg.design_butterworth_lowpass(5.5, emg_rate)
 
     out.mkdir(parents=True, exist_ok=True)  # only once there is something to write

@@ -12,6 +12,7 @@ validation.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -20,6 +21,7 @@ import numpy as np
 from .config import ConfigError, read, read_object
 
 _SQRT2 = math.sqrt(2.0)
+_STANDARD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -162,45 +164,15 @@ def observer_from_config(cfg) -> Observer:
 
 
 def normal_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-# Coefficients of Acklam's rational approximation to the normal quantile.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
+    # erfc, not 1 + erf: the sum cancels to 0 in the lower tail (z < -8.3)
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def inverse_normal_cdf(p: float) -> float:
-    """Standard normal quantile, |cdf(result) - p| < 1e-9.
-
-    Rational approximation refined by one Newton step on the exact CDF.
-    """
-    if not 0.0 < p < 1.0:
+    """Standard normal quantile (the standard library's ``inv_cdf``)."""
+    if not 0.0 < p < 1.0:  # inv_cdf returns nan for nan rather than raising
         raise ValueError(f"p must be in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        z = (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        z = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-            (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        z = -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        z -= (normal_cdf(z) - p) / pdf
-    return z
+    return _STANDARD_NORMAL.inv_cdf(p)
 
 
 def d_prime(hit_rate: float, false_alarm_rate: float) -> float:

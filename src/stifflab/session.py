@@ -310,17 +310,14 @@ def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResul
                 emit("StaircaseMoved", {"trial": trial, "direction": moved,
                                         "level_before": level, "level_after": state.level})
             if len(state.reversals) > len(before.reversals):
-                record = state.reversals[-1]
-                emit("Reversal", {"trial": record.trial_index,
-                                  "index": len(state.reversals),
-                                  "level": record.level_at_reversal,
-                                  "new_direction": record.new_direction})
+                emit("Reversal", {"trial": trial, "index": len(state.reversals),
+                                  "level": state.reversals[-1], "new_direction": moved})
 
         result = RunResult(
             velocity=condition.deg_s,
             threshold=threshold_estimate(state, stair),
             trial_count=state.trial_index,
-            reversal_levels=tuple(r.level_at_reversal for r in state.reversals),
+            reversal_levels=state.reversals,
             proportion_correct_tail=(state.tail_correct / state.tail_total
                                      if state.tail_total else None),
         )

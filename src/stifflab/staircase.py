@@ -94,13 +94,6 @@ def default_config(
     return StaircaseConfig(reference_stiffness=reference_stiffness, **params)
 
 
-@dataclass(frozen=True)
-class ReversalRecord:
-    trial_index: int
-    level_at_reversal: float
-    new_direction: str  # "up" or "down"
-
-
 class StaircaseState(NamedTuple):
     """One staircase's state; a NamedTuple, which is cheaper to build on
     every trial than a frozen dataclass and as immutable."""
@@ -108,7 +101,7 @@ class StaircaseState(NamedTuple):
     level: float
     consecutive_correct: int
     last_move_direction: str  # "none" before the first move, then "up" or "down"
-    reversals: tuple[ReversalRecord, ...]
+    reversals: tuple[float, ...]  # the level at each reversal
     trial_index: int
     terminated: bool
     # the tail: responses recorded once the state had two reversals
@@ -168,9 +161,7 @@ def record_response(
         moved = "up" if last == "down" else "down"  # a bounce off the bound
 
     if last != "none" and moved != last:
-        reversals = reversals + (
-            ReversalRecord(trial_index=trial, level_at_reversal=level, new_direction=moved),
-        )
+        reversals = reversals + (level,)
 
     return StaircaseState(new_level, 0, moved, reversals, trial + 1,
                           len(reversals) >= config.reversal_limit, tail_correct, tail_total)
@@ -179,14 +170,14 @@ def record_response(
 def threshold_estimate(
     state: StaircaseState, config: StaircaseConfig
 ) -> ThresholdEstimate:
-    """Mean level over the final ``reversals_averaged`` reversal records."""
+    """Mean level over the final ``reversals_averaged`` reversals."""
     if not state.terminated:
         raise ValueError(
             f"staircase has {len(state.reversals)} of "
             f"{config.reversal_limit} reversals"
         )
     tail = state.reversals[-config.reversals_averaged:]
-    absolute = sum(r.level_at_reversal for r in tail) / len(tail)
+    absolute = sum(tail) / len(tail)
     return ThresholdEstimate(
         absolute=absolute,
         percent_of_reference=100.0 * absolute / config.reference_stiffness,

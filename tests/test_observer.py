@@ -154,6 +154,11 @@ def _bisect_quantile(p, lo=-10.0, hi=10.0):
     return 0.5 * (lo + hi)
 
 
+def test_normal_cdf_lower_tail():
+    # 1 + erf(z / sqrt 2) cancels to 0 below z = -8.3; Phi(-9) = 1.12859e-19
+    assert normal_cdf(-9.0) == pytest.approx(1.1285884059538e-19, rel=1e-12)
+
+
 class TestInverseNormalCdf:
     def test_median(self):
         assert inverse_normal_cdf(0.5) == pytest.approx(0.0, abs=1e-12)
@@ -162,7 +167,9 @@ class TestInverseNormalCdf:
         assert inverse_normal_cdf(0.975) == pytest.approx(1.95996, abs=1e-5)
 
     def test_against_bisection_oracle(self):
-        for p in (1e-6, 0.001, 0.02425, 0.3, 0.8, 0.97575, 0.999, 1 - 1e-6):
+        # deep points in the lower tail only: the oracle's CDF cancels near 1
+        for p in (1e-20, 1e-15, 1e-12, 1e-6, 0.001, 0.02425, 0.3, 0.8, 0.97575,
+                  0.999, 1 - 1e-6):
             assert inverse_normal_cdf(p) == pytest.approx(
                 _bisect_quantile(p), abs=1e-9)
 
@@ -179,7 +186,7 @@ class TestInverseNormalCdf:
         zs = [inverse_normal_cdf(p) for p in ps]
         assert all(b > a for a, b in zip(zs, zs[1:]))
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, float("nan")])
     def test_out_of_domain(self, p):
         with pytest.raises(ValueError):
             inverse_normal_cdf(p)

@@ -5,7 +5,6 @@ import math
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

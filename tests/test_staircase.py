@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stifflab.config import ConfigError
 from stifflab.staircase import (
-    ReversalRecord,
     StaircaseConfig,
     StaircaseState,
     convergence_target,
@@ -98,16 +97,15 @@ class TestTransitions:
         # down to 1.0279377, then wrong: reversal at the valley level
         state = run_responses(cfg, [True, True, True, False])
         assert len(state.reversals) == 1
-        rev = state.reversals[0]
-        assert rev.level_at_reversal == pytest.approx(1.0279377, abs=1e-12)
-        assert rev.new_direction == "up"
+        assert state.reversals[0] == pytest.approx(1.0279377, abs=1e-12)
+        assert state.last_move_direction == "up"
         assert state.level == pytest.approx(1.0279377 + 0.111, abs=1e-12)
 
-    @pytest.mark.parametrize("responses,reversals", [
-        ([True, True, True], ["down"]),  # the down move reverses the up
-        ([False], []),  # a second up move does not
+    @pytest.mark.parametrize("responses,reversals,direction", [
+        ([True, True, True], 1, "down"),  # the down move reverses the up
+        ([False], 0, "up"),  # a second up move does not
     ])
-    def test_directions_compare_by_value(self, cfg, responses, reversals):
+    def test_directions_compare_by_value(self, cfg, responses, reversals, direction):
         # a direction built at run time is an equal string, not the literal
         literal = run_responses(cfg, [False])
         built = literal._replace(last_move_direction="".join(["u", "p"]))
@@ -116,7 +114,8 @@ class TestTransitions:
             literal = record_response(literal, correct, cfg)
             built = record_response(built, correct, cfg)
         assert built == literal
-        assert [r.new_direction for r in built.reversals] == reversals
+        assert len(built.reversals) == reversals
+        assert built.last_move_direction == direction
 
     def test_terminated_raises(self, cfg):
         rng = np.random.default_rng(0)
@@ -179,15 +178,10 @@ class TestBounds:
 
 class TestThreshold:
     def _terminated_state(self, levels):
-        directions = ["up" if i % 2 == 0 else "down"
-                      for i in range(len(levels))]
-        reversals = tuple(
-            ReversalRecord(trial_index=i, level_at_reversal=lv, new_direction=d)
-            for i, (lv, d) in enumerate(zip(levels, directions))
-        )
         return StaircaseState(
             level=levels[-1], consecutive_correct=0,
-            last_move_direction=directions[-1], reversals=reversals,
+            last_move_direction="up" if len(levels) % 2 else "down",
+            reversals=tuple(levels),
             trial_index=len(levels), terminated=True,
         )
 
@@ -282,10 +276,13 @@ class TestProperties:
         cfg = default_config(REF)
         rng = np.random.default_rng(seed)
         state = new_staircase(cfg)
+        directions = []  # the direction of the move at each reversal
         while not state.terminated:
+            before = len(state.reversals)
             state = record_response(state, bool(rng.random() < p), cfg)
-        directions = [r.new_direction for r in state.reversals]
-        assert all(a is not b for a, b in zip(directions, directions[1:]))
+            if len(state.reversals) > before:
+                directions.append(state.last_move_direction)
+        assert all(a != b for a, b in zip(directions, directions[1:]))
         assert len(state.reversals) == cfg.reversal_limit
 
     @given(seed=st.integers(0, 10_000))
