@@ -235,7 +235,7 @@ def cmd_emg_demo(args) -> int:
         t = np.arange(n) / emg_rate
         cycle = recording.time[-1]
         activation = np.interp(t % cycle, recording.time, recording.activation)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: past NumPy's size limit
         raise ConfigError(f"--duration {args.duration} s is too long: {exc}") from None
     spec = emg.design_butterworth_lowpass(5.5, emg_rate)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 _CHUNK = 8192  # samples per Python-float pass of the section recurrence
+_BAND = (20.0, 450.0)  # Hz, the synthetic carrier's pass band
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,9 @@ def synthesize_emg(
     activation: np.ndarray,
     sample_rate: float,
     gain: float = 1.0,
-    band: tuple[float, float] = (20.0, 450.0),
     dc_offset: float = 0.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> EmgSignal:
     """dc_offset + gain * activation(t) * n(t), n band-limited unit-variance noise.
 
@@ -55,11 +56,10 @@ def synthesize_emg(
         raise ValueError("activation series is empty")
     if np.any(activation < 0) or np.any(activation > 1):
         raise ValueError("activation values must lie in [0, 1]")
-    lo, hi = band
-    if not 0 <= lo < hi < sample_rate / 2:
-        raise ValueError(f"band {band} not inside (0, Nyquist)")
-    if rng is None:
-        rng = np.random.default_rng()
+    lo, hi = _BAND
+    if not hi < sample_rate / 2:
+        raise ValueError(f"band {_BAND} Hz not inside (0, Nyquist) at "
+                         f"{sample_rate:g} Hz")
 
     n = activation.size
     white = rng.standard_normal(n)

@@ -47,8 +47,8 @@ class StaircaseConfig:
             raise ConfigError("down_up_ratio must be in (0, 1]")
         if self.down_rule < 1:
             raise ConfigError("down_rule must be at least 1")
-        if self.reversals_averaged > self.reversal_limit:
-            raise ConfigError("reversals_averaged exceeds reversal_limit")
+        if not 1 <= self.reversals_averaged <= self.reversal_limit:
+            raise ConfigError("need 1 <= reversals_averaged <= reversal_limit")
         if not 0 < self.level_floor <= self.initial_level <= self.level_cap:
             raise ConfigError(
                 "need 0 < level_floor <= initial_level <= level_cap"

@@ -492,13 +492,19 @@ class TestEmgDemo:
             ("", "error: --seed must be a nonnegative integer, got -1\n")
         assert not out.exists()
 
-    def test_record_too_long_to_hold_exits_2_and_writes_nothing(self, tmp_path, capsys):
-        # 2e15 samples: NumPy refuses the allocation at once, allocating nothing
+    @pytest.mark.parametrize("duration,shown", [
+        ("1e12", "1000000000000.0"),  # 2e15 samples: NumPy refuses the allocation
+        ("1e16", "1e+16"),  # past NumPy's array size limit: np.arange refuses it
+        ("1e300", "1e+300"),
+    ])
+    def test_record_too_long_to_hold_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, duration, shown):
+        # each is refused at once, allocating nothing
         out = tmp_path / "emg"
-        assert main(["emg-demo", "--duration", "1e12", "--out", str(out)]) == 2
+        assert main(["emg-demo", "--duration", duration, "--out", str(out)]) == 2
         out_text, err = capsys.readouterr()
         assert out_text == ""
-        assert err.startswith("error: --duration 1000000000000.0 s is too long: ")
+        assert err.startswith(f"error: --duration {shown} s is too long: ")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -212,11 +212,11 @@ class TestSynthesis:
 
     def test_band_out_of_range(self):
         with pytest.raises(ValueError, match=r"not inside \(0, Nyquist\)"):
-            synthesize_emg(np.ones(100), FS, band=(20.0, 1200.0))
+            synthesize_emg(np.ones(100), 800.0, rng=np.random.default_rng(0))
 
     def test_activation_out_of_range(self):
         with pytest.raises(ValueError):
-            synthesize_emg(np.array([0.5, 1.5]), FS)
+            synthesize_emg(np.array([0.5, 1.5]), FS, rng=np.random.default_rng(0))
 
 
 class TestEnvelope:

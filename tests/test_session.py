@@ -153,6 +153,13 @@ class TestConfig:
         (lambda r: r.update(trajectory={"amplitude": 0.1},
                             device={"torque_limit": 1e308}),
          "staircase: level_cap must be finite, got inf"),
+        # averaging no reversals, or a negative count, is a typo, not a rule
+        (lambda r: r.update(staircase={"reversals_averaged": 0}),
+         "staircase: need 1 <= reversals_averaged <= reversal_limit"),
+        (lambda r: r.update(staircase={"reversal_limit": 12, "reversals_averaged": -2}),
+         "staircase: need 1 <= reversals_averaged <= reversal_limit"),
+        (lambda r: r.update(staircase={"reversal_limit": 0, "reversals_averaged": 0}),
+         "staircase: need 1 <= reversals_averaged <= reversal_limit"),
         (lambda r: r.update(velocities=[{"bpm": 1e308}]),  # deg_s = 90 * bpm / 60
          r"velocities\[0\]: deg_s must be finite, got inf"),
     ])
