@@ -36,6 +36,7 @@ from .session import (
     config_to_dict,
     default_config_dict,
     first_run,
+    presimulate,
     replay,
     run_session,
     summary_rows,
@@ -74,10 +75,11 @@ def _check_seed(seed: int) -> None:
 def _session_worker(args: tuple[SessionConfig, dict, list[int]]) \
         -> list[tuple[str, list[dict]]]:
     """(log, summary rows) of each of the consecutive seeds' sessions, in
-    seed order; the sessions share one exploration memo and ``base``'s
-    config document."""
+    seed order; the sessions share one exploration memo, filled ahead by
+    ``presimulate``, and ``base``'s config document."""
     base, document, seeds = args
     memo: dict = {}
+    presimulate(base, seeds, memo, document)
     outputs = []
     for seed in seeds:
         config = replace(base, seed=seed)

@@ -10,6 +10,7 @@ boundary; the integrator works in SI internally.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -202,23 +203,19 @@ def simulate_exploration(
     plus PD tracking feedback plus white noise, zero-order-held over each
     control period; the state is advanced with fixed-step RK4.
     """
-    ref, ref_angle, ref_velocity, out = _plan_reference(plan)
+    ref, ref_angle, ref_velocity, _ = _plan_reference(plan)
     n = len(ref.time)
     dt = 1.0 / plan.sample_rate
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
     inertia, damping = limb.inertia, limb.damping
     kp, kd = limb.tracking_stiffness_gain, limb.tracking_damping_gain
-    k_si = spring.k * _MNM / _DEG  # Nm/rad
     neg_k = -spring.k
     resolution = 360.0 / device.encoder_counts_per_rev
     torque_max = device.torque_limit
     torque_min = -torque_max
     deg, mnm, floor = _DEG, _MNM, math.floor
 
-    # feedforward: inverse dynamics of the reference against the nominal spring
-    tau_ff = (inertia * ref.acceleration * _DEG
-              + damping * ref.velocity * _DEG
-              + k_si * ref.angle * _DEG)  # Nm
+    tau_ff = _feedforward(ref, limb, spring)
     noise = (rng.normal(0.0, limb.motor_noise_std, size=n)
              if limb.motor_noise_std > 0 else np.zeros(n))
 
@@ -257,35 +254,62 @@ def simulate_exploration(
             d4o = (tau_const - damping * d4t * deg) / inertia / deg
             theta = theta + sixth_dt * (omega + 2.0 * d2t + 2.0 * d3t + d4t)
             omega = omega + sixth_dt * (d1o + 2.0 * d2o + 2.0 * d3o + d4o)
-    finally:
-        # the first sample past the limit, also when the loop stopped later
-        # on an angle too large to quantize
-        theta_arr = np.array(angle)
-        beyond = np.flatnonzero(np.abs(theta_arr) > 10.0 * plan.amplitude)
-        if beyond.size:
-            i = beyond[0]
-            raise UnstableIntegrationError(
-                f"angle {angle[i]:.1f} deg exceeds 10x amplitude "
-                f"at t={ref.time[i]:.3f}s") from None
+    except (OverflowError, ValueError):  # math.floor of an infinite or NaN angle
+        _check_stable(np.array(angle), plan, ref.time)  # past the limit before that
+        raise
+    return _recording(spring, plan, limb, device, np.array(angle), np.array(velocity),
+                      tau_ff, noise)
 
-    # the series as the loop saw them, elementwise in the same order
-    # (+ 0.0 turns the -0.0 of np.floor into math.floor's 0)
-    q_angle = np.floor(theta_arr / resolution) * resolution + 0.0
-    tau_dev = np.minimum(np.maximum(neg_k * q_angle, torque_min), torque_max)
-    tau_mus = (tau_ff + kp * (ref.angle - theta_arr) * deg
-               + kd * (ref.velocity - np.array(velocity)) * deg + noise) / mnm
+
+def _feedforward(ref: ReferenceTrajectory, limb: LimbConfig,
+                 spring: SpringParam) -> np.ndarray:
+    """Nm: inverse dynamics of the reference against the nominal spring."""
+    k_si = spring.k * _MNM / _DEG  # Nm/rad
+    return (limb.inertia * ref.acceleration * _DEG
+            + limb.damping * ref.velocity * _DEG
+            + k_si * ref.angle * _DEG)
+
+
+def _check_stable(theta: np.ndarray, plan: TrajectoryPlan, time: np.ndarray) -> None:
+    """Raise UnstableIntegrationError at the first angle past 10x amplitude."""
+    beyond = np.flatnonzero(np.abs(theta) > 10.0 * plan.amplitude)
+    if beyond.size:
+        i = beyond[0]
+        raise UnstableIntegrationError(
+            f"angle {theta[i]:.1f} deg exceeds 10x amplitude "
+            f"at t={time[i]:.3f}s") from None
+
+
+def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
+               device: DeviceConfig, theta: np.ndarray, omega: np.ndarray,
+               tau_ff: np.ndarray, noise: np.ndarray) -> TrialRecording:
+    """The recording of an exploration whose angle and velocity per sample
+    were ``theta`` and ``omega`` under the feedforward ``tau_ff`` and motor
+    noise ``noise`` (Nm), or UnstableIntegrationError where it diverged.  The
+    series are derived as the integrator saw them, elementwise in the same
+    order."""
+    ref, _, _, out = _plan_reference(plan)
+    _check_stable(theta, plan, ref.time)
+    resolution = 360.0 / device.encoder_counts_per_rev
+    # + 0.0 turns the -0.0 of np.floor into math.floor's 0
+    q_angle = np.floor(theta / resolution) * resolution + 0.0
+    tau_dev = np.minimum(np.maximum(-spring.k * q_angle, -device.torque_limit),
+                         device.torque_limit)
+    tau_mus = (tau_ff + limb.tracking_stiffness_gain * (ref.angle - theta) * _DEG
+               + limb.tracking_damping_gain * (ref.velocity - omega) * _DEG
+               + noise) / _MNM
     activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
     # one LED event per stroke, at the first sample inside its target window
-    near = np.where(out, np.abs(theta_arr - plan.amplitude),
-                    np.abs(theta_arr)) < plan.led_window
+    near = np.where(out, np.abs(theta - plan.amplitude),
+                    np.abs(theta)) < plan.led_window
     led = tuple(ref.time[hits.argmax()].item()
                 for hits in (near & out, near & ~out) if hits.any())
     # path length as a left fold from 0.0 (theta starts at 0.0): cumsum adds
     # in order, while np.sum adds pairwise and rounds differently
-    path_length = np.cumsum(np.abs(np.diff(theta_arr, prepend=0.0)))[-1]
+    path_length = np.cumsum(np.abs(np.diff(theta, prepend=0.0)))[-1]
     return TrialRecording(
         time=ref.time,
-        angle=theta_arr,
+        angle=theta,
         quantized_angle=q_angle,
         commanded_torque=tau_dev,
         muscle_torque=tau_mus,
@@ -293,6 +317,141 @@ def simulate_exploration(
         led_events=led,
         achieved_mean_velocity=path_length / ref.time[-1],
     )
+
+
+# Fewer distinct explorations than this run faster one by one in
+# simulate_exploration's scalar loop.  A lane step costs about the same for
+# any lane count up to a few hundred (25-50 us on a 2-core x86 host), a
+# scalar sample ~1 us; on that host lanes of both paces break even at 32-40,
+# and `simulate` of a noise-free full block of 14 explorations took ~75 ms in
+# lanes against ~45 ms one by one.
+MIN_LANES = 40
+# At most this many lanes per simulate_lanes call: a lane's history takes
+# ~43 KB at 45 bpm, so a call holds at most ~5.5 MB of them, however many
+# explorations a batch lists.
+MAX_LANES = 128
+
+
+def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
+                   limb: LimbConfig, device: DeviceConfig):
+    """Yield ``(index, recording)`` for each noise-free ``(spring, plan)`` of
+    ``explorations``: the recording ``simulate_exploration`` gives it, bit for
+    bit, or None where that raises.  Lanes never raise.
+
+    The explorations are integrated together, one NumPy lane each, on one
+    clock (so their plans share a sample rate), and every lane operation is
+    the scalar loop's, in its order.  Lanes are ordered by sample count,
+    longest first, so the lanes still integrating are a prefix.  Each plan's
+    lanes keep their own history of angle and velocity, which becomes their
+    recordings and is freed when their last sample is integrated."""
+    if limb.motor_noise_std != 0:
+        raise ValueError("lanes integrate noise-free explorations only")
+    if not explorations:
+        return
+    plans = sorted(dict.fromkeys(plan for _, plan in explorations),
+                   key=lambda plan: -len(_plan_reference(plan)[0].time))
+    if len({plan.sample_rate for plan in plans}) > 1:
+        raise ValueError("lanes step on one clock: the plans' sample rates differ")
+    lanes = [[j for j, (_, p) in enumerate(explorations) if p == plan] for plan in plans]
+    refs = [_plan_reference(plan)[0] for plan in plans]
+    sizes = [len(ref.time) for ref in refs]
+    starts = np.cumsum([0] + [len(group) for group in lanes])
+    # per sample: every plan's reference angle, then velocity, then the
+    # feedforward terms that do not depend on the spring (see _feedforward)
+    table = np.zeros((sizes[0], 3, len(plans)))
+    for p, ref in enumerate(refs):
+        table[:sizes[p], :, p] = np.transpose([
+            ref.angle, ref.velocity,
+            limb.inertia * ref.acceleration * _DEG + limb.damping * ref.velocity * _DEG])
+    table = table.reshape(sizes[0], -1)
+    plan_of = np.repeat(np.arange(len(plans)), np.diff(starts))
+    k = np.array([explorations[j][0].k for group in lanes for j in group])
+    k_si, neg_k = k * _MNM / _DEG, -k
+    dt = 1.0 / plans[0].sample_rate
+    # the scalar loop's constants as 0-d arrays, which NumPy takes faster
+    # than Python floats
+    dt, half_dt, sixth_dt, inertia, damping, kp, kd, resolution, torque_max, \
+        torque_min, deg, mnm, zero, two = map(np.array, (
+            dt, 0.5 * dt, dt / 6.0, limb.inertia, limb.damping,
+            limb.tracking_stiffness_gain, limb.tracking_damping_gain,
+            360.0 / device.encoder_counts_per_rev, device.torque_limit,
+            -device.torque_limit, _DEG, _MNM, 0.0, 2.0))
+    mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+
+    state = np.zeros((2, len(k)))  # angle (deg) and velocity (deg/s) per lane
+    histories = [np.empty((size, 2, len(group))) for size, group in zip(sizes, lanes)]
+    step = 0
+    for p in reversed(range(len(plans))):
+        # plans 0..p, lanes 0..b, integrate up to plan p's last sample
+        b = starts[p + 1]
+        th, om = state[:, :b]
+        k_si, neg_k = k_si[:b], neg_k[:b]
+        q, t_dev, ff, tau, tmp, d1o, d2t, d2o, d3t, d3o, d4t, d4o, s = np.empty((13, b))
+        gathered = np.empty(3 * b)
+        a_ref, v_ref, ff_base = gathered.reshape(3, b)
+        rows = (len(plans) * np.arange(3)[:, None] + plan_of[:b]).ravel()
+        kept = [(histories[g], state[:, starts[g]:starts[g + 1]]) for g in range(p + 1)]
+        # RK4 stage by stage: the angle at which the velocity's derivative
+        # is taken, that derivative, and the next stage's angle and step
+        stages = ((om, d1o, d2t, half_dt), (d2t, d2o, d3t, half_dt),
+                  (d3t, d3o, d4t, dt), (d4t, d4o, None, None))
+        updates = ((th, om, d2t, d3t, d4t), (om, d1o, d2o, d3o, d4o))
+        with np.errstate(all="ignore"):  # a diverging lane overflows
+            for i in range(step, sizes[p]):
+                for history, lane_state in kept:
+                    history[i] = lane_state
+                div(th, resolution, q)
+                np.floor(q, q)
+                add(q, zero, q)  # math.floor's 0 for np.floor's -0.0
+                mul(q, resolution, q)
+                mul(neg_k, q, t_dev)
+                np.maximum(t_dev, torque_min, out=t_dev)
+                np.minimum(t_dev, torque_max, out=t_dev)
+                table[i].take(rows, None, gathered, "clip")
+                mul(k_si, a_ref, ff)
+                mul(ff, deg, ff)
+                add(ff_base, ff, ff)
+                sub(a_ref, th, tau)
+                mul(tau, kp, tau)
+                mul(tau, deg, tau)
+                add(ff, tau, tau)
+                sub(v_ref, om, tmp)
+                mul(tmp, kd, tmp)
+                mul(tmp, deg, tmp)
+                add(tau, tmp, tau)
+                add(tau, zero, tau)  # the scalar loop's noise w = 0.0
+                mul(t_dev, mnm, tmp)
+                add(tau, tmp, tau)
+                for x, dx, y, h in stages:
+                    mul(x, damping, tmp)
+                    mul(tmp, deg, tmp)
+                    sub(tau, tmp, dx)
+                    div(dx, inertia, dx)
+                    div(dx, deg, dx)
+                    if y is not None:
+                        mul(dx, h, y)
+                        add(om, y, y)
+                for x, d1, d2, d3, d4 in updates:  # the angle first
+                    mul(d2, two, s)
+                    add(d1, s, s)
+                    mul(d3, two, tmp)
+                    add(s, tmp, s)
+                    add(s, d4, s)
+                    mul(s, sixth_dt, s)
+                    add(x, s, x)
+        step = sizes[p]
+        history, histories[p], kept = histories[p], None, None
+        for c, j in enumerate(lanes[p]):
+            spring = explorations[j][0]
+            theta, omega = np.array(history[:, 0, c]), np.array(history[:, 1, c])
+            recording = None  # a NaN angle short of the limit stops math.floor
+            if np.isfinite(theta).all():
+                with contextlib.suppress(UnstableIntegrationError):
+                    recording = _recording(spring, plans[p], limb, device, theta, omega,
+                                           _feedforward(refs[p], limb, spring),
+                                           np.zeros(sizes[p]))
+            yield j, recording
+        del history
 
 
 def achieved_velocity_ok(

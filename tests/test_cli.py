@@ -1,5 +1,7 @@
+import csv
 import functools
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stifflab import plant
 from stifflab.cli import build_parser, main
 from stifflab.plant import simulate_exploration
 from stifflab.session import (
+    SUMMARY_COLUMNS,
     Event,
     append_amendment,
     config_from_dict,
@@ -21,6 +25,7 @@ from stifflab.session import (
     replay,
     run_session,
     serialize_log,
+    summary_rows,
 )
 from stifflab.staircase import default_config
 
@@ -283,6 +288,55 @@ class TestSimulate:
         assert len(names) == 4  # three logs and summary.csv
         for name in names:
             assert (outs[None] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
+    def _assert_writes_separate_sessions(self, tmp_path, raw, sessions):
+        """`simulate` writes each session's log and summary row as
+        run_session gives them for the session alone, whose explorations
+        are each simulated through the scalar loop."""
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_config(tmp_path, raw),
+                     "--sessions", str(sessions), "--out", str(out)]) == 0
+        summary = io.StringIO()
+        writer = csv.DictWriter(summary, fieldnames=SUMMARY_COLUMNS)
+        writer.writeheader()
+        for seed in range(raw["seed"], raw["seed"] + sessions):
+            config = config_from_dict({**raw, "seed": seed})
+            run = run_session(config, {})
+            name = f"session_{seed:08d}"
+            assert (out / f"{name}.jsonl").read_bytes() == run.log_text.encode()
+            writer.writerows(summary_rows(name, config, run.result))
+        assert (out / "summary.csv").read_bytes() == summary.getvalue().encode()
+
+    @pytest.mark.parametrize("threads", [None, "2"])
+    def test_lanes_write_the_bytes_of_separate_sessions(self, tmp_path, monkeypatch,
+                                                        threads):
+        # six default sessions, or two blocks of three: enough distinct
+        # explorations for the lanes, in equal slices of at most 48, with
+        # recording digests in every log; serially, the last two sessions
+        # are past the pre-pass and integrate what they alone reach
+        lanes = []
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
+        monkeypatch.setattr("stifflab.session.MAX_LANES", 48)
+        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
+        if threads is None:
+            monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("STIFFLAB_THREADS", threads)
+        self._assert_writes_separate_sessions(
+            tmp_path, default_config_dict(seed=0, plant_mode="full"), 6)
+        if threads is None:  # worker processes count in their own copy
+            assert len(lanes) > 1 and max(lanes) <= 48 and max(lanes) - min(lanes) <= 1
+
+    def test_too_few_explorations_for_lanes_write_the_same_bytes(self, tmp_path,
+                                                                 monkeypatch):
+        raw = default_config_dict(seed=3, plant_mode="full")
+        raw["velocities"] = [{"bpm": 45, "deg_s": 67.5}]
+        raw["observer"]["velocity_scaling"] = {"67.5": 1.0}
+        raw["staircase"] = {"reversal_limit": 4, "reversals_averaged": 4}
+        monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
+        monkeypatch.setattr("stifflab.session.simulate_lanes", None)  # never called
+        self._assert_writes_separate_sessions(tmp_path, raw, 3)
 
     def test_batch_builds_its_config_document_once(self, tmp_path, monkeypatch):
         raw = default_config_dict(seed=6, plant_mode="ideal")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stifflab.plant import (
     plan_for_bpm,
     quantize_angle,
     simulate_exploration,
+    simulate_lanes,
     spring_torque,
 )
 
@@ -372,6 +374,71 @@ class TestKernelMatchesReference:
     def test_same_instability_diagnosis_without_overflow(self):
         # the angle passes the limit and stays finite to the end of the plan
         self._assert_same_instability(300.0)
+
+
+class TestLanesMatchScalar:
+    FEW = TrajectoryPlan(amplitude=90.0, beat_duration=0.002, sample_rate=1000.0)  # 5 samples
+
+    @staticmethod
+    def _lanes(explorations, limb, device):
+        """simulate_lanes' recordings by index; no lane may warn or raise."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lanes = dict(simulate_lanes(explorations, limb, device))
+        assert sorted(lanes) == list(range(len(explorations)))
+        return lanes
+
+    def test_mixed_lanes_match_the_scalar_loop(self):
+        # both paces and a plan of a few samples in one lane set; on a
+        # 64-count encoder, k = 300 saturates a 10 N m limit, and k = 1000
+        # and 1e6 diverge (the limit holds their angle finite)
+        limb = LimbConfig()
+        device = DeviceConfig(encoder_counts_per_rev=64, torque_limit=1e4)
+        explorations = [(SpringParam(k=k), plan)
+                        for k in (0.0, 1.11, 1.665, 2.22, 300.0, 1000.0, 1e6)
+                        for plan in (plan_for_bpm(45.0), plan_for_bpm(75.0), self.FEW)]
+        lanes = self._lanes(explorations, limb, device)
+        diverged, saturated = [], []
+        for index, (spring, plan) in enumerate(explorations):
+            try:
+                scalar = simulate_exploration(spring, plan, limb, device,
+                                              np.random.default_rng(0))
+            except UnstableIntegrationError:
+                assert lanes[index] is None
+                diverged.append((spring.k, len(_plan_reference(plan)[0].time)))
+                continue
+            lane = lanes[index]
+            assert lane.digest() == scalar.digest()
+            assert lane.led_events == scalar.led_events
+            assert (np.float64(lane.achieved_mean_velocity).tobytes()
+                    == np.float64(scalar.achieved_mean_velocity).tobytes())
+            if np.any(np.abs(lane.commanded_torque) == device.torque_limit):
+                saturated.append((spring.k, len(lane.time)))
+        assert diverged == [(1000.0, 2668), (1000.0, 1601),
+                            (1e6, 2668), (1e6, 1601), (1e6, 5)]
+        assert saturated == [(300.0, 2668), (300.0, 1601)]
+
+    def test_overflowing_lanes_are_left_out_without_a_warning(self):
+        # tracking gains that overflow the angle to inf and NaN before the
+        # plan ends: the scalar loop stops at math.floor of it
+        limb = LimbConfig(tracking_stiffness_gain=1e7, tracking_damping_gain=0.0)
+        explorations = [(SpringParam(k=1.11), plan_for_bpm(bpm)) for bpm in (45.0, 75.0)]
+        assert self._lanes(explorations, limb, DeviceConfig()) == {0: None, 1: None}
+        for exploration in explorations:
+            with pytest.raises(UnstableIntegrationError) as diverged:
+                simulate_exploration(*exploration, limb, DeviceConfig(),
+                                     np.random.default_rng(0))
+            assert isinstance(diverged.value.__context__, (OverflowError, ValueError))
+
+    @pytest.mark.parametrize("limb,plans,match", [
+        (LimbConfig(motor_noise_std=0.3), [plan_for_bpm(45.0)], "noise-free"),
+        (LimbConfig(), [plan_for_bpm(45.0), plan_for_bpm(45.0, sample_rate=500.0)],
+         "sample rates differ"),
+    ])
+    def test_refused_lane_sets(self, limb, plans, match):
+        explorations = [(SpringParam(k=1.11), plan) for plan in plans]
+        with pytest.raises(ValueError, match=match):
+            list(simulate_lanes(explorations, limb, DeviceConfig()))
 
 
 class TestPlanReferenceCache:
