@@ -33,12 +33,10 @@ from .session import (
     RepeatLimitError,
     SessionConfig,
     config_from_dict,
-    config_to_dict,
     default_config_dict,
     first_run,
-    presimulate,
     replay,
-    run_session,
+    run_sessions,
     summary_rows,
 )
 from .staircase import (convergence_target, default_config, new_staircase,
@@ -72,23 +70,6 @@ def _check_seed(seed: int) -> None:
         raise ConfigError(f"--seed must be a nonnegative integer, got {seed}")
 
 
-def _session_worker(args: tuple[SessionConfig, dict, list[int]]) \
-        -> list[tuple[str, list[dict]]]:
-    """(log, summary rows) of each of the consecutive seeds' sessions, in
-    seed order; the sessions share one exploration memo, filled ahead by
-    ``presimulate``, and ``base``'s config document."""
-    base, document, seeds = args
-    memo: dict = {}
-    presimulate(base, seeds, memo, document)
-    outputs = []
-    for seed in seeds:
-        config = replace(base, seed=seed)
-        run = run_session(config, memo, document)
-        rows = summary_rows(f"session_{seed:08d}", config, run.result)
-        outputs.append((run.log_text, rows))
-    return outputs
-
-
 def _worker_count() -> int:
     threads = os.environ.get("STIFFLAB_THREADS", "0")
     try:
@@ -113,22 +94,21 @@ def cmd_simulate(args) -> int:
     summary_path = out / "summary.csv"
     _check_overwrite([*paths, summary_path], args.force)
 
-    document = config_to_dict(config)  # the sessions' documents differ only in seed
     if workers > 1 and len(seeds) > 1:
-        size = -(-len(seeds) // workers)  # one contiguous chunk per worker
-        chunks = [(config, document, seeds[i:i + size])
-                  for i in range(0, len(seeds), size)]
-        # a pool may start all its workers at once: start none without a chunk
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            outputs = [o for chunk in pool.map(_session_worker, chunks) for o in chunk]
+        size = -(-len(seeds) // workers)  # one contiguous block per worker
+        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+        # a pool may start all its workers at once: start none without a block
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            runs = [run for block in pool.map(functools.partial(run_sessions, config),
+                                              blocks) for run in block]
     else:
-        outputs = _session_worker((config, document, seeds))
+        runs = run_sessions(config, seeds)
 
     out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
     all_rows = []
-    for (log_text, rows), path in zip(outputs, paths):
-        path.write_text(log_text)
-        all_rows.extend(rows)
+    for seed, run, path in zip(seeds, runs, paths):
+        path.write_text(run.log_text)
+        all_rows.extend(summary_rows(f"session_{seed:08d}", seed, run.result))
     with open(summary_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
@@ -144,10 +124,10 @@ def cmd_validate_convergence(args) -> int:
     # every refused --rule or --ratio is refused here, before any output
     target = convergence_target(args.rule, args.ratio)
     protocol = default_config_dict()
-    reference = protocol["reference_stiffness"]
+    reference, beta = protocol["reference_stiffness"], protocol["observer"]["beta"]
     stair = default_config(reference, down_rule=args.rule, down_up_ratio=args.ratio)
     # a Weibull observer whose target point is known, for threshold recovery
-    observer = WeibullObserver(alpha=alpha_for_target(reference, target, beta=3.0), beta=3.0)
+    observer = WeibullObserver(alpha=alpha_for_target(reference, target, beta), beta=beta)
     print(f"zero-drift proportion-correct target: {target:.4f} "
           f"(rule={args.rule}-down, ratio={args.ratio})")
     rng = np.random.default_rng(args.seed)

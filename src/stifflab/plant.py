@@ -65,6 +65,11 @@ class TrajectoryConfig:
     led_window: float = 2.5  # deg
 
 
+# an exploration's samples at most, 2.8 h at 1 kHz (the protocol's slower pace
+# has 2,668): far more could not be allocated
+MAX_SAMPLES = 10**7
+
+
 @dataclass(frozen=True)
 class TrajectoryPlan:
     amplitude: float       # deg, normal position to pronation target
@@ -77,6 +82,10 @@ class TrajectoryPlan:
         if min(self.amplitude, self.beat_duration, self.sample_rate, self.led_window) <= 0:
             raise ValueError("amplitude, beat_duration, sample_rate and led_window "
                              "must be positive")
+        samples = 2.0 * self.beat_duration * self.sample_rate
+        if samples > MAX_SAMPLES:
+            raise ValueError(f"an exploration's 2 x beat_duration x sample_rate samples "
+                             f"must be at most {MAX_SAMPLES:,}, got {samples:.3g}")
 
     @property
     def mean_speed(self) -> float:
@@ -255,7 +264,8 @@ def simulate_exploration(
             theta = theta + sixth_dt * (omega + 2.0 * d2t + 2.0 * d3t + d4t)
             omega = omega + sixth_dt * (d1o + 2.0 * d2o + 2.0 * d3o + d4o)
     except (OverflowError, ValueError):  # math.floor of an infinite or NaN angle
-        _check_stable(np.array(angle), plan, ref.time)  # past the limit before that
+        angle_append(theta)  # the angle it could not floor
+        _check_stable(np.array(angle), plan, ref.time)  # past the limit by then
         raise
     return _recording(spring, plan, limb, device, np.array(angle), np.array(velocity),
                       tau_ff, noise)
@@ -271,13 +281,14 @@ def _feedforward(ref: ReferenceTrajectory, limb: LimbConfig,
 
 
 def _check_stable(theta: np.ndarray, plan: TrajectoryPlan, time: np.ndarray) -> None:
-    """Raise UnstableIntegrationError at the first angle past 10x amplitude."""
-    beyond = np.flatnonzero(np.abs(theta) > 10.0 * plan.amplitude)
+    """Raise UnstableIntegrationError at the first angle past 10x amplitude
+    or not finite."""
+    beyond = np.flatnonzero(~(np.abs(theta) <= 10.0 * plan.amplitude))  # NaN too
     if beyond.size:
         i = beyond[0]
+        how = "exceeds 10x amplitude" if np.isfinite(theta[i]) else "is not finite"
         raise UnstableIntegrationError(
-            f"angle {theta[i]:.1f} deg exceeds 10x amplitude "
-            f"at t={time[i]:.3f}s") from None
+            f"angle {theta[i]:.1f} deg {how} at t={time[i]:.3f}s") from None
 
 
 def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,

@@ -418,36 +418,6 @@ class _Listed(_Drawn):
 PRESIMULATED_SESSIONS = 50
 
 
-def presimulate(base: SessionConfig, seeds: list[int], memo: dict, document: dict) -> None:
-    """Fill ``memo`` ahead with the outcome of every exploration that the
-    sessions of ``base`` at the first ``PRESIMULATED_SESSIONS`` of ``seeds``
-    reach, integrated together by ``simulate_lanes`` in equal slices of at
-    most ``MAX_LANES``, when ``base`` is a noise-free ``full`` config and
-    they are at least ``MIN_LANES``.
-
-    A noise-free exploration draws no random numbers, and its rejection
-    ends its session (the identical repeats reach the repeat cap).  So a
-    session that accepts every exploration draws what the real one draws
-    and lists every exploration it reaches.  A lane that diverges stays out
-    of ``memo``: its session integrates it when it gets there, and raises."""
-    if base.plant_mode != "full" or base.limb.motor_noise_std != 0:
-        return
-    listed: dict = {}
-    for seed in seeds[:PRESIMULATED_SESSIONS]:
-        config = replace(base, seed=seed)
-        _emit_session(config, _Listed(config, listed, document), [])
-    explorations = list(listed)
-    if len(explorations) < MIN_LANES:
-        return
-    size = math.ceil(len(explorations) / math.ceil(len(explorations) / MAX_LANES))
-    for start in range(0, len(explorations), size):
-        part = explorations[start:start + size]
-        for index, recording in simulate_lanes(part, base.limb, base.device):
-            if recording is not None:
-                spring, plan = part[index]
-                memo[_memo_key(base, spring, plan)] = _outcome(base, plan, recording)
-
-
 def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
     return CorruptLogError(f"{event.kind}.{key} must be {expected}, got "
                            f"{event.payload.get(key)!r}", event.seq)
@@ -579,6 +549,39 @@ def run_session(config: SessionConfig, memo: dict | None = None,
     source = _Drawn(config, {} if memo is None else memo, document)
     runs = _emit_session(config, source, emitted)
     return SessionRun(result=SessionResult(runs=runs), log_text=serialize_log(emitted))
+
+
+def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
+    """The sessions of ``base`` at each of ``seeds``, in order, each as
+    ``run_session`` runs it alone.  They share one config document and one
+    exploration memo.  For a noise-free ``full`` config the memo is filled
+    ahead with the outcome of every exploration that the sessions at the
+    first ``PRESIMULATED_SESSIONS`` of ``seeds`` reach, integrated together
+    by ``simulate_lanes`` in equal slices of at most ``MAX_LANES``, when they
+    are at least ``MIN_LANES``.
+
+    A noise-free exploration draws no random numbers, and its rejection
+    ends its session (the identical repeats reach the repeat cap).  So a
+    session that accepts every exploration draws what the real one draws
+    and lists every exploration it reaches.  A lane that diverges stays out
+    of the memo: its session integrates it when it gets there, and raises."""
+    document = config_to_dict(base)  # the sessions' documents differ only in seed
+    memo: dict = {}
+    if base.plant_mode == "full" and base.limb.motor_noise_std == 0:
+        listed: dict = {}
+        for seed in seeds[:PRESIMULATED_SESSIONS]:
+            config = replace(base, seed=seed)
+            _emit_session(config, _Listed(config, listed, document), [])
+        explorations = list(listed)
+        if len(explorations) >= MIN_LANES:
+            size = math.ceil(len(explorations) / math.ceil(len(explorations) / MAX_LANES))
+            for start in range(0, len(explorations), size):
+                part = explorations[start:start + size]
+                for index, recording in simulate_lanes(part, base.limb, base.device):
+                    if recording is not None:
+                        spring, plan = part[index]
+                        memo[_memo_key(base, spring, plan)] = _outcome(base, plan, recording)
+    return [run_session(replace(base, seed=seed), memo, document) for seed in seeds]
 
 
 class _FirstRun(_Drawn):
@@ -828,11 +831,10 @@ def _check_re_emitted(logged: list[Event], emitted: list[tuple]) -> None:
     raise CorruptLogError(f"{old.kind}.{key} disagrees with the re-emitted log", old.seq)
 
 
-def summary_rows(session_id: str, config: SessionConfig,
-                 result: SessionResult) -> list[dict]:
+def summary_rows(session_id: str, seed: int, result: SessionResult) -> list[dict]:
     return [{
         "session_id": session_id,
-        "seed": config.seed,
+        "seed": seed,
         "velocity_deg_s": run.velocity,
         "threshold_pct": run.threshold.percent_of_reference,
         "trials": run.trial_count,

@@ -165,6 +165,18 @@ class TestSimulate:
         # a float conversion of it would overflow in the plant
         (lambda r: r.update(device={"encoder_counts_per_rev": 10**400}),
          "device.encoder_counts_per_rev must be at most 1.79769e+308 in magnitude"),
+        # paces whose explorations no array could hold, refused in ideal mode too
+        (lambda r: r.update(velocities=[{"bpm": 1e-300}],
+                            observer={**r["observer"], "velocity_scaling": {}}),
+         "trajectory: an exploration's 2 x beat_duration x sample_rate samples "
+         "must be at most 10,000,000, got 1.2e+305"),
+        (lambda r: r.update(velocities=[{"bpm": 1e-9}],
+                            observer={**r["observer"], "velocity_scaling": {}}),
+         "trajectory: an exploration's 2 x beat_duration x sample_rate samples "
+         "must be at most 10,000,000, got 1.2e+14"),
+        (lambda r: r.update(device={"control_rate": 1e300}),
+         "trajectory: an exploration's 2 x beat_duration x sample_rate samples "
+         "must be at most 10,000,000, got 2.67e+300"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -195,6 +207,8 @@ class TestSimulate:
          "error: interval 0 of trial 0 failed the velocity check 5 times"),
         ({"limb": {"tracking_stiffness_gain": 1e7, "tracking_damping_gain": 0}},
          "error: angle -912552.2 deg exceeds 10x amplitude at t=0.005s"),
+        # the angle is NaN one RK4 step after it was small
+        ({"limb": {"inertia": 1e-300}}, "error: angle nan deg is not finite at t=0.002s"),
     ])
     def test_unmet_explorations_exit_2_and_write_nothing(
             self, tmp_path, capsys, command, update, match):
@@ -304,7 +318,7 @@ class TestSimulate:
             run = run_session(config, {})
             name = f"session_{seed:08d}"
             assert (out / f"{name}.jsonl").read_bytes() == run.log_text.encode()
-            writer.writerows(summary_rows(name, config, run.result))
+            writer.writerows(summary_rows(name, seed, run.result))
         assert (out / "summary.csv").read_bytes() == summary.getvalue().encode()
 
     @pytest.mark.parametrize("threads", [None, "2"])
@@ -342,9 +356,8 @@ class TestSimulate:
         raw = default_config_dict(seed=6, plant_mode="ideal")
         path = write_config(tmp_path, raw)
         calls = []
-        for module in ("stifflab.cli", "stifflab.session"):
-            monkeypatch.setattr(f"{module}.config_to_dict",
-                                lambda c: calls.append(c) or config_to_dict(c))
+        monkeypatch.setattr("stifflab.session.config_to_dict",
+                            lambda c: calls.append(c) or config_to_dict(c))
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--sessions", "3",
                      "--out", str(out)]) == 0

@@ -29,6 +29,7 @@ from stifflab.session import (
     parse_log,
     replay,
     run_session,
+    run_sessions,
     serialize_log,
     summary_rows,
 )
@@ -1213,7 +1214,7 @@ class TestSummary:
     def test_rows_match_runs(self):
         config = ideal_config(seed=18)
         run = run_session(config)
-        rows = summary_rows("s18", config, run.result)
+        rows = summary_rows("s18", config.seed, run.result)
         assert len(rows) == 2
         for row, result in zip(rows, run.result.runs):
             assert row["velocity_deg_s"] == result.velocity
@@ -1285,13 +1286,20 @@ def _explorations(log_text):
 class TestExplorationMemo:
     SHORT = {"staircase": {"reversal_limit": 4, "reversals_averaged": 4}}
 
-    def test_shared_memo_writes_the_logs_of_separate_sessions(self):
-        memo = {}
-        shared = [run_session(full_config(seed=s), memo).log_text for s in range(3)]
+    def test_shared_memo_writes_the_logs_of_separate_sessions(self, monkeypatch):
+        lanes, scalar = [], []
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: scalar.append(a) or simulate_exploration(*a))
+        shared = [run.log_text for run in run_sessions(full_config(), [0, 1, 2])]
+        monkeypatch.undo()
         separate = [run_session(full_config(seed=s)).log_text for s in range(3)]
         assert shared == separate
+        # the pre-pass integrated every exploration the sessions reach, and
         # noise-free explorations repeat (k, bpm) within and across sessions
-        assert 0 < len(memo) < sum(_explorations(t) for t in shared) / 2
+        assert scalar == []
+        assert 0 < sum(lanes) < sum(_explorations(t) for t in shared) / 2
 
     def test_noisy_config_never_hits_the_memo(self, monkeypatch):
         calls = []
