@@ -14,6 +14,7 @@ import contextlib
 import functools
 import hashlib
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,13 @@ class TrajectoryPlan:
         if samples > MAX_SAMPLES:
             raise ValueError(f"an exploration's 2 x beat_duration x sample_rate samples "
                              f"must be at most {MAX_SAMPLES:,}, got {samples:.3g}")
+        # past the first sample, so that an exploration takes time
+        if round(samples) < 1:
+            raise ValueError(f"an exploration's 2 x beat_duration x sample_rate samples "
+                             f"must round to at least 1, got {samples:.3g}")
+        if self.beat_duration ** 2 == 0:  # min_jerk_trajectory divides by it
+            raise ValueError(f"beat_duration {self.beat_duration:g} s is too short: "
+                             "its square is 0")
 
     @property
     def mean_speed(self) -> float:
@@ -267,8 +275,12 @@ def simulate_exploration(
         angle_append(theta)  # the angle it could not floor
         _check_stable(np.array(angle), plan, ref.time)  # past the limit by then
         raise
-    return _recording(spring, plan, limb, device, np.array(angle), np.array(velocity),
-                      tau_ff, noise)
+    theta = np.array(angle)
+    _check_stable(theta, plan, ref.time)
+    # the muscle torque of each step, summed as the loop sums it (Nm)
+    muscle = (tau_ff + kp * (ref.angle - theta) * deg
+              + kd * (ref.velocity - np.array(velocity)) * deg + noise)
+    return _recording(spring, plan, limb, device, theta, muscle)
 
 
 def _feedforward(ref: ReferenceTrajectory, limb: LimbConfig,
@@ -292,23 +304,18 @@ def _check_stable(theta: np.ndarray, plan: TrajectoryPlan, time: np.ndarray) -> 
 
 
 def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
-               device: DeviceConfig, theta: np.ndarray, omega: np.ndarray,
-               tau_ff: np.ndarray, noise: np.ndarray) -> TrialRecording:
-    """The recording of an exploration whose angle and velocity per sample
-    were ``theta`` and ``omega`` under the feedforward ``tau_ff`` and motor
-    noise ``noise`` (Nm), or UnstableIntegrationError where it diverged.  The
-    series are derived as the integrator saw them, elementwise in the same
-    order."""
+               device: DeviceConfig, theta: np.ndarray, muscle: np.ndarray) -> TrialRecording:
+    """The recording of an exploration whose angle per sample was ``theta``,
+    within the limit ``_check_stable`` sets, under the muscle torque
+    ``muscle`` (Nm).  The series are derived as the integrator saw them,
+    elementwise in the same order."""
     ref, _, _, out = _plan_reference(plan)
-    _check_stable(theta, plan, ref.time)
     resolution = 360.0 / device.encoder_counts_per_rev
     # + 0.0 turns the -0.0 of np.floor into math.floor's 0
     q_angle = np.floor(theta / resolution) * resolution + 0.0
     tau_dev = np.minimum(np.maximum(-spring.k * q_angle, -device.torque_limit),
                          device.torque_limit)
-    tau_mus = (tau_ff + limb.tracking_stiffness_gain * (ref.angle - theta) * _DEG
-               + limb.tracking_damping_gain * (ref.velocity - omega) * _DEG
-               + noise) / _MNM
+    tau_mus = muscle / _MNM
     activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
     # one LED event per stroke, at the first sample inside its target window
     near = np.where(out, np.abs(theta - plan.amplitude),
@@ -337,33 +344,56 @@ def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
 # and `simulate` of a noise-free full block of 14 explorations took ~75 ms in
 # lanes against ~45 ms one by one.
 MIN_LANES = 40
-# At most this many lanes per simulate_lanes call: a lane's history takes
-# ~43 KB at 45 bpm, so a call holds at most ~5.5 MB of them, however many
-# explorations a batch lists.
-MAX_LANES = 128
+# A slice of lanes holds at most this many bytes of history and motor
+# noise, however many explorations a batch lists: 93 lanes at 45 bpm (~43 KB
+# each), and 2 KB more each with motor noise
+LANE_BYTES = 4_000_000
+NOISE_CHUNK = 256  # samples of motor noise a noisy lane draws at a time
 
 
-def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
+def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
+                                            np.random.Generator | None]],
                    limb: LimbConfig, device: DeviceConfig):
-    """Yield ``(index, recording)`` for each noise-free ``(spring, plan)`` of
-    ``explorations``: the recording ``simulate_exploration`` gives it, bit for
-    bit, or None where that raises.  Lanes never raise.
+    """Yield ``(index, recording)`` for each ``(spring, plan, rng)`` of
+    ``explorations``: the recording ``simulate_exploration(spring, plan, limb,
+    device, rng)`` gives, bit for bit, or None where that raises, and ``rng``
+    left where that call leaves it (each its own; None without motor noise).
+    Lanes never raise.
 
-    The explorations are integrated together, one NumPy lane each, on one
-    clock (so their plans share a sample rate), and every lane operation is
-    the scalar loop's, in its order.  Lanes are ordered by sample count,
-    longest first, so the lanes still integrating are a prefix.  Each plan's
-    lanes keep their own history of angle and velocity, which becomes their
-    recordings and is freed when their last sample is integrated."""
-    if limb.motor_noise_std != 0:
-        raise ValueError("lanes integrate noise-free explorations only")
-    if not explorations:
-        return
-    plans = sorted(dict.fromkeys(plan for _, plan in explorations),
-                   key=lambda plan: -len(_plan_reference(plan)[0].time))
+    The explorations are integrated in equal slices of at most LANE_BYTES,
+    one NumPy lane each, on one clock (so their plans share a sample rate),
+    and every lane operation is the scalar loop's, in its order."""
+    plans = dict.fromkeys(plan for _, plan, _ in explorations)
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
-    lanes = [[j for j, (_, p) in enumerate(explorations) if p == plan] for plan in plans]
+    if not plans:
+        return
+    chunk = NOISE_CHUNK if limb.motor_noise_std > 0 else 0
+    lane_bytes = 8 * (2 * max(len(_plan_reference(plan)[0].time) for plan in plans) + chunk)
+    slices = -(-len(explorations) // max(1, LANE_BYTES // lane_bytes))
+    size = -(-len(explorations) // slices)
+    # one anonymous mapping for every slice, returned to the system when the
+    # call ends: from malloc's heap, blocks this size would fragment it
+    memory = np.frombuffer(mmap.mmap(-1, LANE_BYTES // 8 * 8), dtype=np.float64)
+    for start in range(0, len(explorations), size):
+        for index, recording in _lane_slice(explorations[start:start + size], limb,
+                                            device, memory, chunk):
+            yield start + index, recording
+
+
+def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
+                memory: np.ndarray, chunk: int):
+    """``simulate_lanes`` of one slice, whose history and noise are views of
+    ``memory``.  Lanes are ordered by sample count, longest first, so the
+    lanes still integrating are a prefix.  Each plan's lanes keep their own
+    history of the angle and the muscle torque, which becomes their
+    recordings.  A noisy lane draws its noise ``chunk`` samples at a time,
+    in place: the values and RNG state of simulate_exploration's one draw of
+    them all."""
+    plans = sorted(dict.fromkeys(plan for _, plan, _ in explorations),
+                   key=lambda plan: -len(_plan_reference(plan)[0].time))
+    lanes = [[j for j, (_, p, _) in enumerate(explorations) if p == plan] for plan in plans]
+    order = [j for group in lanes for j in group]
     refs = [_plan_reference(plan)[0] for plan in plans]
     sizes = [len(ref.time) for ref in refs]
     starts = np.cumsum([0] + [len(group) for group in lanes])
@@ -376,7 +406,14 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
             limb.inertia * ref.acceleration * _DEG + limb.damping * ref.velocity * _DEG])
     table = table.reshape(sizes[0], -1)
     plan_of = np.repeat(np.arange(len(plans)), np.diff(starts))
-    k = np.array([explorations[j][0].k for group in lanes for j in group])
+    histories, used = [], 0
+    for size, group in zip(sizes, lanes):
+        histories.append(memory[used:used + 2 * size * len(group)].reshape(size, 2, -1))
+        used += histories[-1].size
+    # each lane's motor noise for the samples of one chunk
+    noise = memory[used:used + len(order) * chunk].reshape(len(order), chunk)
+    rngs = [explorations[j][2] for j in order]
+    k = np.array([explorations[j][0].k for j in order])
     k_si, neg_k = k * _MNM / _DEG, -k
     dt = 1.0 / plans[0].sample_rate
     # the scalar loop's constants as 0-d arrays, which NumPy takes faster
@@ -389,19 +426,21 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
             -device.torque_limit, _DEG, _MNM, 0.0, 2.0))
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
 
-    state = np.zeros((2, len(k)))  # angle (deg) and velocity (deg/s) per lane
-    histories = [np.empty((size, 2, len(group))) for size, group in zip(sizes, lanes)]
+    # per lane: the angle (deg) and the muscle torque (Nm) of the step, which
+    # the history keeps, and the velocity (deg/s)
+    state = np.zeros((3, len(k)))
     step = 0
     for p in reversed(range(len(plans))):
         # plans 0..p, lanes 0..b, integrate up to plan p's last sample
         b = starts[p + 1]
-        th, om = state[:, :b]
+        th, tau, om = state[:, :b]
         k_si, neg_k = k_si[:b], neg_k[:b]
-        q, t_dev, ff, tau, tmp, d1o, d2t, d2o, d3t, d3o, d4t, d4o, s = np.empty((13, b))
+        q, t_dev, ff, tc, tmp, d1o, d2t, d2o, d3t, d3o, d4t, d4o, s = np.empty((13, b))
+        steps, w = noise[:b].T, zero  # the scalar loop's noise w = 0.0 without noise
         gathered = np.empty(3 * b)
         a_ref, v_ref, ff_base = gathered.reshape(3, b)
         rows = (len(plans) * np.arange(3)[:, None] + plan_of[:b]).ravel()
-        kept = [(histories[g], state[:, starts[g]:starts[g + 1]]) for g in range(p + 1)]
+        kept = [(histories[g], state[:2, starts[g]:starts[g + 1]]) for g in range(p + 1)]
         # RK4 stage by stage: the angle at which the velocity's derivative
         # is taken, that derivative, and the next stage's angle and step
         stages = ((om, d1o, d2t, half_dt), (d2t, d2o, d3t, half_dt),
@@ -409,8 +448,14 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
         updates = ((th, om, d2t, d3t, d4t), (om, d1o, d2o, d3o, d4o))
         with np.errstate(all="ignore"):  # a diverging lane overflows
             for i in range(step, sizes[p]):
-                for history, lane_state in kept:
-                    history[i] = lane_state
+                if chunk:
+                    if i % chunk == 0:
+                        for c in range(b):
+                            rngs[c].standard_normal(
+                                out=noise[c, :min(chunk, sizes[plan_of[c]] - i)])
+                        noise *= limb.motor_noise_std
+                        noise += 0.0  # normal() adds its loc: -0.0 becomes 0.0
+                    w = steps[i % chunk]
                 div(th, resolution, q)
                 np.floor(q, q)
                 add(q, zero, q)  # math.floor's 0 for np.floor's -0.0
@@ -430,13 +475,15 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
                 mul(tmp, kd, tmp)
                 mul(tmp, deg, tmp)
                 add(tau, tmp, tau)
-                add(tau, zero, tau)  # the scalar loop's noise w = 0.0
+                add(tau, w, tau)
+                for history, lane_state in kept:
+                    history[i] = lane_state
                 mul(t_dev, mnm, tmp)
-                add(tau, tmp, tau)
+                add(tau, tmp, tc)
                 for x, dx, y, h in stages:
                     mul(x, damping, tmp)
                     mul(tmp, deg, tmp)
-                    sub(tau, tmp, dx)
+                    sub(tc, tmp, dx)
                     div(dx, inertia, dx)
                     div(dx, deg, dx)
                     if y is not None:
@@ -451,18 +498,65 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan]],
                     mul(s, sixth_dt, s)
                     add(x, s, x)
         step = sizes[p]
-        history, histories[p], kept = histories[p], None, None
+        history = histories[p]
         for c, j in enumerate(lanes[p]):
-            spring = explorations[j][0]
-            theta, omega = np.array(history[:, 0, c]), np.array(history[:, 1, c])
+            theta = np.array(history[:, 0, c])
             recording = None  # a NaN angle short of the limit stops math.floor
             if np.isfinite(theta).all():
                 with contextlib.suppress(UnstableIntegrationError):
-                    recording = _recording(spring, plans[p], limb, device, theta, omega,
-                                           _feedforward(refs[p], limb, spring),
-                                           np.zeros(sizes[p]))
+                    _check_stable(theta, plans[p], refs[p].time)
+                    recording = _recording(explorations[j][0], plans[p], limb, device,
+                                           theta, history[:, 1, c])
             yield j, recording
-        del history
+
+
+@functools.lru_cache(maxsize=4)  # a trial explores two springs, often again
+def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
+    """simulate_exploration's loop as a linear map, the spring ``k`` rendered
+    unquantised and unsaturated: ``(size, response, steady)``, the ``size``-
+    point rfft of the angle's response to held torque (deg/Nm), cut to
+    ``size`` - n + 1 taps so that a circular convolution's first n samples
+    are exact, and the angle without motor noise."""
+    ref = _plan_reference(plan)[0]
+    n, dt, deg = len(ref.time), 1.0 / plan.sample_rate, _DEG
+    stiffness = limb.tracking_stiffness_gain * deg + k * _MNM  # Nm/deg
+
+    def step(theta, omega, tau):  # the loop's RK4 step
+        tau -= stiffness * theta + limb.tracking_damping_gain * deg * omega
+        d = [0.0]
+        for h in (0.0, dt / 2, dt / 2, dt):
+            d.append((tau - limb.damping * deg * (omega + h * d[-1])) / limb.inertia / deg)
+        return (theta + dt * omega + dt * dt / 6 * (d[1] + d[2] + d[3]),
+                omega + dt / 6 * (d[1] + 2 * d[2] + 2 * d[3] + d[4]))
+
+    (a, c), (b, d), held = step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
+    size = 1 << (3 * n // 2).bit_length()
+    powers = np.array(held)[:, None]  # [[a, b], [c, d]]^j held, j = 0, 1, ...
+    with np.errstate(all="ignore"):  # an unstable loop overflows
+        while powers.shape[1] < size - n:
+            powers = np.hstack([powers, [a * powers[0] + b * powers[1],
+                                         c * powers[0] + d * powers[1]]])
+            a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+        response = np.fft.rfft(np.append(0.0, powers[0, :size - n]), size)
+        steady = (_feedforward(ref, limb, SpringParam(k=k)) + deg * (
+            limb.tracking_stiffness_gain * ref.angle + limb.tracking_damping_gain * ref.velocity))
+        return size, response, np.fft.irfft(response * np.fft.rfft(steady, size), size)[:n]
+
+
+def predicted_velocity_ok(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
+                          rng: np.random.Generator, tolerance: float) -> bool:
+    """A guess at ``achieved_velocity_ok`` of ``simulate_exploration(spring,
+    plan, limb, device, rng)``, from the loop's linear response to the same
+    motor noise, leaving ``rng`` where that call leaves it."""
+    ref, _, _, out = _plan_reference(plan)
+    size, response, theta = _linear_response(spring.k, plan, limb)
+    noise = rng.normal(0.0, limb.motor_noise_std, size=len(theta))
+    with np.errstate(all="ignore"):
+        theta = theta + np.fft.irfft(response * np.fft.rfft(noise, size), size)[:len(theta)]
+        near = np.where(out, np.abs(theta - plan.amplitude), np.abs(theta)) < plan.led_window
+        achieved = np.abs(np.diff(theta, prepend=0.0)).sum() / ref.time[-1]
+    return bool((near & out).any() and (near & ~out).any()
+                and abs(achieved - plan.mean_speed) <= tolerance)
 
 
 def achieved_velocity_ok(

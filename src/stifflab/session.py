@@ -25,7 +25,6 @@ import numpy as np
 from .config import ConfigError, read_fields, section, write
 from .observer import Observer, observer_from_config
 from .plant import (
-    MAX_LANES,
     MIN_LANES,
     DeviceConfig,
     LimbConfig,
@@ -33,8 +32,10 @@ from .plant import (
     TrajectoryConfig,
     TrajectoryPlan,
     TrialRecording,
+    UnstableIntegrationError,
     achieved_velocity_ok,
     plan_for_bpm,
+    predicted_velocity_ok,
     simulate_exploration,
     simulate_lanes,
 )
@@ -62,6 +63,9 @@ _raw_decode = json.JSONDecoder().raw_decode  # a line as json.loads reads it, ba
 TRAINING_DURATION_S = 120.0
 BREAK_DURATION_S = 300.0
 RESPONSE_DURATION_S = 1.0
+# A config's runs end after at most this many reversals, ~5 trials each: a
+# limit of 10**9 would run for ever (the protocol's is 10).
+MAX_REVERSALS = 1000
 
 
 class RepeatLimitError(RuntimeError):
@@ -201,8 +205,18 @@ def config_from_dict(raw: dict) -> SessionConfig:
         for condition in conditions:
             plan_for_bpm(condition.bpm, trajectory.amplitude, device.control_rate,
                          trajectory.led_window)
+    # the plant floors angle / resolution for angles up to its limit, 10 x the
+    # amplitude, which an integer that no float holds would stop
+    counts = device.encoder_counts_per_rev
+    if not math.isfinite(10.0 * trajectory.amplitude / (360.0 / counts)):
+        raise ConfigError(f"device.encoder_counts_per_rev {counts:.6g} resolves 10 x "
+                          f"trajectory.amplitude ({trajectory.amplitude:g} deg) into "
+                          "more counts than a float holds")
     overrides = read_fields(StaircaseConfig, raw.get("staircase", {}), "staircase",
                             skip=("reference_stiffness",))  # the document's own
+    if overrides.get("reversal_limit", 0) > MAX_REVERSALS:
+        raise ConfigError(f"staircase.reversal_limit must be at most {MAX_REVERSALS:,}, "
+                          f"got {overrides['reversal_limit']:.6g}")
     with section("staircase"):
         staircase = default_config(reference, device.torque_limit, trajectory.amplitude,
                                    **overrides)
@@ -339,14 +353,22 @@ def _emit_session(config: SessionConfig, source, events: list) -> tuple[RunResul
 class _Drawn:
     """A session's inputs drawn from its seed: the run order and each
     presentation from the RNG, explorations from the plant and responses
-    from the observer."""
+    from the observer.
 
-    def __init__(self, config: SessionConfig, memo: dict, document: dict | None = None):
+    ``known`` holds the outcomes of the session's first noisy explorations,
+    each with the RNG state after its noise.  With a list as ``listed``, an
+    exploration neither known nor in the memo is listed there as (lane key,
+    spring, plan, a copy of the RNG before its noise or None, predicted
+    acceptance) and answered with the prediction, not simulated."""
+
+    def __init__(self, config: SessionConfig, memo: dict, document: dict | None = None,
+                 known: list = (), listed: list | None = None):
         self.config = config
         self.document = (config_to_dict(config) if document is None
                          else {**document, "seed": config.seed})
-        self.memo = memo
+        self.memo, self.known, self.listed = memo, known, listed
         self.rng = np.random.default_rng(config.seed)
+        self.explored = 0
 
     def order(self, count: int) -> list[int]:
         return [int(i) for i in self.rng.permutation(count)]
@@ -358,16 +380,31 @@ class _Drawn:
 
     def explore(self, interval: int, attempt: int, k: float,
                 plan: TrajectoryPlan) -> tuple[bool, str, float, int]:
-        """Simulate one exploration, or recall it from ``memo``.  Without
-        motor noise the plant draws no random numbers, so ``memo`` maps (spring,
-        plan, limb, device, velocity tolerance) to the outcome, each simulated
-        once per memo.  Noisy explorations are always simulated, never stored."""
+        """Simulate one exploration, or recall it from ``known`` or ``memo``.
+        Without motor noise the plant draws no random numbers, so ``memo``
+        maps (spring, plan, limb, device, velocity tolerance) to the outcome,
+        each simulated once per memo.  Noisy ones never enter the memo."""
         config, spring, key = self.config, SpringParam(k=k), None
-        if config.limb.motor_noise_std == 0:
+        self.explored += 1
+        if self.explored <= len(self.known):
+            outcome, self.rng.bit_generator.state = self.known[self.explored - 1]
+            return outcome
+        noisy = config.limb.motor_noise_std > 0
+        if not noisy:
             key = _memo_key(config, spring, plan)
             known = self.memo.get(key)
             if known is not None:
                 return known
+        if self.listed is not None:
+            rng, accepted = None, True
+            if noisy:
+                key = config.seed, self.explored
+                rng = np.random.Generator(type(self.rng.bit_generator)())
+                rng.bit_generator.state = self.rng.bit_generator.state
+                accepted = predicted_velocity_ok(spring, plan, config.limb, self.rng,
+                                                 config.velocity_tolerance)
+            self.listed.append((key, spring, plan, rng, accepted))
+            return accepted, "", 0.0, 0
         recording = simulate_exploration(spring, plan, config.limb, config.device,
                                          self.rng)
         outcome = _outcome(config, plan, recording)
@@ -392,30 +429,11 @@ def _outcome(config: SessionConfig, plan: TrajectoryPlan,
             float(recording.achieved_mean_velocity), len(recording.led_events))
 
 
-class _Listed(_Drawn):
-    """``_Drawn``'s draws, with every exploration accepted and listed in
-    ``listed`` (a dict used as an ordered set of (spring, plan)), none
-    simulated."""
-
-    def __init__(self, config: SessionConfig, listed: dict, document: dict):
-        super().__init__(config, {}, document)
-        self.listed = listed
-
-    def explore(self, interval: int, attempt: int, k: float,
-                plan: TrajectoryPlan) -> tuple[bool, str, float, int]:
-        self.listed[SpringParam(k=k), plan] = None
-        return True, "", 0.0, 0
-
-
-# The pre-pass lists at most this many sessions of a block; the rest find
-# most of their explorations in the memo and integrate the others one by
-# one.  Listing a session costs about as much as emitting it (~1 ms), and an
-# exploration integrated in lanes instead saves ~1.5 ms, so a listed session
-# pays while it reaches about one exploration no earlier session did.
-# Default seeds reach ~15 new ones each over the first ten sessions and
-# fewer than one each past the fortieth; a 1000-session default block took
-# about the same CPU time with 30, 50 or 100 listed, and ~30% more with all.
-PRESIMULATED_SESSIONS = 50
+# run_sessions speculates sessions together until they list this many
+# explorations: a noisy session lists ~250 in its first pass and holds ~2 KB
+# for each until they are integrated, and a noise-free one lists fewer as
+# the memo fills.
+SPECULATED_EXPLORATIONS = 500
 
 
 def _mistyped(event: Event, key: str, expected: str) -> CorruptLogError:
@@ -553,35 +571,84 @@ def run_session(config: SessionConfig, memo: dict | None = None,
 
 def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
     """The sessions of ``base`` at each of ``seeds``, in order, each as
-    ``run_session`` runs it alone.  They share one config document and one
-    exploration memo.  For a noise-free ``full`` config the memo is filled
-    ahead with the outcome of every exploration that the sessions at the
-    first ``PRESIMULATED_SESSIONS`` of ``seeds`` reach, integrated together
-    by ``simulate_lanes`` in equal slices of at most ``MAX_LANES``, when they
-    are at least ``MIN_LANES``.
+    ``run_session`` runs it alone (raising the first error in seed order).
+    They share one config document and one exploration memo.
 
-    A noise-free exploration draws no random numbers, and its rejection
-    ends its session (the identical repeats reach the repeat cap).  So a
-    session that accepts every exploration draws what the real one draws
-    and lists every exploration it reaches.  A lane that diverges stays out
-    of the memo: its session integrates it when it gets there, and raises."""
+    Sessions are emitted in passes.  A pass emits a session from its seed
+    and lists each exploration that neither ``known`` nor the memo holds,
+    answering it with a prediction.  Once the sessions taken so far list
+    ``SPECULATED_EXPLORATIONS`` explorations (or the seeds run out), the
+    listed ones, noise-free ones once each, are integrated together by
+    ``simulate_lanes``: a session then knows its exact outcomes up to and
+    including its first misprediction, and its next pass speculates from
+    there.  A session is done with the first pass that lists nothing.  Past
+    a diverged lane, or a pass that listed fewer than ``MIN_LANES``, a
+    session integrates what it does not know one by one, and raises, as
+    ``run_session`` does.  No log depends on a prediction."""
     document = config_to_dict(base)  # the sessions' documents differ only in seed
     memo: dict = {}
-    if base.plant_mode == "full" and base.limb.motor_noise_std == 0:
-        listed: dict = {}
-        for seed in seeds[:PRESIMULATED_SESSIONS]:
-            config = replace(base, seed=seed)
-            _emit_session(config, _Listed(config, listed, document), [])
-        explorations = list(listed)
-        if len(explorations) >= MIN_LANES:
-            size = math.ceil(len(explorations) / math.ceil(len(explorations) / MAX_LANES))
-            for start in range(0, len(explorations), size):
-                part = explorations[start:start + size]
-                for index, recording in simulate_lanes(part, base.limb, base.device):
+    known: dict = {}  # seed -> the outcomes of its first noisy explorations
+    done: dict = {}  # seed -> its SessionRun, or the error it raises
+    listing = set(seeds) if base.plant_mode == "full" else set()
+
+    def emit(seed: int) -> list:
+        """Emit the session at ``seed`` once; return what it listed."""
+        config = replace(base, seed=seed)
+        source = _Drawn(config, memo, document, known.setdefault(seed, []),
+                        [] if seed in listing else None)
+        events: list[tuple] = []
+        try:
+            runs = _emit_session(config, source, events)
+        except (RepeatLimitError, UnstableIntegrationError) as exc:
+            done[seed] = exc  # the session's own unless it listed
+        else:
+            if not source.listed:
+                done[seed] = SessionRun(result=SessionResult(runs=runs),
+                                        log_text=serialize_log(events))
+        return source.listed or []
+
+    block: dict = {}  # seed -> what its last pass listed, while it lists
+    count = 0  # explorations the block's first passes listed
+    for position, seed in enumerate(seeds):
+        block[seed] = emit(seed)
+        count += len(block[seed])
+        if count < SPECULATED_EXPLORATIONS and position < len(seeds) - 1:
+            continue
+        while block := {seed: listed for seed, listed in block.items() if listed}:
+            lanes = {key: (spring, plan, rng) for listed in block.values()
+                     for key, spring, plan, rng, _ in listed}
+            if len(lanes) < MIN_LANES:
+                listing.difference_update(block)
+            else:
+                exact = {}  # lane key -> (outcome, RNG state after the noise)
+                keys = list(lanes)
+                for index, recording in simulate_lanes(list(lanes.values()), base.limb,
+                                                       base.device):
+                    _, plan, rng = lanes[keys[index]]
                     if recording is not None:
-                        spring, plan = part[index]
-                        memo[_memo_key(base, spring, plan)] = _outcome(base, plan, recording)
-    return [run_session(replace(base, seed=seed), memo, document) for seed in seeds]
+                        exact[keys[index]] = (_outcome(base, plan, recording),
+                                              rng and rng.bit_generator.state)
+                if base.limb.motor_noise_std == 0:  # outcomes for any session
+                    memo.update((key, found[0]) for key, found in exact.items())
+                    if len(exact) < len(lanes):  # a diverged lane
+                        listing.difference_update(block)
+                else:
+                    for owner, listed in block.items():
+                        for key, _, _, _, accepted in listed:
+                            found = exact.get(key)
+                            if found is None:
+                                listing.discard(owner)  # a diverged lane
+                                break
+                            known[owner].append(found)
+                            if found[0][0] != accepted:
+                                break
+            block = {owner: emit(owner) for owner in block}
+        count = 0
+        known.clear()
+    for seed in seeds:
+        if isinstance(done[seed], Exception):
+            raise done[seed]
+    return [done[seed] for seed in seeds]
 
 
 class _FirstRun(_Drawn):

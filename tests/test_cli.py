@@ -177,6 +177,24 @@ class TestSimulate:
         (lambda r: r.update(device={"control_rate": 1e300}),
          "trajectory: an exploration's 2 x beat_duration x sample_rate samples "
          "must be at most 10,000,000, got 2.67e+300"),
+        # a pace too fast for the control rate: one sample takes no time, and
+        # a beat of 6e-299 s squares to 0
+        (lambda r: r["velocities"][0].update(bpm=1e6),
+         "trajectory: an exploration's 2 x beat_duration x sample_rate samples "
+         "must round to at least 1, got 0.12"),
+        (lambda r: r["velocities"][0].update(bpm=1e300),
+         "trajectory: an exploration's 2 x beat_duration x sample_rate samples "
+         "must round to at least 1, got 1.2e-295"),
+        (lambda r: r.update(device={"control_rate": 1e200},
+                            velocities=[{"bpm": 1e196, "deg_s": 67.5}]),
+         "trajectory: beat_duration 6e-195 s is too short: its square is 0"),
+        # angles up to 10x the amplitude would overflow a float in counts
+        (lambda r: r.update(device={"encoder_counts_per_rev": 17 * 10**307}),
+         "device.encoder_counts_per_rev 1.7e+308 resolves 10 x trajectory.amplitude "
+         "(90 deg) into more counts than a float holds"),
+        # a run that would never end
+        (lambda r: r.update(staircase={"reversal_limit": 2**63}),
+         "staircase.reversal_limit must be at most 1,000, got 9.22337e+18"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -326,13 +344,14 @@ class TestSimulate:
                                                         threads):
         # six default sessions, or two blocks of three: enough distinct
         # explorations for the lanes, in equal slices of at most 48, with
-        # recording digests in every log; serially, the last two sessions
-        # are past the pre-pass and integrate what they alone reach
-        lanes = []
-        monkeypatch.setattr("stifflab.session.simulate_lanes",
-                            lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
-        monkeypatch.setattr("stifflab.session.MAX_LANES", 48)
-        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
+        # recording digests in every log; serially, the sessions are
+        # speculated in blocks that list ~400 explorations, and the later
+        # ones find most of theirs in the memo
+        lanes, lane_slice = [], plant._lane_slice
+        monkeypatch.setattr("stifflab.plant._lane_slice",
+                            lambda e, *a: lanes.append(len(e)) or lane_slice(e, *a))
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
+        monkeypatch.setattr("stifflab.session.SPECULATED_EXPLORATIONS", 400)
         if threads is None:
             monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
         else:
@@ -340,7 +359,7 @@ class TestSimulate:
         self._assert_writes_separate_sessions(
             tmp_path, default_config_dict(seed=0, plant_mode="full"), 6)
         if threads is None:  # worker processes count in their own copy
-            assert len(lanes) > 1 and max(lanes) <= 48 and max(lanes) - min(lanes) <= 1
+            assert len(lanes) > 1 and max(lanes) <= 48
 
     def test_too_few_explorations_for_lanes_write_the_same_bytes(self, tmp_path,
                                                                  monkeypatch):

@@ -18,6 +18,7 @@ from stifflab.plant import (
     achieved_velocity_ok,
     min_jerk_trajectory,
     plan_for_bpm,
+    predicted_velocity_ok,
     quantize_angle,
     simulate_exploration,
     simulate_lanes,
@@ -348,13 +349,12 @@ class TestKernelMatchesReference:
         assert not achieved_velocity_ok(fast, plan, tolerance=1e9)
 
     @pytest.mark.parametrize("beat_duration,samples", [
-        (0.0002, 1), (0.0005, 2), (0.00075, 3), (0.002, 5)])
+        (0.0005, 2), (0.00075, 3), (0.002, 5)])
     def test_plans_of_a_few_samples(self, beat_duration, samples):
         plan = TrajectoryPlan(amplitude=90.0, beat_duration=beat_duration,
                               sample_rate=1000.0)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 / 0 s at 1
-            fast = _assert_matches_reference(
-                (SpringParam(k=1.11), plan, LimbConfig(), DeviceConfig()), 0)
+        fast = _assert_matches_reference(
+            (SpringParam(k=1.11), plan, LimbConfig(), DeviceConfig()), 0)
         assert len(fast.angle) == samples
 
     def _assert_same_instability(self, gain):
@@ -394,12 +394,12 @@ class TestLanesMatchScalar:
         # and 1e6 diverge (the limit holds their angle finite)
         limb = LimbConfig()
         device = DeviceConfig(encoder_counts_per_rev=64, torque_limit=1e4)
-        explorations = [(SpringParam(k=k), plan)
+        explorations = [(SpringParam(k=k), plan, None)
                         for k in (0.0, 1.11, 1.665, 2.22, 300.0, 1000.0, 1e6)
                         for plan in (plan_for_bpm(45.0), plan_for_bpm(75.0), self.FEW)]
         lanes = self._lanes(explorations, limb, device)
         diverged, saturated = [], []
-        for index, (spring, plan) in enumerate(explorations):
+        for index, (spring, plan, _) in enumerate(explorations):
             try:
                 scalar = simulate_exploration(spring, plan, limb, device,
                                               np.random.default_rng(0))
@@ -418,27 +418,60 @@ class TestLanesMatchScalar:
                             (1e6, 2668), (1e6, 1601), (1e6, 5)]
         assert saturated == [(300.0, 2668), (300.0, 1601)]
 
+    @pytest.mark.parametrize("limb", [
+        LimbConfig(), LimbConfig(motor_noise_std=0.3),
+        # noise that trips the velocity check now and then, and noise that
+        # rounds to subnormals and zeros of either sign
+        LimbConfig(motor_noise_std=3.0), LimbConfig(motor_noise_std=5e-324)])
+    def test_noisy_lanes_match_the_scalar_loop(self, limb, monkeypatch):
+        # slices of 16 lanes, each lane's noise drawn in chunks of 100
+        # samples, over lanes of three paces that end mid-chunk
+        monkeypatch.setattr("stifflab.plant.NOISE_CHUNK", 100)
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 16 * 8 * (2 * 2668 + 100))
+        plans = (plan_for_bpm(45.0), plan_for_bpm(75.0), self.FEW)
+        explorations = [(SpringParam(k=0.5 + 0.1 * i), plans[i % 3],
+                         np.random.default_rng(i)) for i in range(40)]
+        lanes = self._lanes(explorations, limb, DeviceConfig())
+        for index, (spring, plan, rng) in enumerate(explorations):
+            scalar_rng = np.random.default_rng(index)
+            scalar = simulate_exploration(spring, plan, limb, DeviceConfig(), scalar_rng)
+            assert lanes[index].digest() == scalar.digest()
+            assert lanes[index].led_events == scalar.led_events
+            assert (np.float64(lanes[index].achieved_mean_velocity).tobytes()
+                    == np.float64(scalar.achieved_mean_velocity).tobytes())
+            assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
     def test_overflowing_lanes_are_left_out_without_a_warning(self):
         # tracking gains that overflow the angle to inf and NaN before the
         # plan ends: the scalar loop stops at math.floor of it
         limb = LimbConfig(tracking_stiffness_gain=1e7, tracking_damping_gain=0.0)
         explorations = [(SpringParam(k=1.11), plan_for_bpm(bpm)) for bpm in (45.0, 75.0)]
-        assert self._lanes(explorations, limb, DeviceConfig()) == {0: None, 1: None}
+        assert self._lanes([e + (None,) for e in explorations], limb,
+                           DeviceConfig()) == {0: None, 1: None}
         for exploration in explorations:
             with pytest.raises(UnstableIntegrationError) as diverged:
                 simulate_exploration(*exploration, limb, DeviceConfig(),
                                      np.random.default_rng(0))
             assert isinstance(diverged.value.__context__, (OverflowError, ValueError))
 
-    @pytest.mark.parametrize("limb,plans,match", [
-        (LimbConfig(motor_noise_std=0.3), [plan_for_bpm(45.0)], "noise-free"),
-        (LimbConfig(), [plan_for_bpm(45.0), plan_for_bpm(45.0, sample_rate=500.0)],
-         "sample rates differ"),
-    ])
-    def test_refused_lane_sets(self, limb, plans, match):
-        explorations = [(SpringParam(k=1.11), plan) for plan in plans]
-        with pytest.raises(ValueError, match=match):
+    @pytest.mark.parametrize("limb", [LimbConfig(), LimbConfig(motor_noise_std=0.3)])
+    def test_refused_lane_sets(self, limb):
+        explorations = [(SpringParam(k=1.11), plan, np.random.default_rng(0))
+                        for plan in (plan_for_bpm(45.0), plan_for_bpm(45.0, sample_rate=500.0))]
+        with pytest.raises(ValueError, match="sample rates differ"):
             list(simulate_lanes(explorations, limb, DeviceConfig()))
+
+
+class TestPrediction:
+    def test_prediction_draws_the_noise_of_the_exploration(self):
+        limb = LimbConfig(motor_noise_std=0.3)
+        predicted, simulated = np.random.default_rng(4), np.random.default_rng(4)
+        plan = plan_for_bpm(45.0)
+        guess = predicted_velocity_ok(SpringParam(k=1.11), plan, limb, predicted, 5.0)
+        recording = simulate_exploration(SpringParam(k=1.11), plan, limb, DeviceConfig(),
+                                         simulated)
+        assert predicted.bit_generator.state == simulated.bit_generator.state
+        assert guess == achieved_velocity_ok(recording, plan, 5.0)
 
 
 class TestPlanReferenceCache:
@@ -530,6 +563,16 @@ class TestConfigValidation:
     def test_bad_plan(self):
         with pytest.raises(ValueError):
             TrajectoryPlan(amplitude=0.0, beat_duration=1.0, sample_rate=1000.0)
+
+    @pytest.mark.parametrize("beat_duration,sample_rate,match", [
+        # one sample: the exploration would take 0 s
+        (0.0002, 1000.0, "must round to at least 1, got 0.4"),
+        (1e-200, 1e205, "its square is 0"),
+    ])
+    def test_plan_too_short(self, beat_duration, sample_rate, match):
+        with pytest.raises(ValueError, match=match):
+            TrajectoryPlan(amplitude=90.0, beat_duration=beat_duration,
+                           sample_rate=sample_rate)
 
     def test_bad_limb(self):
         with pytest.raises(ValueError):

@@ -1296,10 +1296,47 @@ class TestExplorationMemo:
         monkeypatch.undo()
         separate = [run_session(full_config(seed=s)).log_text for s in range(3)]
         assert shared == separate
-        # the pre-pass integrated every exploration the sessions reach, and
+        # the lanes integrated every exploration the sessions reach, and
         # noise-free explorations repeat (k, bpm) within and across sessions
         assert scalar == []
         assert 0 < sum(lanes) < sum(_explorations(t) for t in shared) / 2
+
+    @pytest.mark.parametrize("guess", [True, False])
+    def test_noisy_logs_do_not_depend_on_the_prediction(self, monkeypatch, guess):
+        # every exploration predicted accepted, or rejected (a pass then
+        # lists five per interval and stops on the repeat cap), and lanes
+        # however few: the exact outcomes still give each session's own log
+        monkeypatch.setattr("stifflab.session.predicted_velocity_ok",
+                            lambda *a: plant.predicted_velocity_ok(*a) * 0 + guess)
+        monkeypatch.setattr("stifflab.session.MIN_LANES", 1)
+        lanes = []
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
+        short = {"staircase": {"reversal_limit": 2, "reversals_averaged": 2}}
+        batch = [run.log_text for run in run_sessions(noisy_config(**short),
+                                                      list(range(10, 13)))]
+        monkeypatch.undo()
+        assert batch == [run_session(noisy_config(seed, **short)).log_text
+                         for seed in range(10, 13)]
+        # each pass knows one exploration more of each session at least
+        assert len(lanes) > 1 and sum(lanes) >= sum(map(_explorations, batch))
+
+    def test_diverging_noisy_lanes_raise_the_scalar_error(self, monkeypatch):
+        # tracking gains that diverge: every lane is left out, and each
+        # session integrates its first exploration itself
+        monkeypatch.setattr("stifflab.session.predicted_velocity_ok",
+                            lambda *a: plant.predicted_velocity_ok(*a) or True)
+        lanes = []
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
+        config = full_config(limb={"motor_noise_std": 0.3, "tracking_stiffness_gain": 1e7,
+                                   "tracking_damping_gain": 0.0})
+        with pytest.raises(plant.UnstableIntegrationError) as batch:
+            run_sessions(config, [0, 1])
+        with pytest.raises(plant.UnstableIntegrationError) as alone:
+            run_session(config)
+        assert str(batch.value) == str(alone.value)
+        assert lanes and min(lanes) >= plant.MIN_LANES
 
     def test_noisy_config_never_hits_the_memo(self, monkeypatch):
         calls = []
