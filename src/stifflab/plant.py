@@ -14,7 +14,6 @@ import contextlib
 import functools
 import hashlib
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -344,10 +343,12 @@ def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
 # and `simulate` of a noise-free full block of 14 explorations took ~75 ms in
 # lanes against ~45 ms one by one.
 MIN_LANES = 40
-# A slice of lanes holds at most this many bytes of history and motor
-# noise, however many explorations a batch lists: 93 lanes at 45 bpm (~43 KB
-# each), and 2 KB more each with motor noise
-LANE_BYTES = 4_000_000
+# A slice of lanes holds at most this many bytes of history, however many
+# explorations a batch lists: 128 lanes at 45 bpm (~43 KB each).  With motor
+# noise a lane holds 2 KB of noise more, and the batch's speculation ~1 MB,
+# so its slices take 3/4 of it: 92 lanes, ~4.1 MB, which keeps a noisy
+# batch's peak resident memory within ~6 MB of the scalar loop's.
+LANE_BYTES = 5_500_000
 NOISE_CHUNK = 256  # samples of motor noise a noisy lane draws at a time
 
 
@@ -360,25 +361,44 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
     left where that call leaves it (each its own; None without motor noise).
     Lanes never raise.
 
-    The explorations are integrated in equal slices of at most LANE_BYTES,
-    one NumPy lane each, on one clock (so their plans share a sample rate),
-    and every lane operation is the scalar loop's, in its order."""
+    The explorations are integrated in equal slices of at most LANE_BYTES
+    (3/4 of it with motor noise), one NumPy lane each, on one clock (so
+    their plans share a sample rate), and every lane operation is the scalar
+    loop's, in its order.  Where a slice would hold fewer than MIN_LANES of
+    the longest plan's lanes, they run one by one in the scalar loop."""
     plans = dict.fromkeys(plan for _, plan, _ in explorations)
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
     if not plans:
         return
     chunk = NOISE_CHUNK if limb.motor_noise_std > 0 else 0
+    budget = LANE_BYTES * 3 // 4 if chunk else LANE_BYTES
     lane_bytes = 8 * (2 * max(len(_plan_reference(plan)[0].time) for plan in plans) + chunk)
-    slices = -(-len(explorations) // max(1, LANE_BYTES // lane_bytes))
-    size = -(-len(explorations) // slices)
-    # one anonymous mapping for every slice, returned to the system when the
-    # call ends: from malloc's heap, blocks this size would fragment it
-    memory = np.frombuffer(mmap.mmap(-1, LANE_BYTES // 8 * 8), dtype=np.float64)
-    for start in range(0, len(explorations), size):
-        for index, recording in _lane_slice(explorations[start:start + size], limb,
-                                            device, memory, chunk):
-            yield start + index, recording
+    if budget // lane_bytes < MIN_LANES:
+        for index, (spring, plan, rng) in enumerate(explorations):
+            recording = None
+            with contextlib.suppress(UnstableIntegrationError):
+                recording = simulate_exploration(spring, plan, limb, device, rng)
+            yield index, recording
+        return
+    slices = -(-len(explorations) // (budget // lane_bytes))
+    bounds = [len(explorations) * i // slices for i in range(slices + 1)]
+    # one block for every slice, kept for the next call: a fresh block would
+    # fault its pages in again (~4% of a call), and blocks this size
+    # allocated and freed per call fragment the heap
+    memory = _lane_memory.pop() if _lane_memory else None
+    if memory is None or memory.size < budget // 8:
+        memory = np.empty(budget // 8)
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            for index, recording in _lane_slice(explorations[start:stop], limb, device,
+                                                memory, chunk):
+                yield start + index, recording
+    finally:
+        _lane_memory.append(memory)
+
+
+_lane_memory: list = []  # mappings that no simulate_lanes call holds
 
 
 def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,

@@ -15,6 +15,7 @@ construction, including manual response amendments.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -32,7 +33,6 @@ from .plant import (
     TrajectoryConfig,
     TrajectoryPlan,
     TrialRecording,
-    UnstableIntegrationError,
     achieved_velocity_ok,
     plan_for_bpm,
     predicted_velocity_ok,
@@ -356,13 +356,13 @@ class _Drawn:
     from the observer.
 
     ``known`` holds the outcomes of the session's first noisy explorations,
-    each with the RNG state after its noise.  With a list as ``listed``, an
-    exploration neither known nor in the memo is listed there as (lane key,
-    spring, plan, a copy of the RNG before its noise or None, predicted
-    acceptance) and answered with the prediction, not simulated."""
+    each with a generator at the RNG state after its noise.  With a dict as
+    ``listed``, an exploration neither known nor in the memo is listed there,
+    lane key -> (spring, plan, a copy of the RNG before its noise or None,
+    predicted acceptance), and answered with the prediction, not simulated."""
 
     def __init__(self, config: SessionConfig, memo: dict, document: dict | None = None,
-                 known: list = (), listed: list | None = None):
+                 known: list = (), listed: dict | None = None):
         self.config = config
         self.document = (config_to_dict(config) if document is None
                          else {**document, "seed": config.seed})
@@ -387,7 +387,8 @@ class _Drawn:
         config, spring, key = self.config, SpringParam(k=k), None
         self.explored += 1
         if self.explored <= len(self.known):
-            outcome, self.rng.bit_generator.state = self.known[self.explored - 1]
+            outcome, after = self.known[self.explored - 1]
+            self.rng.bit_generator.state = after.bit_generator.state
             return outcome
         noisy = config.limb.motor_noise_std > 0
         if not noisy:
@@ -403,7 +404,7 @@ class _Drawn:
                 rng.bit_generator.state = self.rng.bit_generator.state
                 accepted = predicted_velocity_ok(spring, plan, config.limb, self.rng,
                                                  config.velocity_tolerance)
-            self.listed.append((key, spring, plan, rng, accepted))
+            self.listed[key] = spring, plan, rng, accepted
             return accepted, "", 0.0, 0
         recording = simulate_exploration(spring, plan, config.limb, config.device,
                                          self.rng)
@@ -429,10 +430,20 @@ def _outcome(config: SessionConfig, plan: TrajectoryPlan,
             float(recording.achieved_mean_velocity), len(recording.led_events))
 
 
-# run_sessions speculates sessions together until they list this many
-# explorations: a noisy session lists ~250 in its first pass and holds ~2 KB
-# for each until they are integrated, and a noise-free one lists fewer as
-# the memo fills.
+# A noise-free batch speculates at most this many sessions; the rest find
+# most of their explorations in the memo and integrate the others one by
+# one.  Speculating a session costs about as much as emitting it (~1 ms), and
+# an exploration integrated in lanes instead saves ~1.5 ms, so a speculated
+# session pays while it reaches about one exploration no earlier session did.
+# Default seeds reach ~15 new ones each over the first ten sessions and
+# fewer than one each past the fortieth; a 1000-session default block took
+# about the same CPU time with 30, 50 or 100 speculated, and ~30% more with
+# all.  A noisy session shares no exploration, so every one is speculated.
+PRESIMULATED_SESSIONS = 50
+# run_sessions integrates the explorations of the sessions it speculates
+# once they list this many distinct ones: a noisy session lists ~250 in its
+# first pass and holds ~2 KB for each until they are integrated, and the 50
+# noise-free ones ~220 in all.
 SPECULATED_EXPLORATIONS = 500
 
 
@@ -555,100 +566,89 @@ def _run_summary(run: RunResult) -> dict:
 
 
 def run_session(config: SessionConfig, memo: dict | None = None,
-                document: dict | None = None) -> SessionRun:
+                document: dict | None = None, known: list = ()) -> SessionRun:
     """Execute the full protocol and return results plus the event log.
 
     ``memo`` holds the noise-free explorations simulated so far; sessions
     given the same dict share them.  Without one the session gets its own.
     ``document``, ``config_to_dict`` of a config that differs from ``config``
-    at most in its seed, spares a batch building it per session.
+    at most in its seed, spares a batch building it per session.  ``known``,
+    the outcomes of the session's first noisy explorations, each with a
+    generator at the RNG state after its noise, spares integrating them.
     """
     emitted: list[tuple] = []
-    source = _Drawn(config, {} if memo is None else memo, document)
+    source = _Drawn(config, {} if memo is None else memo, document, known)
     runs = _emit_session(config, source, emitted)
     return SessionRun(result=SessionResult(runs=runs), log_text=serialize_log(emitted))
 
 
 def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
-    """The sessions of ``base`` at each of ``seeds``, in order, each as
-    ``run_session`` runs it alone (raising the first error in seed order).
-    They share one config document and one exploration memo.
+    """The sessions of ``base`` at each of ``seeds``, in order, each run by
+    ``run_session``, as it runs alone.  They share one config document and
+    one exploration memo.
 
-    Sessions are emitted in passes.  A pass emits a session from its seed
-    and lists each exploration that neither ``known`` nor the memo holds,
-    answering it with a prediction.  Once the sessions taken so far list
-    ``SPECULATED_EXPLORATIONS`` explorations (or the seeds run out), the
-    listed ones, noise-free ones once each, are integrated together by
-    ``simulate_lanes``: a session then knows its exact outcomes up to and
-    including its first misprediction, and its next pass speculates from
-    there.  A session is done with the first pass that lists nothing.  Past
-    a diverged lane, or a pass that listed fewer than ``MIN_LANES``, a
-    session integrates what it does not know one by one, and raises, as
-    ``run_session`` does.  No log depends on a prediction."""
+    A ``full`` batch first speculates its sessions (a noise-free one its
+    first ``PRESIMULATED_SESSIONS``): a session is emitted from its seed,
+    listing each exploration that neither its known outcomes nor the memo
+    hold and answering it with a prediction.  Once a block of sessions lists
+    ``SPECULATED_EXPLORATIONS`` distinct explorations, or the speculated
+    seeds run out, those are integrated together by ``simulate_lanes``, when
+    they are at least ``MIN_LANES``.  Noise-free outcomes fill the memo.  A
+    noisy session knows its exact outcomes up to and including its first
+    misprediction, and is speculated again from there.  What no lane gave
+    (a diverged lane, too few lanes) ``run_session`` integrates one by one,
+    raising its errors.  No log depends on a prediction."""
     document = config_to_dict(base)  # the sessions' documents differ only in seed
     memo: dict = {}
     known: dict = {}  # seed -> the outcomes of its first noisy explorations
-    done: dict = {}  # seed -> its SessionRun, or the error it raises
-    listing = set(seeds) if base.plant_mode == "full" else set()
+    noisy = base.limb.motor_noise_std > 0
+    speculated = (seeds[:len(seeds) if noisy else PRESIMULATED_SESSIONS]
+                  if base.plant_mode == "full" else [])
 
-    def emit(seed: int) -> list:
-        """Emit the session at ``seed`` once; return what it listed."""
+    def speculate(seed: int) -> dict:
+        """What the session at ``seed`` lists (see ``_Drawn``), in order."""
         config = replace(base, seed=seed)
-        source = _Drawn(config, memo, document, known.setdefault(seed, []),
-                        [] if seed in listing else None)
-        events: list[tuple] = []
-        try:
-            runs = _emit_session(config, source, events)
-        except (RepeatLimitError, UnstableIntegrationError) as exc:
-            done[seed] = exc  # the session's own unless it listed
-        else:
-            if not source.listed:
-                done[seed] = SessionRun(result=SessionResult(runs=runs),
-                                        log_text=serialize_log(events))
-        return source.listed or []
+        source = _Drawn(config, memo, document, known.setdefault(seed, []), {})
+        with contextlib.suppress(RepeatLimitError):  # then its own if predicted right
+            _emit_session(config, source, [])
+        return source.listed
 
-    block: dict = {}  # seed -> what its last pass listed, while it lists
-    count = 0  # explorations the block's first passes listed
-    for position, seed in enumerate(seeds):
-        block[seed] = emit(seed)
-        count += len(block[seed])
-        if count < SPECULATED_EXPLORATIONS and position < len(seeds) - 1:
+    runs: list[SessionRun] = []
+    block: dict = {}  # seed -> what it listed
+    lanes: dict = {}  # lane key -> (spring, plan, RNG), in the block's order
+    for position, seed in enumerate(speculated):
+        block[seed] = speculate(seed)
+        lanes.update((key, lane[:3]) for key, lane in block[seed].items())
+        if len(lanes) < SPECULATED_EXPLORATIONS and position < len(speculated) - 1:
             continue
-        while block := {seed: listed for seed, listed in block.items() if listed}:
-            lanes = {key: (spring, plan, rng) for listed in block.values()
-                     for key, spring, plan, rng, _ in listed}
-            if len(lanes) < MIN_LANES:
-                listing.difference_update(block)
-            else:
-                exact = {}  # lane key -> (outcome, RNG state after the noise)
-                keys = list(lanes)
-                for index, recording in simulate_lanes(list(lanes.values()), base.limb,
-                                                       base.device):
-                    _, plan, rng = lanes[keys[index]]
-                    if recording is not None:
-                        exact[keys[index]] = (_outcome(base, plan, recording),
-                                              rng and rng.bit_generator.state)
-                if base.limb.motor_noise_std == 0:  # outcomes for any session
-                    memo.update((key, found[0]) for key, found in exact.items())
-                    if len(exact) < len(lanes):  # a diverged lane
-                        listing.difference_update(block)
-                else:
-                    for owner, listed in block.items():
-                        for key, _, _, _, accepted in listed:
-                            found = exact.get(key)
-                            if found is None:
-                                listing.discard(owner)  # a diverged lane
-                                break
-                            known[owner].append(found)
-                            if found[0][0] != accepted:
-                                break
-            block = {owner: emit(owner) for owner in block}
-        count = 0
-        known.clear()
-    for seed in seeds:
-        if isinstance(done[seed], Exception):
-            raise done[seed]
-    return [done[seed] for seed in seeds]
+        while len(lanes) >= MIN_LANES:
+            exact = {}  # lane key -> (outcome, its RNG after the noise)
+            keys = list(lanes)
+            for index, recording in simulate_lanes(list(lanes.values()), base.limb,
+                                                   base.device):
+                _, plan, rng = lanes[keys[index]]
+                if recording is not None:
+                    exact[keys[index]] = _outcome(base, plan, recording), rng
+            if not noisy:  # outcomes for any session
+                memo.update((key, found[0]) for key, found in exact.items())
+                break
+            retry = []  # sessions with a misprediction
+            for owner, listed in block.items():
+                for key, (*_, accepted) in listed.items():
+                    if key not in exact:  # a diverged lane
+                        break
+                    known[owner].append(exact[key])
+                    if exact[key][0][0] != accepted:
+                        retry.append(owner)
+                        break
+            block = {owner: speculate(owner) for owner in retry}
+            lanes = {key: lane[:3] for listed in block.values()
+                     for key, lane in listed.items()}
+        runs += [run_session(replace(base, seed=s), memo, document, known.pop(s))
+                 for s in seeds[len(runs):position + 1]]
+        block, lanes = {}, {}
+    return runs + [run_session(replace(base, seed=s), memo, document)
+                   for s in seeds[len(runs):]]
 
 
 class _FirstRun(_Drawn):

@@ -344,14 +344,15 @@ class TestSimulate:
                                                         threads):
         # six default sessions, or two blocks of three: enough distinct
         # explorations for the lanes, in equal slices of at most 48, with
-        # recording digests in every log; serially, the sessions are
-        # speculated in blocks that list ~400 explorations, and the later
-        # ones find most of theirs in the memo
-        lanes, lane_slice = [], plant._lane_slice
+        # recording digests in every log; serially, the last two sessions
+        # are past the speculated ones and integrate what they alone reach
+        calls, lane_slice = [], plant._lane_slice  # each call's slice sizes
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda *a: calls.append([]) or plant.simulate_lanes(*a))
         monkeypatch.setattr("stifflab.plant._lane_slice",
-                            lambda e, *a: lanes.append(len(e)) or lane_slice(e, *a))
+                            lambda e, *a: calls[-1].append(len(e)) or lane_slice(e, *a))
         monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
-        monkeypatch.setattr("stifflab.session.SPECULATED_EXPLORATIONS", 400)
+        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
         if threads is None:
             monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
         else:
@@ -359,7 +360,8 @@ class TestSimulate:
         self._assert_writes_separate_sessions(
             tmp_path, default_config_dict(seed=0, plant_mode="full"), 6)
         if threads is None:  # worker processes count in their own copy
-            assert len(lanes) > 1 and max(lanes) <= 48
+            assert sum(map(len, calls)) > 1
+            assert all(max(c) <= 48 and max(c) - min(c) <= 1 for c in calls)
 
     def test_too_few_explorations_for_lanes_write_the_same_bytes(self, tmp_path,
                                                                  monkeypatch):

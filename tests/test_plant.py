@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stifflab import plant
 from stifflab.plant import (
     DeviceConfig,
     LimbConfig,
@@ -424,14 +425,20 @@ class TestLanesMatchScalar:
         # rounds to subnormals and zeros of either sign
         LimbConfig(motor_noise_std=3.0), LimbConfig(motor_noise_std=5e-324)])
     def test_noisy_lanes_match_the_scalar_loop(self, limb, monkeypatch):
-        # slices of 16 lanes, each lane's noise drawn in chunks of 100
+        # slices of at most 16 noisy lanes (which take 3/4 of LANE_BYTES) or
+        # 21 noise-free ones, each lane's noise drawn in chunks of 100
         # samples, over lanes of three paces that end mid-chunk
         monkeypatch.setattr("stifflab.plant.NOISE_CHUNK", 100)
-        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 16 * 8 * (2 * 2668 + 100))
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 16 * 8 * (2 * 2668 + 100) * 4 // 3)
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 16)
+        slices, lane_slice = [], plant._lane_slice
+        monkeypatch.setattr("stifflab.plant._lane_slice",
+                            lambda e, *a: slices.append(len(e)) or lane_slice(e, *a))
         plans = (plan_for_bpm(45.0), plan_for_bpm(75.0), self.FEW)
         explorations = [(SpringParam(k=0.5 + 0.1 * i), plans[i % 3],
                          np.random.default_rng(i)) for i in range(40)]
         lanes = self._lanes(explorations, limb, DeviceConfig())
+        assert slices == ([13, 13, 14] if limb.motor_noise_std else [20, 20])
         for index, (spring, plan, rng) in enumerate(explorations):
             scalar_rng = np.random.default_rng(index)
             scalar = simulate_exploration(spring, plan, limb, DeviceConfig(), scalar_rng)

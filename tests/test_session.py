@@ -1338,6 +1338,21 @@ class TestExplorationMemo:
         assert str(batch.value) == str(alone.value)
         assert lanes and min(lanes) >= plant.MIN_LANES
 
+    @pytest.mark.parametrize("limb", [{}, {"motor_noise_std": 0.3}])
+    def test_lanes_wider_than_lane_bytes_run_one_by_one(self, monkeypatch, limb):
+        # LANE_BYTES holds no whole lane of the slower pace (as ~2 MB of
+        # history at 100 kHz would not fit 4 MB): the listed explorations
+        # run in the scalar loop, and no slice is carved
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 8 * 2668)
+        monkeypatch.setattr("stifflab.plant._lane_slice", None)  # never called
+        scalar = []
+        monkeypatch.setattr("stifflab.plant.simulate_exploration",
+                            lambda *a: scalar.append(a) or simulate_exploration(*a))
+        batch = [run.log_text for run in run_sessions(full_config(limb=limb), [0, 1, 2])]
+        monkeypatch.undo()
+        assert batch == [run_session(full_config(s, limb=limb)).log_text for s in range(3)]
+        assert len(scalar) >= plant.MIN_LANES
+
     def test_noisy_config_never_hits_the_memo(self, monkeypatch):
         calls = []
         monkeypatch.setattr("stifflab.session.simulate_exploration",
