@@ -17,7 +17,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -104,15 +106,28 @@ def cmd_simulate(args) -> int:
     else:
         runs = run_sessions(config, seeds)
 
-    out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
-    all_rows = []
-    for seed, run, path in zip(seeds, runs, paths):
-        path.write_text(run.log_text)
-        all_rows.extend(summary_rows(f"session_{seed:08d}", seed, run.result))
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(all_rows)
+    # the files are written beside --out and then moved in, so that an error
+    # leaves neither a partial --out nor one this command made (paths as
+    # strings: a Path per file would intern the temporary name anew)
+    created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
+        with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+            all_rows = []
+            for seed, run, path in zip(seeds, runs, paths):
+                with open(os.path.join(staging, path.name), "w") as fh:
+                    fh.write(run.log_text)
+                all_rows.extend(summary_rows(f"session_{seed:08d}", seed, run.result))
+            with open(os.path.join(staging, summary_path.name), "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+                writer.writeheader()
+                writer.writerows(all_rows)
+            for path in [*paths, summary_path]:
+                os.replace(os.path.join(staging, path.name), path)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     print(f"wrote {len(paths)} session log(s) and {summary_path}")
     return EXIT_OK
 

@@ -336,20 +336,18 @@ def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
     )
 
 
-# Fewer distinct explorations than this run faster one by one in
-# simulate_exploration's scalar loop.  A lane step costs about the same for
-# any lane count up to a few hundred (25-50 us on a 2-core x86 host), a
-# scalar sample ~1 us; on that host lanes of both paces break even at 32-40,
-# and `simulate` of a noise-free full block of 14 explorations took ~75 ms in
-# lanes against ~45 ms one by one.
+# Fewer distinct explorations than this run faster one by one in the scalar
+# loop.  A lane step (49 NumPy calls) costs about the same for up to a few
+# hundred lanes (20-50 us on a 2-core x86 host), a scalar sample ~1 us; at 63
+# calls a step, lanes of both paces broke even at 32-40 there, and a noise-free
+# block of 14 explorations took ~75 ms in lanes against ~45 ms one by one.
 MIN_LANES = 40
-# A slice of lanes holds at most this many bytes of history, however many
-# explorations a batch lists: 128 lanes at 45 bpm (~43 KB each).  With motor
-# noise a lane holds 2 KB of noise more, and the batch's speculation ~1 MB,
-# so its slices take 3/4 of it: 92 lanes, ~4.1 MB, which keeps a noisy
-# batch's peak resident memory within ~6 MB of the scalar loop's.
+# A slice of lanes holds at most this many bytes of history and motor noise,
+# however many explorations a batch lists, with noise or without: 128 lanes
+# at 45 bpm (~43 KB each), or 122 with the 2 KB of noise a noisy lane holds
+# more.  Each slice also gathers ~6 KB a lane of reference per chunk.
 LANE_BYTES = 5_500_000
-NOISE_CHUNK = 256  # samples of motor noise a noisy lane draws at a time
+NOISE_CHUNK = 256  # samples a lane draws noise for, and gathers reference for, at once
 
 
 def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
@@ -361,38 +359,38 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
     left where that call leaves it (each its own; None without motor noise).
     Lanes never raise.
 
-    The explorations are integrated in equal slices of at most LANE_BYTES
-    (3/4 of it with motor noise), one NumPy lane each, on one clock (so
-    their plans share a sample rate), and every lane operation is the scalar
-    loop's, in its order.  Where a slice would hold fewer than MIN_LANES of
-    the longest plan's lanes, they run one by one in the scalar loop."""
+    The explorations are integrated in equal slices of at most LANE_BYTES,
+    one NumPy lane each, on one clock (so their plans share a sample rate),
+    and every lane operation is the scalar loop's, in its order.  Where a
+    slice would hold fewer than MIN_LANES of the longest plan's lanes, they
+    run one by one in the scalar loop."""
     plans = dict.fromkeys(plan for _, plan, _ in explorations)
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
     if not plans:
         return
-    chunk = NOISE_CHUNK if limb.motor_noise_std > 0 else 0
-    budget = LANE_BYTES * 3 // 4 if chunk else LANE_BYTES
-    lane_bytes = 8 * (2 * max(len(_plan_reference(plan)[0].time) for plan in plans) + chunk)
-    if budget // lane_bytes < MIN_LANES:
+    noise_floats = NOISE_CHUNK if limb.motor_noise_std > 0 else 0
+    lane_bytes = 8 * (2 * max(len(_plan_reference(plan)[0].time) for plan in plans)
+                      + noise_floats)
+    if LANE_BYTES // lane_bytes < MIN_LANES:
         for index, (spring, plan, rng) in enumerate(explorations):
             recording = None
             with contextlib.suppress(UnstableIntegrationError):
                 recording = simulate_exploration(spring, plan, limb, device, rng)
             yield index, recording
         return
-    slices = -(-len(explorations) // (budget // lane_bytes))
+    slices = -(-len(explorations) // (LANE_BYTES // lane_bytes))
     bounds = [len(explorations) * i // slices for i in range(slices + 1)]
     # one block for every slice, kept for the next call: a fresh block would
     # fault its pages in again (~4% of a call), and blocks this size
     # allocated and freed per call fragment the heap
     memory = _lane_memory.pop() if _lane_memory else None
-    if memory is None or memory.size < budget // 8:
-        memory = np.empty(budget // 8)
+    if memory is None or memory.size < LANE_BYTES // 8:
+        memory = np.empty(LANE_BYTES // 8)
     try:
         for start, stop in zip(bounds, bounds[1:]):
             for index, recording in _lane_slice(explorations[start:stop], limb, device,
-                                                memory, chunk):
+                                                memory):
                 yield start + index, recording
     finally:
         _lane_memory.append(memory)
@@ -402,20 +400,21 @@ _lane_memory: list = []  # mappings that no simulate_lanes call holds
 
 
 def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
-                memory: np.ndarray, chunk: int):
-    """``simulate_lanes`` of one slice, whose history and noise are views of
-    ``memory``.  Lanes are ordered by sample count, longest first, so the
-    lanes still integrating are a prefix.  Each plan's lanes keep their own
-    history of the angle and the muscle torque, which becomes their
-    recordings.  A noisy lane draws its noise ``chunk`` samples at a time,
-    in place: the values and RNG state of simulate_exploration's one draw of
-    them all."""
+                memory: np.ndarray):
+    """``simulate_lanes`` of one slice, whose history and motor noise are
+    views of ``memory``.  Lanes are ordered by sample count, longest first,
+    so the lanes still integrating are a prefix: plan p's phase steps the
+    lanes of plans 0..p up to plan p's last sample, and keeps their muscle
+    torque and angle per step, which become their recordings.  Every
+    NOISE_CHUNK samples, the lanes gather their reference and feedforward,
+    and a noisy lane draws its noise in place: the values and RNG state of
+    simulate_exploration's one draw of them all."""
     plans = sorted(dict.fromkeys(plan for _, plan, _ in explorations),
                    key=lambda plan: -len(_plan_reference(plan)[0].time))
     lanes = [[j for j, (_, p, _) in enumerate(explorations) if p == plan] for plan in plans]
     order = [j for group in lanes for j in group]
     refs = [_plan_reference(plan)[0] for plan in plans]
-    sizes = [len(ref.time) for ref in refs]
+    sizes = [len(ref.time) for ref in refs] + [0]
     starts = np.cumsum([0] + [len(group) for group in lanes])
     # per sample: every plan's reference angle, then velocity, then the
     # feedforward terms that do not depend on the spring (see _feedforward)
@@ -426,107 +425,107 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
             limb.inertia * ref.acceleration * _DEG + limb.damping * ref.velocity * _DEG])
     table = table.reshape(sizes[0], -1)
     plan_of = np.repeat(np.arange(len(plans)), np.diff(starts))
-    histories, used = [], 0
-    for size, group in zip(sizes, lanes):
-        histories.append(memory[used:used + 2 * size * len(group)].reshape(size, 2, -1))
+    histories, used = [], 0  # per phase and step: its lanes' muscle torques, then angles
+    for p in range(len(plans)):
+        histories.append(memory[used:used + 2 * (sizes[p] - sizes[p + 1]) * starts[p + 1]]
+                         .reshape(-1, 2 * starts[p + 1]))
         used += histories[-1].size
-    # each lane's motor noise for the samples of one chunk
-    noise = memory[used:used + len(order) * chunk].reshape(len(order), chunk)
+    chunk, noisy = NOISE_CHUNK, limb.motor_noise_std > 0
+    # each lane's motor noise for the samples of one chunk (the scalar loop's
+    # w = 0.0 without noise)
+    noise = (memory[used:used + len(order) * chunk] if noisy
+             else np.zeros(len(order) * chunk)).reshape(len(order), chunk)
     rngs = [explorations[j][2] for j in order]
     k = np.array([explorations[j][0].k for j in order])
     k_si, neg_k = k * _MNM / _DEG, -k
     dt = 1.0 / plans[0].sample_rate
     # the scalar loop's constants as 0-d arrays, which NumPy takes faster
     # than Python floats
-    dt, half_dt, sixth_dt, inertia, damping, kp, kd, resolution, torque_max, \
-        torque_min, deg, mnm, zero, two = map(np.array, (
+    dt, half_dt, sixth_dt, inertia, damping, resolution, torque_max, torque_min, \
+        deg, mnm, zero, two = map(np.array, (
             dt, 0.5 * dt, dt / 6.0, limb.inertia, limb.damping,
-            limb.tracking_stiffness_gain, limb.tracking_damping_gain,
             360.0 / device.encoder_counts_per_rev, device.torque_limit,
             -device.torque_limit, _DEG, _MNM, 0.0, 2.0))
     mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
 
-    # per lane: the angle (deg) and the muscle torque (Nm) of the step, which
-    # the history keeps, and the velocity (deg/s)
-    state = np.zeros((3, len(k)))
-    step = 0
+    x = np.zeros((19, len(k)))
     for p in reversed(range(len(plans))):
-        # plans 0..p, lanes 0..b, integrate up to plan p's last sample
-        b = starts[p + 1]
-        th, tau, om = state[:, :b]
+        # the phase's lanes 0..b: a row of x per lane vector, and two adjacent
+        # rows as one vector of 2b, which takes a pair of the scalar loop's
+        # like operations in one call
+        b, step, history = starts[p + 1], sizes[p + 1], histories[p]
+        x, prev = np.zeros((19, b)), x
+        x[1:3] = prev[1:3, :b]
+        tau, th, om, d1o, d2t, d2o, d3t, d3o, d4t, d4o, q, t_dev, tc, tmp, *_, \
+            p_term, d_term = x
+        tau_th, th_om, d1, d2, d3, d4, tmp2, s, pd = (
+            x[r:r + 2].reshape(-1) for r in (0, 1, 2, 4, 6, 8, 13, 15, 17))
+        gains = np.repeat([limb.tracking_stiffness_gain, limb.tracking_damping_gain], b)
         k_si, neg_k = k_si[:b], neg_k[:b]
-        q, t_dev, ff, tc, tmp, d1o, d2t, d2o, d3t, d3o, d4t, d4o, s = np.empty((13, b))
-        steps, w = noise[:b].T, zero  # the scalar loop's noise w = 0.0 without noise
-        gathered = np.empty(3 * b)
-        a_ref, v_ref, ff_base = gathered.reshape(3, b)
-        rows = (len(plans) * np.arange(3)[:, None] + plan_of[:b]).ravel()
-        kept = [(histories[g], state[:2, starts[g]:starts[g + 1]]) for g in range(p + 1)]
+        # each step's reference angles and velocities, then feedforwards
+        gathered = np.empty((chunk, 3 * b))
+        columns = (len(plans) * np.arange(3)[:, None] + plan_of[:b]).ravel()
         # RK4 stage by stage: the angle at which the velocity's derivative
         # is taken, that derivative, and the next stage's angle and step
         stages = ((om, d1o, d2t, half_dt), (d2t, d2o, d3t, half_dt),
                   (d3t, d3o, d4t, dt), (d4t, d4o, None, None))
-        updates = ((th, om, d2t, d3t, d4t), (om, d1o, d2o, d3o, d4o))
         with np.errstate(all="ignore"):  # a diverging lane overflows
-            for i in range(step, sizes[p]):
-                if chunk:
-                    if i % chunk == 0:
-                        for c in range(b):
-                            rngs[c].standard_normal(
-                                out=noise[c, :min(chunk, sizes[plan_of[c]] - i)])
-                        noise *= limb.motor_noise_std
-                        noise += 0.0  # normal() adds its loc: -0.0 becomes 0.0
-                    w = steps[i % chunk]
-                div(th, resolution, q)
-                np.floor(q, q)
-                add(q, zero, q)  # math.floor's 0 for np.floor's -0.0
-                mul(q, resolution, q)
-                mul(neg_k, q, t_dev)
-                np.maximum(t_dev, torque_min, out=t_dev)
-                np.minimum(t_dev, torque_max, out=t_dev)
-                table[i].take(rows, None, gathered, "clip")
-                mul(k_si, a_ref, ff)
-                mul(ff, deg, ff)
-                add(ff_base, ff, ff)
-                sub(a_ref, th, tau)
-                mul(tau, kp, tau)
-                mul(tau, deg, tau)
-                add(ff, tau, tau)
-                sub(v_ref, om, tmp)
-                mul(tmp, kd, tmp)
-                mul(tmp, deg, tmp)
-                add(tau, tmp, tau)
-                add(tau, w, tau)
-                for history, lane_state in kept:
-                    history[i] = lane_state
-                mul(t_dev, mnm, tmp)
-                add(tau, tmp, tc)
-                for x, dx, y, h in stages:
-                    mul(x, damping, tmp)
-                    mul(tmp, deg, tmp)
-                    sub(tc, tmp, dx)
-                    div(dx, inertia, dx)
-                    div(dx, deg, dx)
-                    if y is not None:
-                        mul(dx, h, y)
-                        add(om, y, y)
-                for x, d1, d2, d3, d4 in updates:  # the angle first
+            while step < sizes[p]:
+                at, stop = step % chunk, min(sizes[p], step - step % chunk + chunk)
+                if noisy and at == 0:
+                    for c in range(b):
+                        rngs[c].standard_normal(
+                            out=noise[c, :min(chunk, sizes[plan_of[c]] - step)])
+                    noise *= limb.motor_noise_std
+                    noise += 0.0  # normal() adds its loc: -0.0 becomes 0.0
+                g = gathered[:stop - step]
+                table[step:stop].take(columns, 1, g, "clip")
+                add(g[:, 2 * b:], k_si * g[:, :b] * deg, g[:, 2 * b:])
+                for i, ref, ff, w in zip(range(step - sizes[p + 1], stop - sizes[p + 1]),
+                                         g[:, :2 * b], g[:, 2 * b:], noise[:b, at:].T):
+                    div(th, resolution, q)
+                    np.floor(q, q)
+                    add(q, zero, q)  # math.floor's 0 for np.floor's -0.0
+                    mul(q, resolution, q)
+                    mul(neg_k, q, t_dev)
+                    np.maximum(t_dev, torque_min, out=t_dev)
+                    np.minimum(t_dev, torque_max, out=t_dev)
+                    sub(ref, th_om, pd)  # kp (a_ref - theta) deg, kd (v_ref - omega) deg
+                    mul(pd, gains, pd)
+                    mul(pd, deg, pd)
+                    add(ff, p_term, tau)
+                    add(tau, d_term, tau)
+                    add(tau, w, tau)
+                    history[i] = tau_th
+                    mul(t_dev, mnm, tmp)
+                    add(tau, tmp, tc)
+                    for y, dy, z, h in stages:
+                        mul(y, damping, tmp)
+                        mul(tmp, deg, tmp)
+                        sub(tc, tmp, dy)
+                        div(dy, inertia, dy)
+                        div(dy, deg, dy)
+                        if z is not None:
+                            mul(dy, h, z)
+                            add(om, z, z)
+                    # the angle's and the velocity's update at once
                     mul(d2, two, s)
                     add(d1, s, s)
-                    mul(d3, two, tmp)
-                    add(s, tmp, s)
+                    mul(d3, two, tmp2)
+                    add(s, tmp2, s)
                     add(s, d4, s)
                     mul(s, sixth_dt, s)
-                    add(x, s, x)
-        step = sizes[p]
-        history = histories[p]
-        for c, j in enumerate(lanes[p]):
-            theta = np.array(history[:, 0, c])
+                    add(th_om, s, th_om)
+                step = stop
+        for c, j in enumerate(lanes[p], starts[p]):
+            muscle, theta = np.concatenate([histories[r][:, c::starts[r + 1]].T
+                                            for r in reversed(range(p, len(plans)))], axis=1)
             recording = None  # a NaN angle short of the limit stops math.floor
             if np.isfinite(theta).all():
                 with contextlib.suppress(UnstableIntegrationError):
                     _check_stable(theta, plans[p], refs[p].time)
                     recording = _recording(explorations[j][0], plans[p], limb, device,
-                                           theta, history[:, 1, c])
+                                           theta, muscle)
             yield j, recording
 
 

@@ -1,4 +1,5 @@
 import csv
+import errno
 import functools
 import hashlib
 import io
@@ -235,6 +236,29 @@ class TestSimulate:
         assert main([command, "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == match + "\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_write_error_leaves_no_output(self, tmp_path, capsys, existing):
+        # a seed whose log file name is too long for the file system: the
+        # sessions run, and the first write fails; an --out given with
+        # --force keeps what it held
+        seed = 10**300
+        path = write_config(tmp_path, default_config_dict(seed=seed, plant_mode="ideal"))
+        out = tmp_path / "new" / "o"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "summary.csv").write_text("kept")
+        assert main(["simulate", "--config", path, "--out", str(out), "--force"]) == 2
+        err = capsys.readouterr().err
+        code = errno.ENAMETOOLONG
+        assert err.startswith(f"error: [Errno {code}] {os.strerror(code)}: '{tmp_path}")
+        assert err.endswith(f"session_{seed}.jsonl'\n")
+        if existing:
+            assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json", out.parent,
+                                                   out, out / "summary.csv"]
+            assert (out / "summary.csv").read_text() == "kept"
+        else:
+            assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json"]
 
     @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
     def test_seed_flag_on_a_config_that_is_no_object_exits_2(self, tmp_path, capsys,

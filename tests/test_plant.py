@@ -425,12 +425,12 @@ class TestLanesMatchScalar:
         # rounds to subnormals and zeros of either sign
         LimbConfig(motor_noise_std=3.0), LimbConfig(motor_noise_std=5e-324)])
     def test_noisy_lanes_match_the_scalar_loop(self, limb, monkeypatch):
-        # slices of at most 16 noisy lanes (which take 3/4 of LANE_BYTES) or
-        # 21 noise-free ones, each lane's noise drawn in chunks of 100
-        # samples, over lanes of three paces that end mid-chunk
+        # slices of at most 13 noisy lanes (2 KB of noise more each) or 14
+        # noise-free ones, each lane's reference gathered and noise drawn in
+        # chunks of 100 samples, over lanes of three paces that end mid-chunk
         monkeypatch.setattr("stifflab.plant.NOISE_CHUNK", 100)
-        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 16 * 8 * (2 * 2668 + 100) * 4 // 3)
-        monkeypatch.setattr("stifflab.plant.MIN_LANES", 16)
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 14 * 8 * 2 * 2668)
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 13)
         slices, lane_slice = [], plant._lane_slice
         monkeypatch.setattr("stifflab.plant._lane_slice",
                             lambda e, *a: slices.append(len(e)) or lane_slice(e, *a))
@@ -438,7 +438,7 @@ class TestLanesMatchScalar:
         explorations = [(SpringParam(k=0.5 + 0.1 * i), plans[i % 3],
                          np.random.default_rng(i)) for i in range(40)]
         lanes = self._lanes(explorations, limb, DeviceConfig())
-        assert slices == ([13, 13, 14] if limb.motor_noise_std else [20, 20])
+        assert slices == ([10, 10, 10, 10] if limb.motor_noise_std else [13, 13, 14])
         for index, (spring, plan, rng) in enumerate(explorations):
             scalar_rng = np.random.default_rng(index)
             scalar = simulate_exploration(spring, plan, limb, DeviceConfig(), scalar_rng)
