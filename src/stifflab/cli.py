@@ -50,10 +50,11 @@ EXIT_USAGE = 2
 
 
 def _check_overwrite(paths, force: bool) -> None:
-    for path in paths:
-        if Path(path).exists() and not force:
-            raise FileExistsError(
-                f"{path} exists; pass --force to overwrite")
+    for path in map(Path, paths):
+        if path.is_dir():  # --force replaces files, never a directory
+            raise IsADirectoryError(f"{path} is a directory; it is not overwritten")
+        if path.exists() and not force:
+            raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
 def _load_config(path: str, seed: int | None) -> SessionConfig:
@@ -106,13 +107,12 @@ def cmd_simulate(args) -> int:
     else:
         runs = run_sessions(config, seeds)
 
-    # the files are written beside --out and then moved in, so that an error
-    # leaves neither a partial --out nor one this command made (paths as
-    # strings: a Path per file would intern the temporary name anew)
+    # staged in --out, on its file system, so that an error leaves no partial --out
+    # nor one this command made (a Path per file would intern the staging name anew)
     created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
         out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
-        with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+        with tempfile.TemporaryDirectory(prefix=".", dir=out) as staging:
             all_rows = []
             for seed, run, path in zip(seeds, runs, paths):
                 with open(os.path.join(staging, path.name), "w") as fh:

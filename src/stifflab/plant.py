@@ -336,11 +336,12 @@ def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
     )
 
 
-# Fewer distinct explorations than this run faster one by one in the scalar
-# loop.  A lane step (49 NumPy calls) costs about the same for up to a few
-# hundred lanes (20-50 us on a 2-core x86 host), a scalar sample ~1 us; at 63
-# calls a step, lanes of both paces broke even at 32-40 there, and a noise-free
-# block of 14 explorations took ~75 ms in lanes against ~45 ms one by one.
+# Fewer distinct explorations than this run one by one in the scalar loop.
+# A lane step (49 NumPy calls) costs about the same for up to a few hundred
+# lanes (20-50 us on a 2-core x86 host), a scalar sample ~1 us; there, lanes
+# of both paces break even at 28-32 explorations with noise or without (a
+# noise-free block of 14 takes ~83 ms in lanes, ~44 ms one by one).  No
+# workload has a block below 40 to measure a lower cut on.
 MIN_LANES = 40
 # A slice of lanes holds at most this many bytes of history and motor noise,
 # however many explorations a batch lists, with noise or without: 128 lanes

@@ -260,6 +260,49 @@ class TestSimulate:
         else:
             assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json"]
 
+    def test_force_refuses_a_directory_target(self, tmp_path, config_path, capsys):
+        # refused before any session runs, so no old file is replaced
+        out = tmp_path / "o"
+        (out / "summary.csv").mkdir(parents=True)
+        (out / "session_00000001.jsonl").write_text("kept")
+        assert main(["simulate", "--config", config_path, "--out", str(out),
+                     "--force"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {out / 'summary.csv'} is a directory; it is not overwritten\n"
+        assert sorted(out.rglob("*")) == [out / "session_00000001.jsonl",
+                                          out / "summary.csv"]
+        assert (out / "session_00000001.jsonl").read_text() == "kept"
+
+    def test_files_are_staged_inside_out(self, tmp_path, config_path, monkeypatch):
+        # each move stays on the file system of --out, and the parent of
+        # --out is never written to
+        out, move, staged = tmp_path / "o", os.replace, []
+
+        def record(src, dst):
+            staged.append(Path(src).parent.parent)
+            move(src, dst)
+        monkeypatch.setattr(os, "replace", record)
+        assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
+        assert staged == [out, out]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out]
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs a user whom directory permissions bind")
+    def test_force_into_an_out_whose_parent_is_read_only(self, tmp_path, config_path):
+        # the files are staged inside --out, never beside it
+        out = tmp_path / "ro" / "o"
+        out.mkdir(parents=True)
+        (out / "summary.csv").write_text("old")
+        out.parent.chmod(0o555)
+        try:
+            assert main(["simulate", "--config", config_path, "--out", str(out),
+                         "--force"]) == 0
+        finally:
+            out.parent.chmod(0o755)
+        assert sorted(p.name for p in out.iterdir()) == ["session_00000001.jsonl",
+                                                         "summary.csv"]
+        assert (out / "summary.csv").read_text().startswith("session_id,")
+
     @pytest.mark.parametrize("document", ["[1, 2]", "3", '"config"', "null"])
     def test_seed_flag_on_a_config_that_is_no_object_exits_2(self, tmp_path, capsys,
                                                             document):
