@@ -20,7 +20,6 @@ import os
 import shutil
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -96,8 +95,21 @@ def cmd_simulate(args) -> int:
     paths = [out / f"session_{s:08d}.jsonl" for s in seeds]
     summary_path = out / "summary.csv"
     _check_overwrite([*paths, summary_path], args.force)
+    # a name the file system refuses fails before any session runs: the longest
+    # (the names differ only in their digits) is created, empty, where it will
+    # be staged, in a hidden directory inside --out that goes again at once
+    # with any --out made for it, so that nothing waits there meanwhile
+    created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".", dir=out) as probe:
+            open(os.path.join(probe, max((p.name for p in paths), key=len)), "w").close()
+    finally:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
 
     if workers > 1 and len(seeds) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~1.3 MB: a pool's alone
         size = -(-len(seeds) // workers)  # one contiguous block per worker
         blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
         # a pool may start all its workers at once: start none without a block
@@ -109,7 +121,6 @@ def cmd_simulate(args) -> int:
 
     # staged in --out, on its file system, so that an error leaves no partial --out
     # nor one this command made (a Path per file would intern the staging name anew)
-    created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
         out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
         with tempfile.TemporaryDirectory(prefix=".", dir=out) as staging:

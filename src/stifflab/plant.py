@@ -15,6 +15,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -195,13 +196,27 @@ class TrialRecording:
     achieved_mean_velocity: float  # deg/s
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        for series in (self.time, self.angle, self.quantized_angle,
-                       self.commanded_torque, self.muscle_torque, self.activation):
-            h.update(np.ascontiguousarray(series, dtype=np.float64))  # no copy
-        h.update(np.asarray(self.led_events, dtype=np.float64).tobytes())
-        h.update(np.float64(self.achieved_mean_velocity).tobytes())
-        return h.hexdigest()
+        *series, led_events, achieved_mean_velocity = vars(self).values()  # in field order
+        return _recording_hash(hashlib.sha256(), series, led_events,
+                               achieved_mean_velocity).hexdigest()
+
+
+def _recording_hash(h, series, led_events, achieved_mean_velocity):
+    """``h`` updated with each of ``series`` as float64 bytes, then the LED
+    event times and the achieved velocity: a recording's digest, where the
+    series are its fields in their order and ``h`` holds those before them."""
+    for values in series:
+        h.update(np.ascontiguousarray(values, dtype=np.float64))  # no copy
+    h.update(np.asarray(led_events, dtype=np.float64).tobytes())
+    h.update(np.float64(achieved_mean_velocity).tobytes())
+    return h
+
+
+class LaneOutcome(NamedTuple):
+    """What a lane keeps of its recording, as TrialRecording gives it."""
+    digest: Callable[[], str]  # the finished hash's hexdigest
+    led_events: tuple[float, ...]
+    achieved_mean_velocity: float
 
 
 def simulate_exploration(
@@ -219,7 +234,7 @@ def simulate_exploration(
     plus PD tracking feedback plus white noise, zero-order-held over each
     control period; the state is advanced with fixed-step RK4.
     """
-    ref, ref_angle, ref_velocity, _ = _plan_reference(plan)
+    ref, ref_angle, ref_velocity, out = _plan_reference(plan)
     n = len(ref.time)
     dt = 1.0 / plan.sample_rate
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
@@ -276,10 +291,23 @@ def simulate_exploration(
         raise
     theta = np.array(angle)
     _check_stable(theta, plan, ref.time)
-    # the muscle torque of each step, summed as the loop sums it (Nm)
+    # the series as the loop saw them, elementwise in its order: the muscle
+    # torque of each step, summed as the loop sums it (Nm), and the quantized
+    # angle (+ 0.0 turns the -0.0 of np.floor into math.floor's 0)
     muscle = (tau_ff + kp * (ref.angle - theta) * deg
               + kd * (ref.velocity - np.array(velocity)) * deg + noise)
-    return _recording(spring, plan, limb, device, theta, muscle)
+    q_angle = np.floor(theta / resolution) * resolution + 0.0
+    # one LED event per stroke, at the first sample inside its target window
+    near = np.where(out, np.abs(theta - plan.amplitude),
+                    np.abs(theta)) < plan.led_window
+    led = tuple(ref.time[hits.argmax()].item()
+                for hits in (near & out, near & ~out) if hits.any())
+    # path length as a left fold from 0.0 (theta starts at 0.0): cumsum adds
+    # in order, while np.sum adds pairwise and rounds differently
+    path_length = np.cumsum(np.abs(np.diff(theta, prepend=0.0)))[-1]
+    return TrialRecording(ref.time, theta,
+                          *_recorded_series(spring, limb, device, q_angle, muscle),
+                          led_events=led, achieved_mean_velocity=path_length / ref.time[-1])
 
 
 def _feedforward(ref: ReferenceTrajectory, limb: LimbConfig,
@@ -302,38 +330,16 @@ def _check_stable(theta: np.ndarray, plan: TrajectoryPlan, time: np.ndarray) -> 
             f"angle {theta[i]:.1f} deg {how} at t={time[i]:.3f}s") from None
 
 
-def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
-               device: DeviceConfig, theta: np.ndarray, muscle: np.ndarray) -> TrialRecording:
-    """The recording of an exploration whose angle per sample was ``theta``,
-    within the limit ``_check_stable`` sets, under the muscle torque
-    ``muscle`` (Nm).  The series are derived as the integrator saw them,
-    elementwise in the same order."""
-    ref, _, _, out = _plan_reference(plan)
-    resolution = 360.0 / device.encoder_counts_per_rev
-    # + 0.0 turns the -0.0 of np.floor into math.floor's 0
-    q_angle = np.floor(theta / resolution) * resolution + 0.0
+def _recorded_series(spring: SpringParam, limb: LimbConfig, device: DeviceConfig,
+                     q_angle: np.ndarray, muscle: np.ndarray) -> tuple[np.ndarray, ...]:
+    """An integrated exploration's recorded series after its angle, in
+    TrialRecording's order, from its quantized angle and its muscle torque
+    ``muscle`` (Nm): both paths call this once per exploration they keep."""
     tau_dev = np.minimum(np.maximum(-spring.k * q_angle, -device.torque_limit),
                          device.torque_limit)
     tau_mus = muscle / _MNM
     activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
-    # one LED event per stroke, at the first sample inside its target window
-    near = np.where(out, np.abs(theta - plan.amplitude),
-                    np.abs(theta)) < plan.led_window
-    led = tuple(ref.time[hits.argmax()].item()
-                for hits in (near & out, near & ~out) if hits.any())
-    # path length as a left fold from 0.0 (theta starts at 0.0): cumsum adds
-    # in order, while np.sum adds pairwise and rounds differently
-    path_length = np.cumsum(np.abs(np.diff(theta, prepend=0.0)))[-1]
-    return TrialRecording(
-        time=ref.time,
-        angle=theta,
-        quantized_angle=q_angle,
-        commanded_torque=tau_dev,
-        muscle_torque=tau_mus,
-        activation=activation,
-        led_events=led,
-        achieved_mean_velocity=path_length / ref.time[-1],
-    )
+    return q_angle, tau_dev, tau_mus, activation
 
 
 # Fewer distinct explorations than this run one by one in the scalar loop.
@@ -343,10 +349,9 @@ def _recording(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
 # noise-free block of 14 takes ~83 ms in lanes, ~44 ms one by one).  No
 # workload has a block below 40 to measure a lower cut on.
 MIN_LANES = 40
-# A slice of lanes holds at most this many bytes of history and motor noise,
-# however many explorations a batch lists, with noise or without: 128 lanes
-# at 45 bpm (~43 KB each), or 122 with the 2 KB of noise a noisy lane holds
-# more.  Each slice also gathers ~6 KB a lane of reference per chunk.
+# A slice's lanes take at most this many bytes, however many explorations a
+# batch lists, with noise or without: on the default encoder ~37 KB a lane at
+# 45 bpm and ~26 KB at 75 bpm, 2 KB more with noise (see simulate_lanes).
 LANE_BYTES = 5_500_000
 NOISE_CHUNK = 256  # samples a lane draws noise for, and gathers reference for, at once
 
@@ -354,62 +359,77 @@ NOISE_CHUNK = 256  # samples a lane draws noise for, and gathers reference for, 
 def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
                                             np.random.Generator | None]],
                    limb: LimbConfig, device: DeviceConfig):
-    """Yield ``(index, recording)`` for each ``(spring, plan, rng)`` of
-    ``explorations``: the recording ``simulate_exploration(spring, plan, limb,
-    device, rng)`` gives, bit for bit, or None where that raises, and ``rng``
-    left where that call leaves it (each its own; None without motor noise).
-    Lanes never raise.
+    """Yield ``(index, outcome)`` for each ``(spring, plan, rng)`` of
+    ``explorations``: the digest, LED events and achieved velocity of the
+    recording ``simulate_exploration(spring, plan, limb, device, rng)``
+    gives, bit for bit, or None where that raises, and ``rng`` left where
+    that call leaves it (each its own; None without motor noise).  Lanes
+    never raise.
 
-    The explorations are integrated in equal slices of at most LANE_BYTES,
-    one NumPy lane each, on one clock (so their plans share a sample rate),
-    and every lane operation is the scalar loop's, in its order.  Where a
-    slice would hold fewer than MIN_LANES of the longest plan's lanes, they
-    run one by one in the scalar loop."""
+    The explorations are integrated one NumPy lane each, on one clock (so
+    their plans share a sample rate), and every lane operation is the scalar
+    loop's, in its order.  Longest first, they are cut into slices whose own
+    lanes take at most LANE_BYTES.  Where that holds fewer than MIN_LANES of
+    the longest plan's lanes, they run one by one in the scalar loop."""
     plans = dict.fromkeys(plan for _, plan, _ in explorations)
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
     if not plans:
         return
-    noise_floats = NOISE_CHUNK if limb.motor_noise_std > 0 else 0
-    lane_bytes = 8 * (2 * max(len(_plan_reference(plan)[0].time) for plan in plans)
-                      + noise_floats)
-    if LANE_BYTES // lane_bytes < MIN_LANES:
+    # a lane keeps its encoder counts, floor(angle / resolution) for angles
+    # within the 10 x amplitude limit, in the narrowest type that holds them
+    bound = 10.0 * max(plan.amplitude for plan in plans) \
+        / (360.0 / device.encoder_counts_per_rev) + 1.0
+    count_type = next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                       if bound <= np.iinfo(t).max), np.float64)
+    # a lane's bytes: per sample its muscle torque and count, per chunk sample
+    # its gathered reference (3 floats), staged torque and angle (2) and noise
+    cost = {plan: len(_plan_reference(plan)[0].time) * (8 + np.dtype(count_type).itemsize)
+            + 8 * NOISE_CHUNK * (5 + (limb.motor_noise_std > 0)) for plan in plans}
+    if LANE_BYTES // max(cost.values()) < MIN_LANES:
         for index, (spring, plan, rng) in enumerate(explorations):
             recording = None
             with contextlib.suppress(UnstableIntegrationError):
                 recording = simulate_exploration(spring, plan, limb, device, rng)
             yield index, recording
         return
-    slices = -(-len(explorations) // (LANE_BYTES // lane_bytes))
-    bounds = [len(explorations) * i // slices for i in range(slices + 1)]
+    slices, room = [], 0
+    for j in sorted(range(len(explorations)), key=lambda j: -cost[explorations[j][1]]):
+        if cost[explorations[j][1]] > room:
+            slices.append([])
+            room = LANE_BYTES
+        slices[-1].append(j)
+        room -= cost[explorations[j][1]]
     # one block for every slice, kept for the next call: a fresh block would
     # fault its pages in again (~4% of a call), and blocks this size
     # allocated and freed per call fragment the heap
     memory = _lane_memory.pop() if _lane_memory else None
-    if memory is None or memory.size < LANE_BYTES // 8:
-        memory = np.empty(LANE_BYTES // 8)
+    if memory is None or memory.size < LANE_BYTES:
+        memory = np.empty(LANE_BYTES, np.uint8)
     try:
-        for start, stop in zip(bounds, bounds[1:]):
-            for index, recording in _lane_slice(explorations[start:stop], limb, device,
-                                                memory):
-                yield start + index, recording
+        for lanes in slices:
+            for index, outcome in _lane_slice([explorations[j] for j in lanes], limb,
+                                              device, count_type, memory):
+                yield lanes[index], outcome
     finally:
         _lane_memory.append(memory)
 
 
-_lane_memory: list = []  # mappings that no simulate_lanes call holds
+_lane_memory: list = []  # blocks that no simulate_lanes call holds
 
 
 def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
-                memory: np.ndarray):
-    """``simulate_lanes`` of one slice, whose history and motor noise are
-    views of ``memory``.  Lanes are ordered by sample count, longest first,
-    so the lanes still integrating are a prefix: plan p's phase steps the
-    lanes of plans 0..p up to plan p's last sample, and keeps their muscle
-    torque and angle per step, which become their recordings.  Every
+                count_type, memory: np.ndarray):
+    """``simulate_lanes`` of one slice, whose per-lane arrays are views of
+    ``memory``.  Lanes are ordered by sample count, longest first, so the
+    lanes still integrating are a prefix: plan p's phase steps the lanes of
+    plans 0..p up to plan p's last sample, and then they yield.  Every
     NOISE_CHUNK samples, the lanes gather their reference and feedforward,
     and a noisy lane draws its noise in place: the values and RNG state of
-    simulate_exploration's one draw of them all."""
+    simulate_exploration's one draw of them all.  The lanes stage their
+    muscle torque and angle at each step and fold each chunk into what they
+    keep: torques, encoder counts, the digest (from the plan's hash of
+    ``time`` on), LED hits, path length and the 10 x amplitude check."""
     plans = sorted(dict.fromkeys(plan for _, plan, _ in explorations),
                    key=lambda plan: -len(_plan_reference(plan)[0].time))
     lanes = [[j for j, (_, p, _) in enumerate(explorations) if p == plan] for plan in plans]
@@ -426,19 +446,32 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
             limb.inertia * ref.acceleration * _DEG + limb.damping * ref.velocity * _DEG])
     table = table.reshape(sizes[0], -1)
     plan_of = np.repeat(np.arange(len(plans)), np.diff(starts))
-    histories, used = [], 0  # per phase and step: its lanes' muscle torques, then angles
-    for p in range(len(plans)):
-        histories.append(memory[used:used + 2 * (sizes[p] - sizes[p + 1]) * starts[p + 1]]
-                         .reshape(-1, 2 * starts[p + 1]))
-        used += histories[-1].size
-    chunk, noisy = NOISE_CHUNK, limb.motor_noise_std > 0
-    # each lane's motor noise for the samples of one chunk (the scalar loop's
-    # w = 0.0 without noise)
-    noise = (memory[used:used + len(order) * chunk] if noisy
-             else np.zeros(len(order) * chunk)).reshape(len(order), chunk)
+    chunk, noisy, width = NOISE_CHUNK, limb.motor_noise_std > 0, len(order)
+    # per chunk sample a lane's gathered reference, staged torque and angle and
+    # noise (the scalar loop's w = 0.0 without), per sample each plan's lanes'
+    # torques and counts, the floats first so that each view is aligned
+    views, used = [], 0
+    for shape, dtype in ([((chunk * 3 * width,), float), ((chunk * 2 * width,), float)]
+                         + [((width, chunk), float)] * noisy
+                         + [((len(group), n), float) for group, n in zip(lanes, sizes)]
+                         + [((len(group), n), count_type) for group, n in zip(lanes, sizes)]):
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        views.append(memory[used:used + size].view(dtype).reshape(shape))
+        used += size
+    gathered_block, staged_block, *views = views
+    noise = views.pop(0) if noisy else np.zeros((width, chunk))
+    muscles, counts = views[:len(plans)], views[len(plans):]
     rngs = [explorations[j][2] for j in order]
     k = np.array([explorations[j][0].k for j in order])
     k_si, neg_k = k * _MNM / _DEG, -k
+    amplitude, window, out_samples = np.array([
+        (plan.amplitude, plan.led_window, np.count_nonzero(_plan_reference(plan)[3]))
+        for plan in plans])[plan_of].T
+    ok = np.ones(width, bool)  # finite and within 10 x amplitude so far
+    led = np.full((2, width), -1)  # the first sample in the out and return window
+    path, last = np.zeros(width), np.zeros(width)  # the path length and angle so far
+    hashes = [hashlib.sha256(ref.time) for ref in refs]
+    hashes = [hashes[p].copy() for p in plan_of]
     dt = 1.0 / plans[0].sample_rate
     # the scalar loop's constants as 0-d arrays, which NumPy takes faster
     # than Python floats
@@ -454,7 +487,7 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
         # the phase's lanes 0..b: a row of x per lane vector, and two adjacent
         # rows as one vector of 2b, which takes a pair of the scalar loop's
         # like operations in one call
-        b, step, history = starts[p + 1], sizes[p + 1], histories[p]
+        b, step = starts[p + 1], sizes[p + 1]
         x, prev = np.zeros((19, b)), x
         x[1:3] = prev[1:3, :b]
         tau, th, om, d1o, d2t, d2o, d3t, d3o, d4t, d4o, q, t_dev, tc, tmp, *_, \
@@ -464,8 +497,10 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
         gains = np.repeat([limb.tracking_stiffness_gain, limb.tracking_damping_gain], b)
         k_si, neg_k = k_si[:b], neg_k[:b]
         # each step's reference angles and velocities, then feedforwards
-        gathered = np.empty((chunk, 3 * b))
+        gathered = gathered_block[:chunk * 3 * b].reshape(chunk, 3 * b)
+        staged = staged_block[:chunk * 2 * b].reshape(chunk, 2 * b)
         columns = (len(plans) * np.arange(3)[:, None] + plan_of[:b]).ravel()
+        amp, win = amplitude[:b], window[:b]
         # RK4 stage by stage: the angle at which the velocity's derivative
         # is taken, that derivative, and the next stage's angle and step
         stages = ((om, d1o, d2t, half_dt), (d2t, d2o, d3t, half_dt),
@@ -482,8 +517,8 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
                 g = gathered[:stop - step]
                 table[step:stop].take(columns, 1, g, "clip")
                 add(g[:, 2 * b:], k_si * g[:, :b] * deg, g[:, 2 * b:])
-                for i, ref, ff, w in zip(range(step - sizes[p + 1], stop - sizes[p + 1]),
-                                         g[:, :2 * b], g[:, 2 * b:], noise[:b, at:].T):
+                for i, ref, ff, w in zip(range(stop - step), g[:, :2 * b], g[:, 2 * b:],
+                                         noise[:b, at:].T):
                     div(th, resolution, q)
                     np.floor(q, q)
                     add(q, zero, q)  # math.floor's 0 for np.floor's -0.0
@@ -497,7 +532,7 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
                     add(ff, p_term, tau)
                     add(tau, d_term, tau)
                     add(tau, w, tau)
-                    history[i] = tau_th
+                    staged[i] = tau_th
                     mul(t_dev, mnm, tmp)
                     add(tau, tmp, tc)
                     for y, dy, z, h in stages:
@@ -517,17 +552,51 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
                     add(s, d4, s)
                     mul(s, sixth_dt, s)
                     add(th_om, s, th_om)
+                # the chunk lane by lane, where its gathered reference was:
+                # torques and counts kept, the angle hashed and folded in
+                n = stop - step
+                lanewise = g.reshape(-1)[:2 * b * n].reshape(2 * b, n)
+                lanewise[...] = staged[:n].T
+                theta, spare = lanewise[b:], g.reshape(-1)[2 * b * n:].reshape(b, n)
+                div(theta, resolution, spare)  # the counts as the loop floors them
+                np.floor(spare, spare)
+                add(spare, zero, spare)
+                for r in range(p + 1):
+                    muscles[r][:, step:stop] = lanewise[starts[r]:starts[r + 1]]
+                    counts[r][:, step:stop] = spare[starts[r]:starts[r + 1]]
+                for c in range(b):
+                    hashes[c].update(theta[c])
+                high, low = theta.max(1), theta.min(1)
+                ok[:b] &= (high <= 10.0 * amp) & (low >= -10.0 * amp)  # NaN fails
+                # the first sample in a stroke's target window, looked for where
+                # a lane's extremes reach a window it has not hit yet
+                for c in np.flatnonzero((led[0, :b] < 0) & (step < out_samples[:b])
+                                        & (high - amp > -win) & (low - amp < win)
+                                        | (led[1, :b] < 0) & (stop > out_samples[:b])
+                                        & (high > -win) & (low < win)):
+                    out = np.arange(step, stop) < out_samples[c]
+                    near = np.abs(theta[c] - amp[c] * out) < win[c]
+                    for hits, first in ((near & out, led[0]), (near & ~out, led[1])):
+                        if first[c] < 0 and hits.any():
+                            first[c] = step + hits.argmax()
+                # the path length's left fold: cumsum adds in order
+                sub(theta[:, 1:], theta[:, :-1], spare[:, 1:])
+                sub(theta[:, 0], last[:b], spare[:, 0])
+                np.abs(spare, spare)
+                add(spare[:, 0], path[:b], spare[:, 0])
+                np.cumsum(spare, 1, out=spare)
+                path[:b], last[:b] = spare[:, -1], theta[:, -1]
                 step = stop
-        for c, j in enumerate(lanes[p], starts[p]):
-            muscle, theta = np.concatenate([histories[r][:, c::starts[r + 1]].T
-                                            for r in reversed(range(p, len(plans)))], axis=1)
-            recording = None  # a NaN angle short of the limit stops math.floor
-            if np.isfinite(theta).all():
-                with contextlib.suppress(UnstableIntegrationError):
-                    _check_stable(theta, plans[p], refs[p].time)
-                    recording = _recording(explorations[j][0], plans[p], limb, device,
-                                           theta, muscle)
-            yield j, recording
+        for row, (c, j) in enumerate(zip(range(starts[p], b), lanes[p])):
+            outcome = None  # the scalar loop raises past the limit or at NaN
+            if ok[c]:
+                events = tuple(refs[p].time[led[:, c][led[:, c] >= 0]].tolist())
+                velocity = path[c] / refs[p].time[-1]
+                series = _recorded_series(explorations[j][0], limb, device,
+                                          counts[p][row] * resolution, muscles[p][row])
+                digest = _recording_hash(hashes[c], series, events, velocity).hexdigest
+                outcome = LaneOutcome(digest, events, velocity)
+            yield j, outcome
 
 
 @functools.lru_cache(maxsize=4)  # a trial explores two springs, often again

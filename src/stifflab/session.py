@@ -28,6 +28,7 @@ from .observer import Observer, observer_from_config
 from .plant import (
     MIN_LANES,
     DeviceConfig,
+    LaneOutcome,
     LimbConfig,
     SpringParam,
     TrajectoryConfig,
@@ -423,7 +424,7 @@ def _memo_key(config: SessionConfig, spring: SpringParam, plan: TrajectoryPlan) 
 
 
 def _outcome(config: SessionConfig, plan: TrajectoryPlan,
-             recording: TrialRecording) -> tuple[bool, str, float, int]:
+             recording: TrialRecording | LaneOutcome) -> tuple[bool, str, float, int]:
     """An exploration's outcome as the emitter takes it (see _emit_session)."""
     accepted = achieved_velocity_ok(recording, plan, config.velocity_tolerance)
     return (accepted, recording.digest() if accepted else "",

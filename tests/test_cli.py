@@ -25,6 +25,7 @@ from stifflab.session import (
     parse_log,
     replay,
     run_session,
+    run_sessions,
     serialize_log,
     summary_rows,
 )
@@ -240,7 +241,7 @@ class TestSimulate:
     @pytest.mark.parametrize("existing", [False, True])
     def test_write_error_leaves_no_output(self, tmp_path, capsys, existing):
         # a seed whose log file name is too long for the file system: the
-        # sessions run, and the first write fails; an --out given with
+        # first file fails before any session runs; an --out given with
         # --force keeps what it held
         seed = 10**300
         path = write_config(tmp_path, default_config_dict(seed=seed, plant_mode="ideal"))
@@ -260,6 +261,18 @@ class TestSimulate:
         else:
             assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json"]
 
+    @pytest.mark.parametrize("threads", ["0", "2"])
+    def test_a_name_too_long_is_refused_before_any_session(self, tmp_path, capsys,
+                                                           monkeypatch, threads):
+        monkeypatch.setattr("stifflab.cli.run_sessions", None)  # never called
+        monkeypatch.setenv("STIFFLAB_THREADS", threads)
+        path = write_config(tmp_path, default_config_dict(seed=10**300, plant_mode="full"))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", path, "--out", str(out),
+                     "--sessions", "2"]) == 2
+        assert f"[Errno {errno.ENAMETOOLONG}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_force_refuses_a_directory_target(self, tmp_path, config_path, capsys):
         # refused before any session runs, so no old file is replaced
         out = tmp_path / "o"
@@ -275,13 +288,16 @@ class TestSimulate:
 
     def test_files_are_staged_inside_out(self, tmp_path, config_path, monkeypatch):
         # each move stays on the file system of --out, and the parent of
-        # --out is never written to
+        # --out is never written to; while the sessions run, --out does not
+        # exist (its names were checked in a directory that is gone again)
         out, move, staged = tmp_path / "o", os.replace, []
 
         def record(src, dst):
             staged.append(Path(src).parent.parent)
             move(src, dst)
         monkeypatch.setattr(os, "replace", record)
+        monkeypatch.setattr("stifflab.cli.run_sessions",
+                            lambda *a: [] if out.exists() else run_sessions(*a))
         assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
         assert staged == [out, out]
         assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out]
@@ -358,7 +374,7 @@ class TestSimulate:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("stifflab.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         outs = {}
         for env in ("0", threads):
             monkeypatch.setenv("STIFFLAB_THREADS", env)
@@ -410,14 +426,15 @@ class TestSimulate:
     def test_lanes_write_the_bytes_of_separate_sessions(self, tmp_path, monkeypatch,
                                                         threads):
         # six default sessions, or two blocks of three: enough distinct
-        # explorations for the lanes, in equal slices of at most 48, with
-        # recording digests in every log; serially, the last two sessions
-        # are past the speculated ones and integrate what they alone reach
-        calls, lane_slice = [], plant._lane_slice  # each call's slice sizes
+        # explorations for the lanes, in slices of at most 2 MB (~55 lanes
+        # at 45 bpm), with recording digests in every log; serially, the
+        # last two sessions are past the speculated ones and integrate what
+        # they alone reach
+        calls, lane_slice = [], plant._lane_slice  # each call's slices
         monkeypatch.setattr("stifflab.session.simulate_lanes",
                             lambda *a: calls.append([]) or plant.simulate_lanes(*a))
         monkeypatch.setattr("stifflab.plant._lane_slice",
-                            lambda e, *a: calls[-1].append(len(e)) or lane_slice(e, *a))
+                            lambda e, *a: calls[-1].append(e) or lane_slice(e, *a))
         monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
         monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
         if threads is None:
@@ -428,7 +445,19 @@ class TestSimulate:
             tmp_path, default_config_dict(seed=0, plant_mode="full"), 6)
         if threads is None:  # worker processes count in their own copy
             assert sum(map(len, calls)) > 1
-            assert all(max(c) <= 48 and max(c) - min(c) <= 1 for c in calls)
+
+            def samples(exploration):
+                return len(plant._plan_reference(exploration[1])[0].time)
+
+            def lane_bytes(exploration):  # a muscle torque and an int16 count a sample
+                return samples(exploration) * 10 + 8 * plant.NOISE_CHUNK * 5
+            for slices in calls:  # longest first, each as wide as its bytes allow
+                lengths = [samples(e) for lanes in slices for e in lanes]
+                assert lengths == sorted(lengths, reverse=True)
+                taken = [sum(map(lane_bytes, lanes)) for lanes in slices]
+                assert max(taken) <= 48 * 8 * 2 * 2668
+                assert all(used + lane_bytes(later[0]) > 48 * 8 * 2 * 2668
+                           for used, later in zip(taken, slices[1:]))
 
     def test_too_few_explorations_for_lanes_write_the_same_bytes(self, tmp_path,
                                                                  monkeypatch):

@@ -413,35 +413,52 @@ class TestLanesMatchScalar:
             assert lane.led_events == scalar.led_events
             assert (np.float64(lane.achieved_mean_velocity).tobytes()
                     == np.float64(scalar.achieved_mean_velocity).tobytes())
-            if np.any(np.abs(lane.commanded_torque) == device.torque_limit):
-                saturated.append((spring.k, len(lane.time)))
+            if np.any(np.abs(scalar.commanded_torque) == device.torque_limit):
+                saturated.append((spring.k, len(scalar.time)))
         assert diverged == [(1000.0, 2668), (1000.0, 1601),
                             (1e6, 2668), (1e6, 1601), (1e6, 5)]
         assert saturated == [(300.0, 2668), (300.0, 1601)]
 
+    # encoder counts kept as int16, int32 and int64, and as float64 past int64
+    @pytest.mark.parametrize("counts,width", [(4096, 2), (2**20, 4), (2**40, 8), (2**62, 8)])
     @pytest.mark.parametrize("limb", [
         LimbConfig(), LimbConfig(motor_noise_std=0.3),
         # noise that trips the velocity check now and then, and noise that
         # rounds to subnormals and zeros of either sign
         LimbConfig(motor_noise_std=3.0), LimbConfig(motor_noise_std=5e-324)])
-    def test_noisy_lanes_match_the_scalar_loop(self, limb, monkeypatch):
-        # slices of at most 13 noisy lanes (2 KB of noise more each) or 14
-        # noise-free ones, each lane's reference gathered and noise drawn in
-        # chunks of 100 samples, over lanes of three paces that end mid-chunk
+    def test_noisy_lanes_match_the_scalar_loop(self, limb, counts, width, monkeypatch):
+        # slices of lanes of three paces, longest first, each lane's
+        # reference gathered and noise drawn in chunks of 100 samples, over
+        # lanes that end mid-chunk
         monkeypatch.setattr("stifflab.plant.NOISE_CHUNK", 100)
-        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 14 * 8 * 2 * 2668)
-        monkeypatch.setattr("stifflab.plant.MIN_LANES", 13)
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 600_000)
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 12)
         slices, lane_slice = [], plant._lane_slice
         monkeypatch.setattr("stifflab.plant._lane_slice",
-                            lambda e, *a: slices.append(len(e)) or lane_slice(e, *a))
+                            lambda e, *a: slices.append(e) or lane_slice(e, *a))
+        device = DeviceConfig(encoder_counts_per_rev=counts)
         plans = (plan_for_bpm(45.0), plan_for_bpm(75.0), self.FEW)
         explorations = [(SpringParam(k=0.5 + 0.1 * i), plans[i % 3],
                          np.random.default_rng(i)) for i in range(40)]
-        lanes = self._lanes(explorations, limb, DeviceConfig())
-        assert slices == ([10, 10, 10, 10] if limb.motor_noise_std else [13, 13, 14])
+        lanes = self._lanes(explorations, limb, device)
+        # a lane's bytes: its muscle torque and count per sample, and its
+        # reference, staged torque and angle, and noise per chunk sample
+        noisy = limb.motor_noise_std > 0
+
+        def lane_bytes(exploration):
+            return (len(_plan_reference(exploration[1])[0].time) * (8 + width)
+                    + 8 * 100 * (5 + noisy))
+        taken = [sum(map(lane_bytes, lanes)) for lanes in slices]
+        assert max(taken) <= 600_000
+        assert all(used + lane_bytes(later[0]) > 600_000
+                   for used, later in zip(taken, slices[1:]))
+        assert [len(lanes) for lanes in slices] == {
+            (2, False): [22, 18], (2, True): [21, 19], (4, False): [18, 22],
+            (4, True): [17, 23], (8, False): [12, 28], (8, True): [12, 28],
+        }[width, noisy]
         for index, (spring, plan, rng) in enumerate(explorations):
             scalar_rng = np.random.default_rng(index)
-            scalar = simulate_exploration(spring, plan, limb, DeviceConfig(), scalar_rng)
+            scalar = simulate_exploration(spring, plan, limb, device, scalar_rng)
             assert lanes[index].digest() == scalar.digest()
             assert lanes[index].led_events == scalar.led_events
             assert (np.float64(lanes[index].achieved_mean_velocity).tobytes()
@@ -460,6 +477,17 @@ class TestLanesMatchScalar:
                 simulate_exploration(*exploration, limb, DeviceConfig(),
                                      np.random.default_rng(0))
             assert isinstance(diverged.value.__context__, (OverflowError, ValueError))
+
+    def test_lanes_past_the_lower_limit_are_left_out(self):
+        # a stiff undamped tracker swings a 9-sample stroke to -1412 deg,
+        # finite and never past +10x amplitude
+        plan = TrajectoryPlan(amplitude=90.0, beat_duration=0.004, sample_rate=1000.0)
+        limb = LimbConfig(tracking_stiffness_gain=3e4, tracking_damping_gain=0.0)
+        assert self._lanes([(SpringParam(k=1.11), plan, None)], limb,
+                           DeviceConfig()) == {0: None}
+        with pytest.raises(UnstableIntegrationError, match="angle -1412.2 deg exceeds"):
+            simulate_exploration(SpringParam(k=1.11), plan, limb, DeviceConfig(),
+                                 np.random.default_rng(0))
 
     @pytest.mark.parametrize("limb", [LimbConfig(), LimbConfig(motor_noise_std=0.3)])
     def test_refused_lane_sets(self, limb):
