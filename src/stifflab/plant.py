@@ -10,7 +10,6 @@ boundary; the integrator works in SI internally.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import math
@@ -314,9 +313,10 @@ def _feedforward(ref: ReferenceTrajectory, limb: LimbConfig,
                  spring: SpringParam) -> np.ndarray:
     """Nm: inverse dynamics of the reference against the nominal spring."""
     k_si = spring.k * _MNM / _DEG  # Nm/rad
-    return (limb.inertia * ref.acceleration * _DEG
-            + limb.damping * ref.velocity * _DEG
-            + k_si * ref.angle * _DEG)
+    with np.errstate(all="ignore"):  # a huge limb overflows; its angle then fails
+        return (limb.inertia * ref.acceleration * _DEG
+                + limb.damping * ref.velocity * _DEG
+                + k_si * ref.angle * _DEG)
 
 
 def _check_stable(theta: np.ndarray, plan: TrajectoryPlan, time: np.ndarray) -> None:
@@ -342,7 +342,7 @@ def _recorded_series(spring: SpringParam, limb: LimbConfig, device: DeviceConfig
     return q_angle, tau_dev, tau_mus, activation
 
 
-# Fewer distinct explorations than this run one by one in the scalar loop.
+# Fewer distinct explorations than this run one by one in run_session's scalar loop.
 # A lane step (49 NumPy calls) costs about the same for up to a few hundred
 # lanes (20-50 us on a 2-core x86 host), a scalar sample ~1 us; there, lanes
 # of both paces break even at 28-32 explorations with noise or without (a
@@ -369,8 +369,8 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
     The explorations are integrated one NumPy lane each, on one clock (so
     their plans share a sample rate), and every lane operation is the scalar
     loop's, in its order.  Longest first, they are cut into slices whose own
-    lanes take at most LANE_BYTES.  Where that holds fewer than MIN_LANES of
-    the longest plan's lanes, they run one by one in the scalar loop."""
+    lanes take at most LANE_BYTES; where that holds fewer than MIN_LANES of
+    the longest plan's lanes, none is integrated and nothing yielded."""
     plans = dict.fromkeys(plan for _, plan, _ in explorations)
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
@@ -387,11 +387,6 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
     cost = {plan: len(_plan_reference(plan)[0].time) * (8 + np.dtype(count_type).itemsize)
             + 8 * NOISE_CHUNK * (5 + (limb.motor_noise_std > 0)) for plan in plans}
     if LANE_BYTES // max(cost.values()) < MIN_LANES:
-        for index, (spring, plan, rng) in enumerate(explorations):
-            recording = None
-            with contextlib.suppress(UnstableIntegrationError):
-                recording = simulate_exploration(spring, plan, limb, device, rng)
-            yield index, recording
         return
     slices, room = [], 0
     for j in sorted(range(len(explorations)), key=lambda j: -cost[explorations[j][1]]):
@@ -441,9 +436,10 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
     # feedforward terms that do not depend on the spring (see _feedforward)
     table = np.zeros((sizes[0], 3, len(plans)))
     for p, ref in enumerate(refs):
-        table[:sizes[p], :, p] = np.transpose([
-            ref.angle, ref.velocity,
-            limb.inertia * ref.acceleration * _DEG + limb.damping * ref.velocity * _DEG])
+        with np.errstate(all="ignore"):  # as in _feedforward
+            table[:sizes[p], :, p] = np.transpose([
+                ref.angle, ref.velocity,
+                limb.inertia * ref.acceleration * _DEG + limb.damping * ref.velocity * _DEG])
     table = table.reshape(sizes[0], -1)
     plan_of = np.repeat(np.arange(len(plans)), np.diff(starts))
     chunk, noisy, width = NOISE_CHUNK, limb.motor_noise_std > 0, len(order)

@@ -356,20 +356,18 @@ class _Drawn:
     presentation from the RNG, explorations from the plant and responses
     from the observer.
 
-    ``known`` holds the outcomes of the session's first noisy explorations,
-    each with a generator at the RNG state after its noise.  With a dict as
-    ``listed``, an exploration neither known nor in the memo is listed there,
-    lane key -> (spring, plan, a copy of the RNG before its noise or None,
-    predicted acceptance), and answered with the prediction, not simulated."""
+    With a dict as ``listed``, an exploration the memo does not hold is
+    listed there, memo key -> (spring, plan, a copy of the RNG before its
+    noise or None, predicted acceptance), and answered with the prediction,
+    not simulated."""
 
     def __init__(self, config: SessionConfig, memo: dict, document: dict | None = None,
-                 known: list = (), listed: dict | None = None):
+                 listed: dict | None = None):
         self.config = config
         self.document = (config_to_dict(config) if document is None
                          else {**document, "seed": config.seed})
-        self.memo, self.known, self.listed = memo, known, listed
+        self.memo, self.listed = memo, listed
         self.rng = np.random.default_rng(config.seed)
-        self.explored = 0
 
     def order(self, count: int) -> list[int]:
         return [int(i) for i in self.rng.permutation(count)]
@@ -381,26 +379,23 @@ class _Drawn:
 
     def explore(self, interval: int, attempt: int, k: float,
                 plan: TrajectoryPlan) -> tuple[bool, str, float, int]:
-        """Simulate one exploration, or recall it from ``known`` or ``memo``.
-        Without motor noise the plant draws no random numbers, so ``memo``
-        maps (spring, plan, limb, device, velocity tolerance) to the outcome,
-        each simulated once per memo.  Noisy ones never enter the memo."""
-        config, spring, key = self.config, SpringParam(k=k), None
-        self.explored += 1
-        if self.explored <= len(self.known):
-            outcome, after = self.known[self.explored - 1]
-            self.rng.bit_generator.state = after.bit_generator.state
-            return outcome
+        """Simulate one exploration, or recall it from ``memo``: ``_memo_key``
+        -> the outcome and a generator at the RNG state after its motor noise
+        (None without), whose state a hit takes.  Only noise-free outcomes
+        simulated here enter the memo, each once; noisy ones enter it from
+        the lanes of ``run_sessions``."""
+        config, spring = self.config, SpringParam(k=k)
         noisy = config.limb.motor_noise_std > 0
-        if not noisy:
-            key = _memo_key(config, spring, plan)
-            known = self.memo.get(key)
-            if known is not None:
-                return known
+        key = _memo_key(config, spring, plan, self.rng if noisy else None)
+        found = self.memo.get(key)
+        if found is not None:
+            outcome, after = found
+            if after is not None:
+                self.rng.bit_generator.state = after.bit_generator.state
+            return outcome
         if self.listed is not None:
             rng, accepted = None, True
             if noisy:
-                key = config.seed, self.explored
                 rng = np.random.Generator(type(self.rng.bit_generator)())
                 rng.bit_generator.state = self.rng.bit_generator.state
                 accepted = predicted_velocity_ok(spring, plan, config.limb, self.rng,
@@ -410,17 +405,20 @@ class _Drawn:
         recording = simulate_exploration(spring, plan, config.limb, config.device,
                                          self.rng)
         outcome = _outcome(config, plan, recording)
-        if key is not None:
-            self.memo[key] = outcome
+        if not noisy:
+            self.memo[key] = outcome, None
         return outcome
 
     def respond(self, springs: tuple[float, float], deg_s: float) -> str:
         return self.config.observer.respond(springs[0], springs[1], deg_s, self.rng)
 
 
-def _memo_key(config: SessionConfig, spring: SpringParam, plan: TrajectoryPlan) -> tuple:
-    """What a noise-free exploration's outcome depends on."""
-    return spring, plan, config.limb, config.device, config.velocity_tolerance
+def _memo_key(config: SessionConfig, spring: SpringParam, plan: TrajectoryPlan,
+              rng: np.random.Generator | None) -> tuple:
+    """What an exploration's outcome depends on: with motor noise, also the
+    state of ``rng`` before its noise, as the string of its state dict."""
+    key = spring, plan, config.limb, config.device, config.velocity_tolerance
+    return key if rng is None else (*key, str(rng.bit_generator.state))
 
 
 def _outcome(config: SessionConfig, plan: TrajectoryPlan,
@@ -567,18 +565,17 @@ def _run_summary(run: RunResult) -> dict:
 
 
 def run_session(config: SessionConfig, memo: dict | None = None,
-                document: dict | None = None, known: list = ()) -> SessionRun:
+                document: dict | None = None) -> SessionRun:
     """Execute the full protocol and return results plus the event log.
 
-    ``memo`` holds the noise-free explorations simulated so far; sessions
-    given the same dict share them.  Without one the session gets its own.
-    ``document``, ``config_to_dict`` of a config that differs from ``config``
-    at most in its seed, spares a batch building it per session.  ``known``,
-    the outcomes of the session's first noisy explorations, each with a
-    generator at the RNG state after its noise, spares integrating them.
+    ``memo`` holds the explorations integrated so far (see
+    ``_Drawn.explore``); sessions given the same dict share them.  Without
+    one the session gets its own.  ``document``, ``config_to_dict`` of a
+    config that differs from ``config`` at most in its seed, spares a batch
+    building it per session.
     """
     emitted: list[tuple] = []
-    source = _Drawn(config, {} if memo is None else memo, document, known)
+    source = _Drawn(config, {} if memo is None else memo, document)
     runs = _emit_session(config, source, emitted)
     return SessionRun(result=SessionResult(runs=runs), log_text=serialize_log(emitted))
 
@@ -590,18 +587,18 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
 
     A ``full`` batch first speculates its sessions (a noise-free one its
     first ``PRESIMULATED_SESSIONS``): a session is emitted from its seed,
-    listing each exploration that neither its known outcomes nor the memo
-    hold and answering it with a prediction.  Once a block of sessions lists
-    ``SPECULATED_EXPLORATIONS`` distinct explorations, or the speculated
-    seeds run out, those are integrated together by ``simulate_lanes``, when
-    they are at least ``MIN_LANES``.  Noise-free outcomes fill the memo.  A
-    noisy session knows its exact outcomes up to and including its first
-    misprediction, and is speculated again from there.  What no lane gave
+    listing each exploration the memo does not hold and answering it with a
+    prediction.  Once a block of sessions lists ``SPECULATED_EXPLORATIONS``
+    distinct explorations, or the speculated seeds run out, those are
+    integrated together by ``simulate_lanes``, when they are at least
+    ``MIN_LANES``, and their outcomes enter the memo.  A session that listed
+    an outcome its prediction got wrong is speculated again, and finds its
+    outcomes up to and including that one in the memo.  What no lane gave
     (a diverged lane, too few lanes) ``run_session`` integrates one by one,
-    raising its errors.  No log depends on a prediction."""
+    raising its errors.  A noisy block's outcomes leave the memo once its
+    sessions have run.  No log depends on a prediction."""
     document = config_to_dict(base)  # the sessions' documents differ only in seed
     memo: dict = {}
-    known: dict = {}  # seed -> the outcomes of its first noisy explorations
     noisy = base.limb.motor_noise_std > 0
     speculated = (seeds[:len(seeds) if noisy else PRESIMULATED_SESSIONS]
                   if base.plant_mode == "full" else [])
@@ -609,44 +606,35 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
     def speculate(seed: int) -> dict:
         """What the session at ``seed`` lists (see ``_Drawn``), in order."""
         config = replace(base, seed=seed)
-        source = _Drawn(config, memo, document, known.setdefault(seed, []), {})
+        source = _Drawn(config, memo, document, {})
         with contextlib.suppress(RepeatLimitError):  # then its own if predicted right
             _emit_session(config, source, [])
         return source.listed
 
     runs: list[SessionRun] = []
     block: dict = {}  # seed -> what it listed
-    lanes: dict = {}  # lane key -> (spring, plan, RNG), in the block's order
+    lanes: dict = {}  # memo key -> (spring, plan, RNG), in the block's order
     for position, seed in enumerate(speculated):
         block[seed] = speculate(seed)
         lanes.update((key, lane[:3]) for key, lane in block[seed].items())
         if len(lanes) < SPECULATED_EXPLORATIONS and position < len(speculated) - 1:
             continue
         while len(lanes) >= MIN_LANES:
-            exact = {}  # lane key -> (outcome, its RNG after the noise)
             keys = list(lanes)
             for index, recording in simulate_lanes(list(lanes.values()), base.limb,
                                                    base.device):
                 _, plan, rng = lanes[keys[index]]
-                if recording is not None:
-                    exact[keys[index]] = _outcome(base, plan, recording), rng
-            if not noisy:  # outcomes for any session
-                memo.update((key, found[0]) for key, found in exact.items())
-                break
-            retry = []  # sessions with a misprediction
-            for owner, listed in block.items():
-                for key, (*_, accepted) in listed.items():
-                    if key not in exact:  # a diverged lane
-                        break
-                    known[owner].append(exact[key])
-                    if exact[key][0][0] != accepted:
-                        retry.append(owner)
-                        break
-            block = {owner: speculate(owner) for owner in retry}
+                if recording is not None:  # a diverged lane stays out
+                    memo[keys[index]] = _outcome(base, plan, recording), rng
+            block = {owner: speculate(owner) for owner, listed in block.items()
+                     if any(key in memo and memo[key][0][0] != accepted
+                            for key, (*_, accepted) in listed.items())}
             lanes = {key: lane[:3] for listed in block.values()
                      for key, lane in listed.items()}
-        runs += [run_session(replace(base, seed=s), memo, document, known.pop(s))
+        runs += [run_session(replace(base, seed=s), memo, document)
                  for s in seeds[len(runs):position + 1]]
+        if noisy:  # no later session meets these RNG states
+            memo.clear()
         block, lanes = {}, {}
     return runs + [run_session(replace(base, seed=s), memo, document)
                    for s in seeds[len(runs):]]

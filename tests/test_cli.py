@@ -5,8 +5,11 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +232,14 @@ class TestSimulate:
          "error: angle -912552.2 deg exceeds 10x amplitude at t=0.005s"),
         # the angle is NaN one RK4 step after it was small
         ({"limb": {"inertia": 1e-300}}, "error: angle nan deg is not finite at t=0.002s"),
+        # a finite limb whose feedforward overflows: the error alone, no NumPy
+        # warning, from the scalar loop and from lanes
+        ({"limb": {"inertia": 1.7e308}}, "error: angle nan deg is not finite at t=0.002s"),
+        ({"limb": {"damping": 1.7e308}}, "error: angle nan deg is not finite at t=0.002s"),
+        ({"limb": {"inertia": 1.7e308, "motor_noise_std": 0.3}},
+         "error: angle nan deg is not finite at t=0.002s"),
     ])
+    @pytest.mark.filterwarnings("error")  # pytest would keep a warning off stderr
     def test_unmet_explorations_exit_2_and_write_nothing(
             self, tmp_path, capsys, command, update, match):
         path = write_config(tmp_path, {**default_config_dict(), **update})
@@ -485,6 +495,65 @@ class TestSimulate:
             raw["seed"] = seed
             assert (out / f"session_{seed:08d}.jsonl").read_text() == \
                 run_session(config_from_dict(raw)).log_text
+
+
+# each leaf of the config document is set to each of these in turn
+SWEEP_VALUES = [0, -1, 1e-300, 1e300, 10**400, 2**63, 17 * 10**307, 0.5, 3, True, "x",
+                None, [], {}]
+
+
+def _leaves(node, path=()):
+    """The paths to the values of a JSON document that are no object or array."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from _leaves(value, (*path, key))
+
+
+class _Overran(Exception):
+    """A swept case ran past its time."""
+
+
+class TestConfigSweep:
+    @pytest.mark.parametrize("plant_mode,sessions", [("ideal", 2), ("full", 1)])
+    def test_every_leaf_at_every_boundary_exits_0_or_2(self, tmp_path, capsys,
+                                                       monkeypatch, plant_mode, sessions):
+        # every field the config document writes, so a new one is swept too;
+        # a case must exit 0, or 2 writing nothing, within 10 s and warn of nothing
+        monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
+        raw = default_config_dict(plant_mode=plant_mode)
+        raw["staircase"] = {"reversal_limit": 3, "reversals_averaged": 3}
+        document = config_to_dict(config_from_dict(raw))
+
+        def overran(signum, frame):
+            raise _Overran
+        previous = signal.signal(signal.SIGALRM, overran)
+        failures = []
+        try:
+            for path in _leaves(document):
+                for value in SWEEP_VALUES:
+                    case = json.loads(json.dumps(document))
+                    *parents, leaf = path
+                    functools.reduce(lambda node, key: node[key], parents, case)[leaf] = value
+                    out = tmp_path / "o"
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        signal.setitimer(signal.ITIMER_REAL, 10.0)
+                        try:
+                            code = main(["simulate", "--config", write_config(tmp_path, case),
+                                         "--sessions", str(sessions), "--out", str(out)])
+                        except Exception as exc:  # _Overran too
+                            code = exc
+                        finally:
+                            signal.setitimer(signal.ITIMER_REAL, 0)
+                    capsys.readouterr()
+                    if code not in (0, 2) or code == 2 and out.exists() or caught:
+                        failures.append((path, value, code, [str(w.message) for w in caught]))
+                    shutil.rmtree(out, ignore_errors=True)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert failures == []
 
 
 class TestValidateConvergence:

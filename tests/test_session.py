@@ -1341,27 +1341,43 @@ class TestExplorationMemo:
     @pytest.mark.parametrize("limb", [{}, {"motor_noise_std": 0.3}])
     def test_lanes_wider_than_lane_bytes_run_one_by_one(self, monkeypatch, limb):
         # LANE_BYTES holds no whole lane of the slower pace (as ~2 MB of
-        # history at 100 kHz would not fit 4 MB): the listed explorations
-        # run in the scalar loop, and no slice is carved
+        # history at 100 kHz would not fit 4 MB): no slice is carved, and the
+        # sessions integrate their explorations in the scalar loop
         monkeypatch.setattr("stifflab.plant.LANE_BYTES", 8 * 2668)
         monkeypatch.setattr("stifflab.plant._lane_slice", None)  # never called
         scalar = []
-        monkeypatch.setattr("stifflab.plant.simulate_exploration",
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
                             lambda *a: scalar.append(a) or simulate_exploration(*a))
         batch = [run.log_text for run in run_sessions(full_config(limb=limb), [0, 1, 2])]
         monkeypatch.undo()
         assert batch == [run_session(full_config(s, limb=limb)).log_text for s in range(3)]
         assert len(scalar) >= plant.MIN_LANES
 
-    def test_noisy_config_never_hits_the_memo(self, monkeypatch):
+    def test_noisy_session_adds_nothing_to_the_memo(self, monkeypatch):
+        # a memo shared with a noise-free session: the noisy one finds none of
+        # its explorations there, integrates each itself and stores none
+        memo = {}
+        run_session(full_config(seed=1, **self.SHORT), memo)
+        held = dict(memo)
         calls = []
         monkeypatch.setattr("stifflab.session.simulate_exploration",
                             lambda *a: calls.append(a[0]) or simulate_exploration(*a))
-        memo = {}
         run = run_session(noisy_config(seed=1, **self.SHORT), memo)
-        assert memo == {}
+        assert held and memo == held
         assert len(calls) == _explorations(run.log_text)
         assert any(e.kind == "ExplorationRejected" for e in parse_log(run.log_text))
+
+    def test_noisy_batch_empties_the_memo_per_block(self, monkeypatch):
+        # the lanes' outcomes are in the memo while the block's sessions run,
+        # and gone once they have
+        memos = []
+        monkeypatch.setattr("stifflab.session.run_session",
+                            lambda c, memo, *a: memos.append((memo, len(memo)))
+                            or run_session(c, memo, *a))
+        run_sessions(noisy_config(**self.SHORT), [0, 1, 2])
+        (memo, _), *others = memos
+        assert len(others) == 2 and all(other is memo for other, _ in others)
+        assert min(held for _, held in memos) > 0 and memo == {}
 
     def test_noisy_session_builds_each_plan_reference_once(self, monkeypatch):
         calls = []
