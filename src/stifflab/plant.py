@@ -293,8 +293,9 @@ def simulate_exploration(
     # the series as the loop saw them, elementwise in its order: the muscle
     # torque of each step, summed as the loop sums it (Nm), and the quantized
     # angle (+ 0.0 turns the -0.0 of np.floor into math.floor's 0)
-    muscle = (tau_ff + kp * (ref.angle - theta) * deg
-              + kd * (ref.velocity - np.array(velocity)) * deg + noise)
+    with np.errstate(all="ignore"):  # as in _feedforward: a huge gain overflows
+        muscle = (tau_ff + kp * (ref.angle - theta) * deg
+                  + kd * (ref.velocity - np.array(velocity)) * deg + noise)
     q_angle = np.floor(theta / resolution) * resolution + 0.0
     # one LED event per stroke, at the first sample inside its target window
     near = np.where(out, np.abs(theta - plan.amplitude),
@@ -337,12 +338,13 @@ def _recorded_series(spring: SpringParam, limb: LimbConfig, device: DeviceConfig
     ``muscle`` (Nm): both paths call this once per exploration they keep."""
     tau_dev = np.minimum(np.maximum(-spring.k * q_angle, -device.torque_limit),
                          device.torque_limit)
-    tau_mus = muscle / _MNM
-    activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
+    with np.errstate(all="ignore"):  # as in _feedforward: a tiny torque_max overflows
+        tau_mus = muscle / _MNM
+        activation = np.clip(np.abs(tau_mus) / limb.muscle_torque_max, 0.0, 1.0)
     return q_angle, tau_dev, tau_mus, activation
 
 
-# Fewer distinct explorations than this run one by one in run_session's scalar loop.
+# A slice of fewer lanes than this is left to run_session's scalar loop.
 # A lane step (49 NumPy calls) costs about the same for up to a few hundred
 # lanes (20-50 us on a 2-core x86 host), a scalar sample ~1 us; there, lanes
 # of both paces break even at 28-32 explorations with noise or without (a
@@ -356,12 +358,10 @@ LANE_BYTES = 5_500_000
 NOISE_CHUNK = 256  # samples a lane draws noise for, and gathers reference for, at once
 
 
-def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
-                                            np.random.Generator | None]],
-                   limb: LimbConfig, device: DeviceConfig):
-    """Yield ``(index, outcome)`` for each ``(spring, plan, rng)`` of
-    ``explorations``: the digest, LED events and achieved velocity of the
-    recording ``simulate_exploration(spring, plan, limb, device, rng)``
+def simulate_lanes(explorations: dict, limb: LimbConfig, device: DeviceConfig) -> dict:
+    """For each key -> ``(spring, plan, rng)`` of ``explorations`` that a
+    lane integrates, key -> the digest, LED events and achieved velocity of
+    the recording ``simulate_exploration(spring, plan, limb, device, rng)``
     gives, bit for bit, or None where that raises, and ``rng`` left where
     that call leaves it (each its own; None without motor noise).  Lanes
     never raise.
@@ -369,13 +369,14 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
     The explorations are integrated one NumPy lane each, on one clock (so
     their plans share a sample rate), and every lane operation is the scalar
     loop's, in its order.  Longest first, they are cut into slices whose own
-    lanes take at most LANE_BYTES; where that holds fewer than MIN_LANES of
-    the longest plan's lanes, none is integrated and nothing yielded."""
-    plans = dict.fromkeys(plan for _, plan, _ in explorations)
+    lanes take at most LANE_BYTES; a slice of fewer than MIN_LANES lanes is
+    not integrated, and its explorations are left out."""
+    global _lane_memory
+    plans = dict.fromkeys(plan for _, plan, _ in explorations.values())
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
     if not plans:
-        return
+        return {}
     # a lane keeps its encoder counts, floor(angle / resolution) for angles
     # within the 10 x amplitude limit, in the narrowest type that holds them
     bound = 10.0 * max(plan.amplitude for plan in plans) \
@@ -386,31 +387,29 @@ def simulate_lanes(explorations: list[tuple[SpringParam, TrajectoryPlan,
     # its gathered reference (3 floats), staged torque and angle (2) and noise
     cost = {plan: len(_plan_reference(plan)[0].time) * (8 + np.dtype(count_type).itemsize)
             + 8 * NOISE_CHUNK * (5 + (limb.motor_noise_std > 0)) for plan in plans}
-    if LANE_BYTES // max(cost.values()) < MIN_LANES:
-        return
     slices, room = [], 0
-    for j in sorted(range(len(explorations)), key=lambda j: -cost[explorations[j][1]]):
-        if cost[explorations[j][1]] > room:
+    for key in sorted(explorations, key=lambda key: -cost[explorations[key][1]]):
+        if cost[explorations[key][1]] > room:
             slices.append([])
             room = LANE_BYTES
-        slices[-1].append(j)
-        room -= cost[explorations[j][1]]
-    # one block for every slice, kept for the next call: a fresh block would
-    # fault its pages in again (~4% of a call), and blocks this size
-    # allocated and freed per call fragment the heap
-    memory = _lane_memory.pop() if _lane_memory else None
-    if memory is None or memory.size < LANE_BYTES:
-        memory = np.empty(LANE_BYTES, np.uint8)
-    try:
-        for lanes in slices:
-            for index, outcome in _lane_slice([explorations[j] for j in lanes], limb,
-                                              device, count_type, memory):
-                yield lanes[index], outcome
-    finally:
-        _lane_memory.append(memory)
+        slices[-1].append(key)
+        room -= cost[explorations[key][1]]
+    outcomes = {}
+    for keys in slices:
+        if len(keys) < MIN_LANES:
+            continue
+        # one block for every slice, kept for the next call: a fresh block
+        # would fault its pages in again (~4% of a call), and blocks this size
+        # allocated and freed per call fragment the heap
+        if _lane_memory.size < LANE_BYTES:
+            _lane_memory = np.empty(LANE_BYTES, np.uint8)
+        for index, outcome in _lane_slice([explorations[key] for key in keys], limb,
+                                          device, count_type, _lane_memory):
+            outcomes[keys[index]] = outcome
+    return outcomes
 
 
-_lane_memory: list = []  # blocks that no simulate_lanes call holds
+_lane_memory = np.empty(0, np.uint8)  # the block simulate_lanes' slices use
 
 
 def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,

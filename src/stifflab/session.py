@@ -26,7 +26,6 @@ import numpy as np
 from .config import ConfigError, read_fields, section, write
 from .observer import Observer, observer_from_config
 from .plant import (
-    MIN_LANES,
     DeviceConfig,
     LaneOutcome,
     LimbConfig,
@@ -49,16 +48,7 @@ from .staircase import (
     threshold_estimate,
 )
 
-_JSON = json.JSONEncoder(sort_keys=True)  # one line of the event log
-
-
-# ``_encode(obj, 0)``: the chunks of ``obj``'s line as ``_JSON.encode`` writes
-# it, from json's C encoder built once with the arguments ``_JSON.iterencode``
-# builds it with per call, bar the cycle check (payloads are trees)
-_encode = json.encoder.c_make_encoder(
-    None, _JSON.default, json.encoder.encode_basestring_ascii, _JSON.indent,
-    _JSON.key_separator, _JSON.item_separator, _JSON.sort_keys, _JSON.skipkeys,
-    _JSON.allow_nan)
+_encode = json.JSONEncoder(sort_keys=True).encode  # one line of the event log
 _raw_decode = json.JSONDecoder().raw_decode  # a line as json.loads reads it, bar padding
 
 TRAINING_DURATION_S = 120.0
@@ -590,13 +580,13 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
     listing each exploration the memo does not hold and answering it with a
     prediction.  Once a block of sessions lists ``SPECULATED_EXPLORATIONS``
     distinct explorations, or the speculated seeds run out, those are
-    integrated together by ``simulate_lanes``, when they are at least
-    ``MIN_LANES``, and their outcomes enter the memo.  A session that listed
-    an outcome its prediction got wrong is speculated again, and finds its
-    outcomes up to and including that one in the memo.  What no lane gave
-    (a diverged lane, too few lanes) ``run_session`` integrates one by one,
-    raising its errors.  A noisy block's outcomes leave the memo once its
-    sessions have run.  No log depends on a prediction."""
+    given to ``simulate_lanes``, and the outcomes its lanes integrate enter
+    the memo.  A session that listed an outcome its prediction got wrong is
+    speculated again, and finds its outcomes up to and including that one in
+    the memo.  What no lane gave (a diverged lane, a slice too narrow to
+    integrate) ``run_session`` integrates one by one, raising its errors.
+    A noisy block's outcomes leave the memo once its sessions have run.  No
+    log depends on a prediction."""
     document = config_to_dict(base)  # the sessions' documents differ only in seed
     memo: dict = {}
     noisy = base.limb.motor_noise_std > 0
@@ -619,13 +609,11 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
         lanes.update((key, lane[:3]) for key, lane in block[seed].items())
         if len(lanes) < SPECULATED_EXPLORATIONS and position < len(speculated) - 1:
             continue
-        while len(lanes) >= MIN_LANES:
-            keys = list(lanes)
-            for index, recording in simulate_lanes(list(lanes.values()), base.limb,
-                                                   base.device):
-                _, plan, rng = lanes[keys[index]]
+        while lanes:  # a pass that integrates nothing speculates no session again
+            for key, recording in simulate_lanes(lanes, base.limb, base.device).items():
+                _, plan, rng = lanes[key]
                 if recording is not None:  # a diverged lane stays out
-                    memo[keys[index]] = _outcome(base, plan, recording), rng
+                    memo[key] = _outcome(base, plan, recording), rng
             block = {owner: speculate(owner) for owner, listed in block.items()
                      if any(key in memo and memo[key][0][0] != accepted
                             for key, (*_, accepted) in listed.items())}
@@ -727,7 +715,7 @@ def serialize_log(events: list[tuple]) -> str:
                          f'"level": {level!r}, "new_direction": "{direction}", '
                          f'"trial": {trial}}}, "seq": {seq}, "t_wall": {t_wall!r}}}')
                     continue
-        line("".join(_encode({"kind": kind, "payload": p, "seq": seq, "t_wall": t_wall}, 0)))
+        line(_encode({"kind": kind, "payload": p, "seq": seq, "t_wall": t_wall}))
     return "\n".join(lines) + "\n"
 
 

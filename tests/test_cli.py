@@ -2,6 +2,7 @@ import csv
 import errno
 import functools
 import hashlib
+import itertools
 import io
 import json
 import os
@@ -15,9 +16,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stifflab import plant
+from stifflab import plant, session
 from stifflab.cli import build_parser, main
-from stifflab.plant import simulate_exploration
+from stifflab.config import ConfigError
+from stifflab.plant import (
+    SpringParam,
+    UnstableIntegrationError,
+    plan_for_bpm,
+    simulate_exploration,
+)
 from stifflab.session import (
     SUMMARY_COLUMNS,
     Event,
@@ -238,6 +245,11 @@ class TestSimulate:
         ({"limb": {"damping": 1.7e308}}, "error: angle nan deg is not finite at t=0.002s"),
         ({"limb": {"inertia": 1.7e308, "motor_noise_std": 0.3}},
          "error: angle nan deg is not finite at t=0.002s"),
+        # a gain whose muscle torque overflows at 45 bpm over a 2 s control period
+        ({"limb": {"tracking_stiffness_gain": 1.7e308}, "device": {"control_rate": 0.5},
+          "velocities": [{"bpm": 45, "deg_s": 67.5}],
+          "observer": {**default_config_dict()["observer"], "velocity_scaling": {}}},
+         "error: interval 0 of trial 0 failed the velocity check 5 times"),
     ])
     @pytest.mark.filterwarnings("error")  # pytest would keep a warning off stderr
     def test_unmet_explorations_exit_2_and_write_nothing(
@@ -247,6 +259,17 @@ class TestSimulate:
         assert main([command, "--config", path, "--out", str(out)]) == 2
         assert capsys.readouterr().err == match + "\n"
         assert not out.exists()
+
+    # activation |muscle torque| / 1e-300 overflows and clips to 1: in lanes
+    # (the two sessions' explorations) and in the scalar loop
+    @pytest.mark.parametrize("command", [["simulate", "--sessions", "2"], ["trace"]])
+    @pytest.mark.filterwarnings("error")  # pytest would keep a warning off stderr
+    def test_tiny_muscle_torque_max_runs_without_a_warning(self, tmp_path, capsys, command):
+        raw = {**default_config_dict(), "limb": {"inertia": 1e9, "muscle_torque_max": 1e-300}}
+        out = tmp_path / "o"
+        assert main([*command, "--config", write_config(tmp_path, raw),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_write_error_leaves_no_output(self, tmp_path, capsys, existing):
@@ -438,15 +461,15 @@ class TestSimulate:
         # six default sessions, or two blocks of three: enough distinct
         # explorations for the lanes, in slices of at most 2 MB (~55 lanes
         # at 45 bpm), with recording digests in every log; serially, the
-        # last two sessions are past the speculated ones and integrate what
-        # they alone reach
+        # last session is past the speculated ones and integrates what it
+        # alone reaches
         calls, lane_slice = [], plant._lane_slice  # each call's slices
         monkeypatch.setattr("stifflab.session.simulate_lanes",
                             lambda *a: calls.append([]) or plant.simulate_lanes(*a))
         monkeypatch.setattr("stifflab.plant._lane_slice",
                             lambda e, *a: calls[-1].append(e) or lane_slice(e, *a))
         monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
-        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
+        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 5)
         if threads is None:
             monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
         else:
@@ -469,6 +492,23 @@ class TestSimulate:
                 assert all(used + lane_bytes(later[0]) > 48 * 8 * 2 * 2668
                            for used, later in zip(taken, slices[1:]))
 
+    def test_slices_under_min_lanes_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # four speculated default sessions list 76 explorations, cut into
+        # slices of 62 and 14 lanes: the 14 never step in lanes, and the
+        # sessions that reach them integrate them in the scalar loop
+        given, sliced, lane_slice = [], [], plant._lane_slice
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: given.append(len(e)) or plant.simulate_lanes(e, *a))
+        monkeypatch.setattr("stifflab.plant._lane_slice",
+                            lambda e, *a: sliced.append(len(e)) or lane_slice(e, *a))
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
+        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
+        monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
+        self._assert_writes_separate_sessions(
+            tmp_path, default_config_dict(seed=0, plant_mode="full"), 6)
+        assert sliced and min(sliced) >= plant.MIN_LANES
+        assert sum(sliced) < sum(given)
+
     def test_too_few_explorations_for_lanes_write_the_same_bytes(self, tmp_path,
                                                                  monkeypatch):
         raw = default_config_dict(seed=3, plant_mode="full")
@@ -476,7 +516,7 @@ class TestSimulate:
         raw["observer"]["velocity_scaling"] = {"67.5": 1.0}
         raw["staircase"] = {"reversal_limit": 4, "reversals_averaged": 4}
         monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
-        monkeypatch.setattr("stifflab.session.simulate_lanes", None)  # never called
+        monkeypatch.setattr("stifflab.plant._lane_slice", None)  # never called
         self._assert_writes_separate_sessions(tmp_path, raw, 3)
 
     def test_batch_builds_its_config_document_once(self, tmp_path, monkeypatch):
@@ -551,6 +591,61 @@ class TestConfigSweep:
                     if code not in (0, 2) or code == 2 and out.exists() or caught:
                         failures.append((path, value, code, [str(w.message) for w in caught]))
                     shutil.rmtree(out, ignore_errors=True)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+        assert failures == []
+
+    def test_every_pair_of_plant_fields_at_its_extremes_integrates(self):
+        # each pair of the plant's numeric fields at each pair of these values
+        # (an encoder count as an integer of at least 4): a valid config's
+        # first exploration gives an outcome or UnstableIntegrationError,
+        # within 5 s and warning of nothing
+        fields = [("limb", name) for name in (
+            "inertia", "damping", "tracking_stiffness_gain", "tracking_damping_gain",
+            "motor_noise_std", "muscle_torque_max")] + [
+            ("device", name) for name in (
+                "encoder_counts_per_rev", "torque_limit", "control_rate")] + [
+            ("trajectory", "amplitude"), ("trajectory", "led_window"),
+            ("reference_stiffness",), ("velocity_tolerance",)]
+        values = [1e-300, 1e-9, 0.5, 3, 1e9, 1e300, 1.7e308]
+
+        def overran(signum, frame):
+            raise _Overran
+        previous = signal.signal(signal.SIGALRM, overran)
+        failures = []
+        try:
+            for pair in itertools.combinations(fields, 2):
+                for pair_values in itertools.product(values, repeat=2):
+                    case = default_config_dict()
+                    for (*parents, leaf), value in zip(pair, pair_values):
+                        node = functools.reduce(lambda node, key: node.setdefault(key, {}),
+                                                parents, case)
+                        node[leaf] = (max(4, int(value)) if leaf == "encoder_counts_per_rev"
+                                      else value)
+                    try:
+                        config = config_from_dict(case)
+                    except ConfigError:
+                        continue
+                    plan = plan_for_bpm(config.velocities[0].bpm, config.trajectory.amplitude,
+                                        config.device.control_rate,
+                                        config.trajectory.led_window)
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        signal.setitimer(signal.ITIMER_REAL, 5.0)
+                        error = None
+                        try:
+                            session._outcome(config, plan, simulate_exploration(
+                                SpringParam(k=config.reference_stiffness), plan,
+                                config.limb, config.device, np.random.default_rng(0)))
+                        except UnstableIntegrationError:
+                            pass
+                        except Exception as exc:  # _Overran too
+                            error = exc
+                        finally:
+                            signal.setitimer(signal.ITIMER_REAL, 0)
+                    if error is not None or caught:
+                        failures.append((pair, pair_values, error,
+                                         [str(w.message) for w in caught]))
         finally:
             signal.signal(signal.SIGALRM, previous)
         assert failures == []

@@ -385,14 +385,15 @@ class TestLanesMatchScalar:
         """simulate_lanes' recordings by index; no lane may warn or raise."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lanes = dict(simulate_lanes(explorations, limb, device))
+            lanes = simulate_lanes(dict(enumerate(explorations)), limb, device)
         assert sorted(lanes) == list(range(len(explorations)))
         return lanes
 
-    def test_mixed_lanes_match_the_scalar_loop(self):
-        # both paces and a plan of a few samples in one lane set; on a
-        # 64-count encoder, k = 300 saturates a 10 N m limit, and k = 1000
+    def test_mixed_lanes_match_the_scalar_loop(self, monkeypatch):
+        # both paces and a plan of a few samples in one slice of 21 lanes; on
+        # a 64-count encoder, k = 300 saturates a 10 N m limit, and k = 1000
         # and 1e6 diverge (the limit holds their angle finite)
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 1)
         limb = LimbConfig()
         device = DeviceConfig(encoder_counts_per_rev=64, torque_limit=1e4)
         explorations = [(SpringParam(k=k), plan, None)
@@ -465,9 +466,10 @@ class TestLanesMatchScalar:
                     == np.float64(scalar.achieved_mean_velocity).tobytes())
             assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
-    def test_overflowing_lanes_are_left_out_without_a_warning(self):
+    def test_overflowing_lanes_are_left_out_without_a_warning(self, monkeypatch):
         # tracking gains that overflow the angle to inf and NaN before the
         # plan ends: the scalar loop stops at math.floor of it
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 1)
         limb = LimbConfig(tracking_stiffness_gain=1e7, tracking_damping_gain=0.0)
         explorations = [(SpringParam(k=1.11), plan_for_bpm(bpm)) for bpm in (45.0, 75.0)]
         assert self._lanes([e + (None,) for e in explorations], limb,
@@ -478,9 +480,10 @@ class TestLanesMatchScalar:
                                      np.random.default_rng(0))
             assert isinstance(diverged.value.__context__, (OverflowError, ValueError))
 
-    def test_lanes_past_the_lower_limit_are_left_out(self):
+    def test_lanes_past_the_lower_limit_are_left_out(self, monkeypatch):
         # a stiff undamped tracker swings a 9-sample stroke to -1412 deg,
         # finite and never past +10x amplitude
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 1)
         plan = TrajectoryPlan(amplitude=90.0, beat_duration=0.004, sample_rate=1000.0)
         limb = LimbConfig(tracking_stiffness_gain=3e4, tracking_damping_gain=0.0)
         assert self._lanes([(SpringParam(k=1.11), plan, None)], limb,
@@ -494,7 +497,7 @@ class TestLanesMatchScalar:
         explorations = [(SpringParam(k=1.11), plan, np.random.default_rng(0))
                         for plan in (plan_for_bpm(45.0), plan_for_bpm(45.0, sample_rate=500.0))]
         with pytest.raises(ValueError, match="sample rates differ"):
-            list(simulate_lanes(explorations, limb, DeviceConfig()))
+            simulate_lanes(dict(enumerate(explorations)), limb, DeviceConfig())
 
 
 class TestPrediction:

@@ -1164,7 +1164,7 @@ class TestLogEncoding:
         events = list(_untemplated_events())
         encoded, encode = [], session._encode
         with mock.patch.object(session, "_encode",
-                               lambda obj, level: encoded.append(obj) or encode(obj, level)):
+                               lambda obj: encoded.append(obj) or encode(obj)):
             for event in events:
                 assert serialize_log([event]) == _reference_line(event) + "\n"
             assert len(encoded) == len(events)
@@ -1180,8 +1180,7 @@ class TestLogEncoding:
     def test_only_other_kinds_reach_the_json_encoder(self, config, others):
         encoded, encode = [], session._encode
         with mock.patch.object(session, "_encode",
-                               lambda obj, level: encoded.append(obj["kind"])
-                               or encode(obj, level)):
+                               lambda obj: encoded.append(obj["kind"]) or encode(obj)):
             text = run_session(config).log_text
         assert text == _reference_serialize_log(parse_log(text))
         assert encoded == [e.kind for e in parse_log(text) if e.kind not in _FIELDS]
@@ -1308,7 +1307,7 @@ class TestExplorationMemo:
         # however few: the exact outcomes still give each session's own log
         monkeypatch.setattr("stifflab.session.predicted_velocity_ok",
                             lambda *a: plant.predicted_velocity_ok(*a) * 0 + guess)
-        monkeypatch.setattr("stifflab.session.MIN_LANES", 1)
+        monkeypatch.setattr("stifflab.plant.MIN_LANES", 1)
         lanes = []
         monkeypatch.setattr("stifflab.session.simulate_lanes",
                             lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
