@@ -79,6 +79,8 @@ def _worker_count() -> int:
     except ValueError:
         raise ConfigError(
             f"STIFFLAB_THREADS must be an integer, got {threads!r}") from None
+    if requested < 0:
+        raise ConfigError(f"STIFFLAB_THREADS must be a nonnegative integer, got {threads!r}")
     # no more workers than the CPUs this process may run on: a pool may fork
     # every worker it is allowed on its first task
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform

@@ -344,16 +344,16 @@ def _recorded_series(spring: SpringParam, limb: LimbConfig, device: DeviceConfig
     return q_angle, tau_dev, tau_mus, activation
 
 
-# A slice of fewer lanes than this is left to run_session's scalar loop.
-# A lane step (49 NumPy calls) costs about the same for up to a few hundred
-# lanes (20-50 us on a 2-core x86 host), a scalar sample ~1 us; there, lanes
-# of both paces break even at 28-32 explorations with noise or without (a
-# noise-free block of 14 takes ~83 ms in lanes, ~44 ms one by one).  No
-# workload has a block below 40 to measure a lower cut on.
+# A slice of fewer lanes than this is left to run_session's scalar loop, or,
+# as a pass's tail, to its other slices.  A lane step (49 NumPy calls) costs
+# about the same up to a few hundred lanes (20-50 us on a 2-core x86 host), a
+# scalar sample ~1 us: lanes of both paces break even at 28-32 explorations,
+# with noise or without (14 noise-free ones take ~83 ms in lanes, ~44 ms one
+# by one).  No workload has a block below 40 to measure a lower cut on.
 MIN_LANES = 40
-# A slice's lanes take at most this many bytes, however many explorations a
-# batch lists, with noise or without: on the default encoder ~37 KB a lane at
-# 45 bpm and ~26 KB at 75 bpm, 2 KB more with noise (see simulate_lanes).
+# The bytes a slice's lanes are packed to, with noise or without (a slice that
+# takes a tail passes them by fewer than MIN_LANES lanes): on the default
+# encoder ~37 KB a lane at 45 bpm, ~26 KB at 75 bpm, 2 KB more with noise.
 LANE_BYTES = 5_500_000
 NOISE_CHUNK = 256  # samples a lane draws noise for, and gathers reference for, at once
 
@@ -369,17 +369,15 @@ def simulate_lanes(explorations: dict, limb: LimbConfig, device: DeviceConfig) -
     The explorations are integrated one NumPy lane each, on one clock (so
     their plans share a sample rate), and every lane operation is the scalar
     loop's, in its order.  Longest first, they are cut into slices whose own
-    lanes take at most LANE_BYTES; a slice of fewer than MIN_LANES lanes is
-    not integrated, and its explorations are left out."""
+    lanes take at most LANE_BYTES; a last slice under MIN_LANES lanes joins
+    the others, and a slice still that narrow is left out, not integrated."""
     global _lane_memory
     plans = dict.fromkeys(plan for _, plan, _ in explorations.values())
     if len({plan.sample_rate for plan in plans}) > 1:
         raise ValueError("lanes step on one clock: the plans' sample rates differ")
-    if not plans:
-        return {}
     # a lane keeps its encoder counts, floor(angle / resolution) for angles
     # within the 10 x amplitude limit, in the narrowest type that holds them
-    bound = 10.0 * max(plan.amplitude for plan in plans) \
+    bound = 10.0 * max((plan.amplitude for plan in plans), default=0.0) \
         / (360.0 / device.encoder_counts_per_rev) + 1.0
     count_type = next((t for t in (np.int8, np.int16, np.int32, np.int64)
                        if bound <= np.iinfo(t).max), np.float64)
@@ -394,6 +392,8 @@ def simulate_lanes(explorations: dict, limb: LimbConfig, device: DeviceConfig) -
             room = LANE_BYTES
         slices[-1].append(key)
         room -= cost[explorations[key][1]]
+    if len(slices) > 1 and len(slices[-1]) < MIN_LANES:  # a tail, dealt to the others
+        slices = [keys + slices[-1][i::len(slices) - 1] for i, keys in enumerate(slices[:-1])]
     outcomes = {}
     for keys in slices:
         if len(keys) < MIN_LANES:
@@ -401,8 +401,8 @@ def simulate_lanes(explorations: dict, limb: LimbConfig, device: DeviceConfig) -
         # one block for every slice, kept for the next call: a fresh block
         # would fault its pages in again (~4% of a call), and blocks this size
         # allocated and freed per call fragment the heap
-        if _lane_memory.size < LANE_BYTES:
-            _lane_memory = np.empty(LANE_BYTES, np.uint8)
+        if _lane_memory.size < (size := sum(cost[explorations[key][1]] for key in keys)):
+            _lane_memory = np.empty(max(size, LANE_BYTES), np.uint8)
         for index, outcome in _lane_slice([explorations[key] for key in keys], limb,
                                           device, count_type, _lane_memory):
             outcomes[keys[index]] = outcome
@@ -594,15 +594,27 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
             yield j, outcome
 
 
+@functools.lru_cache(maxsize=4)  # a run explores one plan throughout
+def _held_torque(plan: TrajectoryPlan, limb: LimbConfig):
+    """``(size, free, per_k)``: the ``size``-point rffts of the loop's noise-free
+    held torque (Nm), affine in the spring's k: its part at k = 0, and per unit k."""
+    ref = _plan_reference(plan)[0]
+    size = 1 << (3 * len(ref.time) // 2).bit_length()
+    with np.errstate(all="ignore"):  # as in _feedforward
+        free = _feedforward(ref, limb, SpringParam(k=0.0)) + _DEG * (
+            limb.tracking_stiffness_gain * ref.angle + limb.tracking_damping_gain * ref.velocity)
+        return size, np.fft.rfft(free, size), np.fft.rfft(ref.angle * _MNM, size)
+
+
 @functools.lru_cache(maxsize=4)  # a trial explores two springs, often again
 def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
     """simulate_exploration's loop as a linear map, the spring ``k`` rendered
     unquantised and unsaturated: ``(size, response, steady)``, the ``size``-
-    point rfft of the angle's response to held torque (deg/Nm), cut to
-    ``size`` - n + 1 taps so that a circular convolution's first n samples
-    are exact, and the angle without motor noise."""
-    ref = _plan_reference(plan)[0]
-    n, dt, deg = len(ref.time), 1.0 / plan.sample_rate, _DEG
+    point rffts of the angle's response to standard normal noise (deg per
+    draw), cut to ``size`` - n + 1 taps so that a circular convolution's first
+    n samples are exact, and of the angle without motor noise."""
+    n, dt, deg = len(_plan_reference(plan)[0].time), 1.0 / plan.sample_rate, _DEG
+    size, free, per_k = _held_torque(plan, limb)
     stiffness = limb.tracking_stiffness_gain * deg + k * _MNM  # Nm/deg
 
     def step(theta, omega, tau):  # the loop's RK4 step
@@ -614,7 +626,6 @@ def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
                 omega + dt / 6 * (d[1] + 2 * d[2] + 2 * d[3] + d[4]))
 
     (a, c), (b, d), held = step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
-    size = 1 << (3 * n // 2).bit_length()
     powers = np.array(held)[:, None]  # [[a, b], [c, d]]^j held, j = 0, 1, ...
     with np.errstate(all="ignore"):  # an unstable loop overflows
         while powers.shape[1] < size - n:
@@ -622,25 +633,25 @@ def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
                                          c * powers[0] + d * powers[1]]])
             a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
         response = np.fft.rfft(np.append(0.0, powers[0, :size - n]), size)
-        steady = (_feedforward(ref, limb, SpringParam(k=k)) + deg * (
-            limb.tracking_stiffness_gain * ref.angle + limb.tracking_damping_gain * ref.velocity))
-        return size, response, np.fft.irfft(response * np.fft.rfft(steady, size), size)[:n]
+        return size, response * limb.motor_noise_std, response * (free + k * per_k)
 
 
 def predicted_velocity_ok(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
                           rng: np.random.Generator, tolerance: float) -> bool:
     """A guess at ``achieved_velocity_ok`` of ``simulate_exploration(spring,
     plan, limb, device, rng)``, from the loop's linear response to the same
-    motor noise, leaving ``rng`` where that call leaves it."""
+    motor noise (s x ``standard_normal()``, as ``normal(0, s)`` draws it),
+    leaving ``rng`` where that call leaves it.  The out stroke is a prefix of
+    the samples."""
     ref, _, _, out = _plan_reference(plan)
-    size, response, theta = _linear_response(spring.k, plan, limb)
-    noise = rng.normal(0.0, limb.motor_noise_std, size=len(theta))
+    size, response, steady = _linear_response(spring.k, plan, limb)
+    noise, stroke = rng.standard_normal(len(ref.time)), np.count_nonzero(out)
     with np.errstate(all="ignore"):
-        theta = theta + np.fft.irfft(response * np.fft.rfft(noise, size), size)[:len(theta)]
-        near = np.where(out, np.abs(theta - plan.amplitude), np.abs(theta)) < plan.led_window
-        achieved = np.abs(np.diff(theta, prepend=0.0)).sum() / ref.time[-1]
-    return bool((near & out).any() and (near & ~out).any()
-                and abs(achieved - plan.mean_speed) <= tolerance)
+        theta = np.fft.irfft(steady + response * np.fft.rfft(noise, size), size)[:len(noise)]
+        achieved = (np.abs(np.diff(theta)).sum() + abs(theta[0])) / ref.time[-1]
+        return bool((np.abs(theta[:stroke] - plan.amplitude) < plan.led_window).any()
+                    and (np.abs(theta[stroke:]) < plan.led_window).any()
+                    and abs(achieved - plan.mean_speed) <= tolerance)
 
 
 def achieved_velocity_ok(

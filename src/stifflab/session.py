@@ -50,6 +50,7 @@ from .staircase import (
 
 _encode = json.JSONEncoder(sort_keys=True).encode  # one line of the event log
 _raw_decode = json.JSONDecoder().raw_decode  # a line as json.loads reads it, bar padding
+_COPY_SEED = np.random.SeedSequence(0)  # seeds an RNG copy that then takes a state
 
 TRAINING_DURATION_S = 120.0
 BREAK_DURATION_S = 300.0
@@ -386,7 +387,7 @@ class _Drawn:
         if self.listed is not None:
             rng, accepted = None, True
             if noisy:
-                rng = np.random.Generator(type(self.rng.bit_generator)())
+                rng = np.random.Generator(type(self.rng.bit_generator)(_COPY_SEED))
                 rng.bit_generator.state = self.rng.bit_generator.state
                 accepted = predicted_velocity_ok(spring, plan, config.limb, self.rng,
                                                  config.velocity_tolerance)

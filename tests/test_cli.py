@@ -375,6 +375,15 @@ class TestSimulate:
             capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_negative_thread_count_exits_2(self, tmp_path, config_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("STIFFLAB_THREADS", "-3")
+        assert main(["simulate", "--config", config_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: STIFFLAB_THREADS must be a nonnegative integer, got '-3'\n")
+        assert not (tmp_path / "o").exists()
+
     # the pool size is STIFFLAB_THREADS capped at the CPUs this process may
     # run on (every CPU where sched_getaffinity is missing), then at one
     # worker per block of seeds; a single worker runs without a pool
@@ -493,21 +502,74 @@ class TestSimulate:
                            for used, later in zip(taken, slices[1:]))
 
     def test_slices_under_min_lanes_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # four speculated default sessions list 76 explorations, cut into
-        # slices of 62 and 14 lanes: the 14 never step in lanes, and the
-        # sessions that reach them integrate them in the scalar loop
+        # four speculated default sessions list 76 explorations, which fill a
+        # slice of 62 lanes and leave a tail of 14: the tail joins the other
+        # slice, all 76 step in one, and the speculated sessions integrate
+        # none of theirs in the scalar loop
         given, sliced, lane_slice = [], [], plant._lane_slice
         monkeypatch.setattr("stifflab.session.simulate_lanes",
                             lambda e, *a: given.append(len(e)) or plant.simulate_lanes(e, *a))
         monkeypatch.setattr("stifflab.plant._lane_slice",
                             lambda e, *a: sliced.append(len(e)) or lane_slice(e, *a))
+        scalar, reached = [], {}  # seed -> the explorations its session integrated
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: scalar.append(a) or simulate_exploration(*a))
+
+        def counted(config, *args):
+            before = len(scalar)
+            run = run_session(config, *args)
+            reached[config.seed] = len(scalar) - before
+            return run
+        monkeypatch.setattr("stifflab.session.run_session", counted)
         monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
         monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
         monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
         self._assert_writes_separate_sessions(
             tmp_path, default_config_dict(seed=0, plant_mode="full"), 6)
-        assert sliced and min(sliced) >= plant.MIN_LANES
-        assert sum(sliced) < sum(given)
+        assert given == sliced == [76]
+        assert [reached[seed] for seed in range(4)] == [0, 0, 0, 0]
+
+    def test_a_tail_under_min_lanes_steps_in_the_other_slices(self, tmp_path, monkeypatch):
+        # three short noisy sessions list 160 explorations in one pass, which
+        # slices of at most 1.7 MB (43 noisy lanes at 45 bpm) cut into three
+        # slices and a tail of 21: the tail joins the others, and no
+        # exploration of the batch is integrated in the scalar loop
+        calls, lane_slice, scalar, at_return = [], plant._lane_slice, [], []
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: calls.append((list(e.values()), []))
+                            or plant.simulate_lanes(e, *a))
+        monkeypatch.setattr("stifflab.plant._lane_slice",
+                            lambda e, *a: calls[-1][1].append(e) or lane_slice(e, *a))
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: scalar.append(a) or simulate_exploration(*a))
+
+        def batch(*args):  # the scalar explorations so far, when the batch returns
+            runs = run_sessions(*args)
+            at_return.append(len(scalar))
+            return runs
+        monkeypatch.setattr("stifflab.cli.run_sessions", batch)
+        monkeypatch.setattr("stifflab.plant.LANE_BYTES", 1_700_000)
+        monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
+        raw = default_config_dict(seed=0, plant_mode="full")
+        raw.update(limb={"motor_noise_std": 0.3}, catch_trial_rate=0.1,
+                   staircase={"reversal_limit": 2, "reversals_averaged": 2})
+        self._assert_writes_separate_sessions(tmp_path, raw, 3)
+        assert at_return == [0]
+        for given, slices in calls:  # each listed exploration in one slice
+            assert sorted(map(id, given)) == sorted(id(e) for lanes in slices for e in lanes)
+
+        def lane_bytes(exploration):  # a muscle torque and an int16 count a sample
+            samples = len(plant._plan_reference(exploration[1])[0].time)
+            return samples * 10 + 8 * plant.NOISE_CHUNK * 6
+        given, slices = calls[0]
+        cut, room = [], 0  # the longest-first packing before the tail is spread
+        for size in sorted(map(lane_bytes, given), reverse=True):
+            if size > room:
+                cut, room = cut + [0], 1_700_000
+            cut[-1], room = cut[-1] + 1, room - size
+        assert cut == [43, 43, 53, 21]
+        assert sorted(map(len, slices)) == [50, 50, 60]  # the 21 taken round robin
+        assert max(sum(map(lane_bytes, lanes)) for lanes in slices) > 1_700_000
 
     def test_too_few_explorations_for_lanes_write_the_same_bytes(self, tmp_path,
                                                                  monkeypatch):
