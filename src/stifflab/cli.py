@@ -1,5 +1,6 @@
 """Batch front end: simulate sessions, validate staircase convergence,
-trace a single run, and exercise the EMG pipeline.
+trace the first run of a session simulated as a batch of one, and
+exercise the EMG pipeline.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 including a config whose explorations cannot be met (the repeat cap is
@@ -35,7 +36,7 @@ from .session import (
     SessionConfig,
     config_from_dict,
     default_config_dict,
-    first_run,
+    parse_log,
     replay,
     run_sessions,
     summary_rows,
@@ -198,9 +199,9 @@ def cmd_trace(args) -> int:
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
     _check_overwrite([out], args.force)
-    run, events = first_run(config)
+    (session,) = run_sessions(config, [config.seed])
     rows = []  # [trial, level, response, reversal flag] of run 1's staircase trials
-    for _, kind, _, payload in events:
+    for _, kind, _, payload in parse_log(session.log_text):
         if kind == "RunTerminated":
             break
         # a catch trial's events carry the next staircase trial's number: skip them
@@ -216,7 +217,7 @@ def cmd_trace(args) -> int:
             pct = 100.0 * level / config.reference_stiffness
             fh.write(f"{trial},{pct!r},{response},{reversal}\n")
     print(f"wrote {out} ({len(rows)} trials, "
-          f"velocity {run.velocity} deg/s)")
+          f"velocity {session.result.runs[0].velocity} deg/s)")
     return EXIT_OK
 
 

@@ -626,12 +626,15 @@ def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
                 omega + dt / 6 * (d[1] + 2 * d[2] + 2 * d[3] + d[4]))
 
     (a, c), (b, d), held = step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
-    powers = np.array(held)[:, None]  # [[a, b], [c, d]]^j held, j = 0, 1, ...
+    # [[a, b], [c, d]]^j held, j = 0, 1, ..., filled in doubling rounds
+    powers = np.empty((2, 1 << max(size - n - 1, 0).bit_length()))
+    powers[:, 0], filled = held, 1
     with np.errstate(all="ignore"):  # an unstable loop overflows
-        while powers.shape[1] < size - n:
-            powers = np.hstack([powers, [a * powers[0] + b * powers[1],
-                                         c * powers[0] + d * powers[1]]])
+        while filled < powers.shape[1]:
+            p, q = powers[:, :filled]
+            powers[:, filled:2 * filled] = a * p + b * q, c * p + d * q
             a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+            filled *= 2
         response = np.fft.rfft(np.append(0.0, powers[0, :size - n]), size)
         return size, response * limb.motor_noise_std, response * (free + k * per_k)
 

@@ -629,23 +629,6 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
                    for s in seeds[len(runs):]]
 
 
-class _FirstRun(_Drawn):
-    """``_Drawn``'s inputs for the session's first run alone: the whole run
-    order is drawn, so the first run draws what it draws in the session."""
-
-    def order(self, count: int) -> list[int]:
-        return super().order(count)[:1]
-
-
-def first_run(config: SessionConfig) -> tuple[RunResult, list[tuple]]:
-    """The result of the session's first run and the events emitted for a
-    session of that run alone, as tuples of an Event's fields; no later run
-    is simulated."""
-    events: list[tuple] = []
-    (run,) = _emit_session(config, _FirstRun(config, {}), events)
-    return run, events
-
-
 _BOOL = ("false", "true")  # a bool's JSON, indexed by the bool
 _RESPONSES = ("same", "different")
 _DIRECTIONS = ("up", "down")

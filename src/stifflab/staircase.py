@@ -55,6 +55,12 @@ class StaircaseConfig:
             )
         if not math.isfinite(self.level_cap):  # the default cap can overflow
             raise ConfigError(f"level_cap must be finite, got {self.level_cap}")
+        # bounds the sum of the averaged reversals, and a level or threshold
+        # as a percentage of the reference
+        bound = 100.0 * self.reversals_averaged * self.level_cap / self.reference_stiffness
+        if not math.isfinite(bound):
+            raise ConfigError("100 * reversals_averaged * level_cap / reference_stiffness "
+                              f"must be finite, got {bound}")
 
     @property
     def down_step(self) -> float:

@@ -240,7 +240,8 @@ class TestSimulate:
         # the angle is NaN one RK4 step after it was small
         ({"limb": {"inertia": 1e-300}}, "error: angle nan deg is not finite at t=0.002s"),
         # a finite limb whose feedforward overflows: the error alone, no NumPy
-        # warning, from the scalar loop and from lanes
+        # warning, from the lanes (the lane diverges) and from the scalar loop
+        # that then integrates the exploration and raises it
         ({"limb": {"inertia": 1.7e308}}, "error: angle nan deg is not finite at t=0.002s"),
         ({"limb": {"damping": 1.7e308}}, "error: angle nan deg is not finite at t=0.002s"),
         ({"limb": {"inertia": 1.7e308, "motor_noise_std": 0.3}},
@@ -248,6 +249,11 @@ class TestSimulate:
         # a gain whose muscle torque overflows at 45 bpm over a 2 s control period
         ({"limb": {"tracking_stiffness_gain": 1.7e308}, "device": {"control_rate": 0.5},
           "velocities": [{"bpm": 45, "deg_s": 67.5}],
+          "observer": {**default_config_dict()["observer"], "velocity_scaling": {}}},
+         "error: interval 0 of trial 0 failed the velocity check 5 times"),
+        # a second run (600 bpm at seed 0) whose explorations cannot be met:
+        # trace, which reports the first run alone, refuses it as simulate does
+        ({"velocities": [{"bpm": 45}, {"bpm": 600}],
           "observer": {**default_config_dict()["observer"], "velocity_scaling": {}}},
          "error: interval 0 of trial 0 failed the velocity check 5 times"),
     ])
@@ -261,8 +267,10 @@ class TestSimulate:
         assert not out.exists()
 
     # activation |muscle torque| / 1e-300 overflows and clips to 1: in lanes
-    # (the two sessions' explorations) and in the scalar loop
-    @pytest.mark.parametrize("command", [["simulate", "--sessions", "2"], ["trace"]])
+    # (the two sessions' explorations, and the 40 of the session at seed 0)
+    # and in the scalar loop (the 38 of the session at seed 1, under MIN_LANES)
+    @pytest.mark.parametrize("command", [["simulate", "--sessions", "2"], ["trace"],
+                                         ["trace", "--seed", "1"]])
     @pytest.mark.filterwarnings("error")  # pytest would keep a warning off stderr
     def test_tiny_muscle_torque_max_runs_without_a_warning(self, tmp_path, capsys, command):
         raw = {**default_config_dict(), "limb": {"inertia": 1e9, "muscle_torque_max": 1e-300}}
@@ -618,9 +626,13 @@ class _Overran(Exception):
 
 
 class TestConfigSweep:
-    @pytest.mark.parametrize("plant_mode,sessions", [("ideal", 2), ("full", 1)])
+    # no full trace: it is run_sessions of one seed, which the full
+    # one-session simulate case already sweeps
+    @pytest.mark.parametrize("plant_mode,command", [
+        ("ideal", ["simulate", "--sessions", "2"]), ("full", ["simulate", "--sessions", "1"]),
+        ("ideal", ["trace"])])
     def test_every_leaf_at_every_boundary_exits_0_or_2(self, tmp_path, capsys,
-                                                       monkeypatch, plant_mode, sessions):
+                                                       monkeypatch, plant_mode, command):
         # every field the config document writes, so a new one is swept too;
         # a case must exit 0, or 2 writing nothing, within 10 s and warn of nothing
         monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
@@ -643,8 +655,8 @@ class TestConfigSweep:
                         warnings.simplefilter("always")
                         signal.setitimer(signal.ITIMER_REAL, 10.0)
                         try:
-                            code = main(["simulate", "--config", write_config(tmp_path, case),
-                                         "--sessions", str(sessions), "--out", str(out)])
+                            code = main([*command, "--config", write_config(tmp_path, case),
+                                         "--out", str(out)])
                         except Exception as exc:  # _Overran too
                             code = exc
                         finally:
@@ -652,7 +664,9 @@ class TestConfigSweep:
                     capsys.readouterr()
                     if code not in (0, 2) or code == 2 and out.exists() or caught:
                         failures.append((path, value, code, [str(w.message) for w in caught]))
-                    shutil.rmtree(out, ignore_errors=True)
+                    if out.is_dir():  # simulate's directory, or trace's file
+                        shutil.rmtree(out)
+                    out.unlink(missing_ok=True)
         finally:
             signal.signal(signal.SIGALRM, previous)
         assert failures == []
@@ -834,18 +848,21 @@ class TestTrace:
                      "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_only_the_first_run_is_simulated(self, tmp_path, monkeypatch, capsys):
-        # the noisy session at seed 0 integrates 255 explorations, 162 of
-        # them in its first run
-        calls = []
+    def test_explorations_step_in_lanes(self, tmp_path, monkeypatch, capsys):
+        # the noisy session at seed 0 is a batch of one: its explorations,
+        # both runs', step in two slices of lanes and none in the scalar loop
+        scalar, sliced, lane_slice = [], [], plant._lane_slice
         monkeypatch.setattr("stifflab.session.simulate_exploration",
-                            lambda *a: calls.append(a) or simulate_exploration(*a))
+                            lambda *a: scalar.append(a) or simulate_exploration(*a))
+        monkeypatch.setattr("stifflab.plant._lane_slice",
+                            lambda e, *a: sliced.append(len(e)) or lane_slice(e, *a))
+        monkeypatch.delenv("STIFFLAB_THREADS", raising=False)
         raw = {**default_config_dict(seed=0), "limb": {"motor_noise_std": 0.3},
                "catch_trial_rate": 0.1}
         out = tmp_path / "trace.csv"
         assert main(["trace", "--config", write_config(tmp_path, raw),
                      "--out", str(out)]) == 0
-        assert len(calls) == 162
+        assert (len(scalar), sliced) == (0, [141, 114])
         assert capsys.readouterr().out == \
             f"wrote {out} (66 trials, velocity 67.5 deg/s)\n"
 

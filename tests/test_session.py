@@ -154,6 +154,18 @@ class TestConfig:
         (lambda r: r.update(trajectory={"amplitude": 0.1},
                             device={"torque_limit": 1e308}),
          "staircase: level_cap must be finite, got inf"),
+        # a finite cap whose averaged reversals sum, or whose percentage of
+        # the reference, overflows (an ideal run of all "same" responses
+        # climbs to the cap; a level at the reference is 100%)
+        (lambda r: r.update(plant_mode="ideal", reference_stiffness=1e306,
+                            device={"torque_limit": 1.7e308}, trajectory={"amplitude": 1},
+                            observer={"family": "bernoulli", "p_different": 0}),
+         r"staircase: 100 \* reversals_averaged \* level_cap / reference_stiffness "
+         "must be finite, got inf"),
+        (lambda r: r.update(plant_mode="ideal", reference_stiffness=1e307,
+                            device={"torque_limit": 1.7e308}, trajectory={"amplitude": 1}),
+         r"staircase: 100 \* reversals_averaged \* level_cap / reference_stiffness "
+         "must be finite, got inf"),
         # averaging no reversals, or a negative count, is a typo, not a rule
         (lambda r: r.update(staircase={"reversals_averaged": 0}),
          "staircase: need 1 <= reversals_averaged <= reversal_limit"),
