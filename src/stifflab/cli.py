@@ -88,6 +88,17 @@ def _worker_count() -> int:
     return min(requested, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
+def _write_sessions(config: SessionConfig, staging: str, seeds: list[int]) -> list[dict]:
+    """Writes the log of each session of ``config`` at ``seeds`` into
+    ``staging`` as the session ends; returns the sessions' summary rows."""
+    rows = []
+    for seed, run in zip(seeds, run_sessions(config, seeds)):
+        with open(os.path.join(staging, f"session_{seed:08d}.jsonl"), "w") as fh:
+            fh.write(run.log_text)
+        rows += summary_rows(f"session_{seed:08d}", seed, run.result)
+    return rows
+
+
 def cmd_simulate(args) -> int:
     if args.sessions < 1:
         raise ConfigError(f"--sessions must be at least 1, got {args.sessions}")
@@ -98,44 +109,32 @@ def cmd_simulate(args) -> int:
     paths = [out / f"session_{s:08d}.jsonl" for s in seeds]
     summary_path = out / "summary.csv"
     _check_overwrite([*paths, summary_path], args.force)
-    # a name the file system refuses fails before any session runs: the longest
-    # (the names differ only in their digits) is created, empty, where it will
-    # be staged, in a hidden directory inside --out that goes again at once
-    # with any --out made for it, so that nothing waits there meanwhile
+    # staged in a hidden directory inside --out, on its file system, so that an
+    # error leaves no partial --out nor one this command made (a Path per file
+    # would intern the staging name anew)
     created = next((p for p in [*reversed(out.parents), out] if not p.exists()), None)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(prefix=".", dir=out) as probe:
-            open(os.path.join(probe, max((p.name for p in paths), key=len)), "w").close()
-    finally:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
-
-    if workers > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~1.3 MB: a pool's alone
-        size = -(-len(seeds) // workers)  # one contiguous block per worker
-        blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-        # a pool may start all its workers at once: start none without a block
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            runs = [run for block in pool.map(functools.partial(run_sessions, config),
-                                              blocks) for run in block]
-    else:
-        runs = run_sessions(config, seeds)
-
-    # staged in --out, on its file system, so that an error leaves no partial --out
-    # nor one this command made (a Path per file would intern the staging name anew)
-    try:
-        out.mkdir(parents=True, exist_ok=True)  # only once there is something to write
         with tempfile.TemporaryDirectory(prefix=".", dir=out) as staging:
-            all_rows = []
-            for seed, run, path in zip(seeds, runs, paths):
-                with open(os.path.join(staging, path.name), "w") as fh:
-                    fh.write(run.log_text)
-                all_rows.extend(summary_rows(f"session_{seed:08d}", seed, run.result))
+            # a name the file system refuses fails before any session runs: the
+            # longest (the names differ only in their digits) is created, empty,
+            # where its log goes
+            open(os.path.join(staging, max((p.name for p in paths), key=len)), "w").close()
+            if workers > 1 and len(seeds) > 1:
+                from concurrent.futures import ProcessPoolExecutor  # ~1.3 MB: a pool's alone
+                size = -(-len(seeds) // workers)  # one contiguous block per worker
+                blocks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+                # a pool may start all its workers at once: start none without a block
+                with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+                    rows = [row for block in pool.map(
+                        functools.partial(_write_sessions, config, staging), blocks)
+                        for row in block]
+            else:
+                rows = _write_sessions(config, staging, seeds)
             with open(os.path.join(staging, summary_path.name), "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
                 writer.writeheader()
-                writer.writerows(all_rows)
+                writer.writerows(rows)
             for path in [*paths, summary_path]:
                 os.replace(os.path.join(staging, path.name), path)
     except BaseException:

@@ -19,7 +19,7 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -571,10 +571,10 @@ def run_session(config: SessionConfig, memo: dict | None = None,
     return SessionRun(result=SessionResult(runs=runs), log_text=serialize_log(emitted))
 
 
-def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
+def run_sessions(base: SessionConfig, seeds: list[int]) -> Iterator[SessionRun]:
     """The sessions of ``base`` at each of ``seeds``, in order, each run by
-    ``run_session``, as it runs alone.  They share one config document and
-    one exploration memo.
+    ``run_session``, as it runs alone, and yielded as it ends.  They share
+    one config document and one exploration memo.
 
     A ``full`` batch first speculates its sessions (a noise-free one its
     first ``PRESIMULATED_SESSIONS``): a session is emitted from its seed,
@@ -602,7 +602,7 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
             _emit_session(config, source, [])
         return source.listed
 
-    runs: list[SessionRun] = []
+    done = 0  # sessions yielded
     block: dict = {}  # seed -> what it listed
     lanes: dict = {}  # memo key -> (spring, plan, RNG), in the block's order
     for position, seed in enumerate(speculated):
@@ -620,13 +620,14 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> list[SessionRun]:
                             for key, (*_, accepted) in listed.items())}
             lanes = {key: lane[:3] for listed in block.values()
                      for key, lane in listed.items()}
-        runs += [run_session(replace(base, seed=s), memo, document)
-                 for s in seeds[len(runs):position + 1]]
+        for s in seeds[done:position + 1]:
+            yield run_session(replace(base, seed=s), memo, document)
+        done = position + 1
         if noisy:  # no later session meets these RNG states
             memo.clear()
         block, lanes = {}, {}
-    return runs + [run_session(replace(base, seed=s), memo, document)
-                   for s in seeds[len(runs):]]
+    for s in seeds[done:]:
+        yield run_session(replace(base, seed=s), memo, document)
 
 
 _BOOL = ("false", "true")  # a bool's JSON, indexed by the bool

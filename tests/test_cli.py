@@ -49,6 +49,29 @@ def config_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """The sizes of the process pools started, each a stand-in that maps in
+    this process."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    return pools
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -328,20 +351,76 @@ class TestSimulate:
         assert (out / "session_00000001.jsonl").read_text() == "kept"
 
     def test_files_are_staged_inside_out(self, tmp_path, config_path, monkeypatch):
-        # each move stays on the file system of --out, and the parent of
-        # --out is never written to; while the sessions run, --out does not
-        # exist (its names were checked in a directory that is gone again)
-        out, move, staged = tmp_path / "o", os.replace, []
+        # when a session starts, the log of each one before it is already in
+        # the one hidden directory inside --out (the first finds the empty
+        # name probe there); nothing is written beside --out, and the files
+        # are those of a plain run
+        plain, out, staged = tmp_path / "plain", tmp_path / "o", []
+        argv = ["simulate", "--config", config_path, "--sessions", "3", "--out"]
+        assert main([*argv, str(plain)]) == 0
 
-        def record(src, dst):
-            staged.append(Path(src).parent.parent)
-            move(src, dst)
-        monkeypatch.setattr(os, "replace", record)
-        monkeypatch.setattr("stifflab.cli.run_sessions",
-                            lambda *a: [] if out.exists() else run_sessions(*a))
-        assert main(["simulate", "--config", config_path, "--out", str(out)]) == 0
-        assert staged == [out, out]
-        assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out]
+        def observed(config, *args):
+            assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out, plain]
+            (staging,) = out.iterdir()
+            staged.append((staging.name[0], {p.name: p.read_bytes() for p in staging.iterdir()}))
+            return run_session(config, *args)
+        monkeypatch.setattr("stifflab.session.run_session", observed)
+        assert main([*argv, str(out)]) == 0
+        logs = {p.name: p.read_bytes() for p in sorted(plain.glob("*.jsonl"))}
+        first, second, _ = logs
+        assert staged == [(".", {first: b""}), (".", {first: logs[first]}),
+                          (".", {first: logs[first], second: logs[second]})]
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out, plain]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == \
+            {p.name: p.read_bytes() for p in plain.iterdir()}
+
+    @pytest.mark.parametrize("failure", ["session", "write", "interrupt"])
+    @pytest.mark.parametrize("existing", [False, True])
+    @pytest.mark.parametrize("threads", ["0", "2"])
+    def test_an_error_mid_batch_leaves_no_output(self, tmp_path, config_path, capsys,
+                                                  monkeypatch, serial_pools, failure,
+                                                  existing, threads):
+        # once the first of three sessions has its log staged, the second
+        # raises, its log cannot be written, or Ctrl-C comes: serially, and
+        # in a worker whose block holds both, nothing is written
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("STIFFLAB_THREADS", threads)
+        out, staged = tmp_path / "new" / "o", []
+        if existing:
+            out.mkdir(parents=True)
+            (out / "session_00000001.jsonl").write_text("kept")
+        exc = {"session": session.RepeatLimitError("cap reached"),
+               "write": OSError(errno.ENOSPC, "disk full"),
+               "interrupt": KeyboardInterrupt()}[failure]
+
+        def fail():
+            (staging,) = out.glob(".*")
+            staged.extend((p.name, p.read_bytes()) for p in staging.iterdir())
+            raise exc
+        if failure == "write":
+            monkeypatch.setattr("stifflab.cli.open", lambda name, *a, **k: fail()
+                                if name.endswith("2.jsonl") else open(name, *a, **k),
+                                raising=False)
+        else:
+            monkeypatch.setattr("stifflab.session.run_session", lambda c, *a: fail()
+                                if c.seed == 2 else run_session(c, *a))
+        argv = ["simulate", "--config", config_path, "--sessions", "3", "--out", str(out),
+                "--force"]
+        if failure == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {exc}\n"
+        first = run_session(config_from_dict(json.loads(Path(config_path).read_text())))
+        assert staged == [("session_00000001.jsonl", first.log_text.encode())]
+        assert serial_pools == ([2] if threads == "2" else [])
+        if existing:
+            assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json", out.parent,
+                                                   out, out / "session_00000001.jsonl"]
+            assert (out / "session_00000001.jsonl").read_text() == "kept"
+        else:
+            assert sorted(tmp_path.rglob("*")) == [tmp_path / "config.json"]
 
     @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
                         reason="needs a user whom directory permissions bind")
@@ -400,8 +479,8 @@ class TestSimulate:
         ("4", 4, 8, True, [4]), ("5000", 6, 3, True, [3]), ("5000", 6, 3, False, [3]),
         ("4", 4, 2, True, [2]), ("4", 4, 1, True, []), ("4", 4, 1, False, [])])
     def test_worker_pool_starts_one_worker_per_seed_block(
-            self, tmp_path, config_path, monkeypatch, threads, sessions, cpus,
-            affinity, pools_started):
+            self, tmp_path, config_path, monkeypatch, serial_pools, threads, sessions,
+            cpus, affinity, pools_started):
         if affinity:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                 raising=False)
@@ -409,29 +488,13 @@ class TestSimulate:
         else:  # a platform without sched_getaffinity counts every CPU
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        pools = []
-
-        class SerialPool:  # records the pool size and maps in this process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         outs = {}
         for env in ("0", threads):
             monkeypatch.setenv("STIFFLAB_THREADS", env)
             outs[env] = tmp_path / f"threads_{env}"
             assert main(["simulate", "--config", config_path, "--sessions",
                          str(sessions), "--out", str(outs[env])]) == 0
-        assert pools == pools_started
+        assert serial_pools == pools_started
         for path in outs["0"].iterdir():
             assert path.read_bytes() == (outs[threads] / path.name).read_bytes()
 
@@ -552,7 +615,7 @@ class TestSimulate:
                             lambda *a: scalar.append(a) or simulate_exploration(*a))
 
         def batch(*args):  # the scalar explorations so far, when the batch returns
-            runs = run_sessions(*args)
+            runs = list(run_sessions(*args))
             at_return.append(len(scalar))
             return runs
         monkeypatch.setattr("stifflab.cli.run_sessions", batch)

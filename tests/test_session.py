@@ -1343,7 +1343,7 @@ class TestExplorationMemo:
         config = full_config(limb={"motor_noise_std": 0.3, "tracking_stiffness_gain": 1e7,
                                    "tracking_damping_gain": 0.0})
         with pytest.raises(plant.UnstableIntegrationError) as batch:
-            run_sessions(config, [0, 1])
+            list(run_sessions(config, [0, 1]))
         with pytest.raises(plant.UnstableIntegrationError) as alone:
             run_session(config)
         assert str(batch.value) == str(alone.value)
@@ -1385,10 +1385,20 @@ class TestExplorationMemo:
         monkeypatch.setattr("stifflab.session.run_session",
                             lambda c, memo, *a: memos.append((memo, len(memo)))
                             or run_session(c, memo, *a))
-        run_sessions(noisy_config(**self.SHORT), [0, 1, 2])
+        list(run_sessions(noisy_config(**self.SHORT), [0, 1, 2]))
         (memo, _), *others = memos
         assert len(others) == 2 and all(other is memo for other, _ in others)
         assert min(held for _, held in memos) > 0 and memo == {}
+
+    def test_a_batch_yields_each_session_as_it_ends(self, monkeypatch):
+        # the first session is given before the second is emitted
+        emit, emitted = session._emit_session, []
+        monkeypatch.setattr("stifflab.session._emit_session",
+                            lambda config, *a: emitted.append(config.seed) or emit(config, *a))
+        first = next(run_sessions(ideal_config(), [0, 1, 2]))
+        assert emitted == [0]
+        monkeypatch.undo()
+        assert first.log_text == run_session(ideal_config()).log_text
 
     def test_noisy_session_builds_each_plan_reference_once(self, monkeypatch):
         calls = []
