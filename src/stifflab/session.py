@@ -347,16 +347,17 @@ class _Drawn:
     presentation from the RNG, explorations from the plant and responses
     from the observer.
 
-    With a dict as ``listed``, an exploration the memo does not hold is
-    listed there, memo key -> (spring, plan, a copy of the RNG before its
-    noise or None, predicted acceptance), and answered with the prediction,
-    not simulated."""
+    ``memo`` and ``document`` serve exactly one config, ``config`` up to
+    its seed: a memo key leaves out what the config fixes, and the document
+    is logged with this session's seed.  With a dict as ``listed``, an
+    exploration the memo does not hold is listed there, memo key -> (spring,
+    plan, a copy of the RNG before its noise or None, predicted acceptance),
+    and answered with the prediction, not simulated."""
 
-    def __init__(self, config: SessionConfig, memo: dict, document: dict | None = None,
+    def __init__(self, config: SessionConfig, memo: dict, document: dict,
                  listed: dict | None = None):
         self.config = config
-        self.document = (config_to_dict(config) if document is None
-                         else {**document, "seed": config.seed})
+        self.document = {**document, "seed": config.seed}
         self.memo, self.listed = memo, listed
         self.rng = np.random.default_rng(config.seed)
 
@@ -370,20 +371,22 @@ class _Drawn:
 
     def explore(self, interval: int, attempt: int, k: float,
                 plan: TrajectoryPlan) -> tuple[bool, str, float, int]:
-        """Simulate one exploration, or recall it from ``memo``: ``_memo_key``
-        -> the outcome and a generator at the RNG state after its motor noise
-        (None without), whose state a hit takes.  Only noise-free outcomes
-        simulated here enter the memo, each once; noisy ones enter it from
-        the lanes of ``run_sessions``."""
-        config, spring = self.config, SpringParam(k=k)
+        """Simulate one exploration, or recall it from ``memo``: (k, plan),
+        with motor noise also the string of the RNG's state dict before its
+        noise, -> the outcome and a generator at the RNG state after that
+        noise (None without), whose state a hit takes.  Only noise-free
+        outcomes simulated here enter the memo, each once; noisy ones enter
+        it from the lanes of ``run_sessions``."""
+        config = self.config
         noisy = config.limb.motor_noise_std > 0
-        key = _memo_key(config, spring, plan, self.rng if noisy else None)
+        key = (k, plan, str(self.rng.bit_generator.state)) if noisy else (k, plan)
         found = self.memo.get(key)
         if found is not None:
             outcome, after = found
             if after is not None:
                 self.rng.bit_generator.state = after.bit_generator.state
             return outcome
+        spring = SpringParam(k=k)
         if self.listed is not None:
             rng, accepted = None, True
             if noisy:
@@ -404,14 +407,6 @@ class _Drawn:
         return self.config.observer.respond(springs[0], springs[1], deg_s, self.rng)
 
 
-def _memo_key(config: SessionConfig, spring: SpringParam, plan: TrajectoryPlan,
-              rng: np.random.Generator | None) -> tuple:
-    """What an exploration's outcome depends on: with motor noise, also the
-    state of ``rng`` before its noise, as the string of its state dict."""
-    key = spring, plan, config.limb, config.device, config.velocity_tolerance
-    return key if rng is None else (*key, str(rng.bit_generator.state))
-
-
 def _outcome(config: SessionConfig, plan: TrajectoryPlan,
              recording: TrialRecording | LaneOutcome) -> tuple[bool, str, float, int]:
     """An exploration's outcome as the emitter takes it (see _emit_session)."""
@@ -426,9 +421,10 @@ def _outcome(config: SessionConfig, plan: TrajectoryPlan,
 # an exploration integrated in lanes instead saves ~1.5 ms, so a speculated
 # session pays while it reaches about one exploration no earlier session did.
 # Default seeds reach ~15 new ones each over the first ten sessions and
-# fewer than one each past the fortieth; a 1000-session default block took
-# about the same CPU time with 30, 50 or 100 speculated, and ~30% more with
-# all.  A noisy session shares no exploration, so every one is speculated.
+# fewer than one each past the fortieth.  A serial 1000-session default
+# batch took 2.3, 2.2 and 2.1 s of CPU with 30, 50 and 100 speculated, within
+# its spread, and 2.9 s with all (medians of nine rounds on a 2-core x86
+# host).  A noisy session shares no exploration, so every one is speculated.
 PRESIMULATED_SESSIONS = 50
 # run_sessions integrates the explorations of the sessions it speculates
 # once they list this many distinct ones: a noisy session lists ~250 in its
@@ -555,26 +551,26 @@ def _run_summary(run: RunResult) -> dict:
     }
 
 
-def run_session(config: SessionConfig, memo: dict | None = None,
-                document: dict | None = None) -> SessionRun:
+def run_session(config: SessionConfig) -> SessionRun:
     """Execute the full protocol and return results plus the event log.
 
-    ``memo`` holds the explorations integrated so far (see
-    ``_Drawn.explore``); sessions given the same dict share them.  Without
-    one the session gets its own.  ``document``, ``config_to_dict`` of a
-    config that differs from ``config`` at most in its seed, spares a batch
-    building it per session.
+    The session runs alone, on a memo of its own that serves ``config``
+    only, and integrates each of its explorations one by one.
     """
+    return _session(config, {}, config_to_dict(config))
+
+
+def _session(config: SessionConfig, memo: dict, document: dict) -> SessionRun:
+    """The session of ``config`` on ``memo`` and ``document`` (see ``_Drawn``)."""
     emitted: list[tuple] = []
-    source = _Drawn(config, {} if memo is None else memo, document)
-    runs = _emit_session(config, source, emitted)
+    runs = _emit_session(config, _Drawn(config, memo, document), emitted)
     return SessionRun(result=SessionResult(runs=runs), log_text=serialize_log(emitted))
 
 
 def run_sessions(base: SessionConfig, seeds: list[int]) -> Iterator[SessionRun]:
-    """The sessions of ``base`` at each of ``seeds``, in order, each run by
-    ``run_session``, as it runs alone, and yielded as it ends.  They share
-    one config document and one exploration memo.
+    """The sessions of ``base`` at each of ``seeds``, in order, each as
+    ``run_session`` runs it alone, and yielded as it ends.  They share one
+    config document and one exploration memo, which serves ``base`` alone.
 
     A ``full`` batch first speculates its sessions (a noise-free one its
     first ``PRESIMULATED_SESSIONS``): a session is emitted from its seed,
@@ -585,7 +581,7 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> Iterator[SessionRun]:
     the memo.  A session that listed an outcome its prediction got wrong is
     speculated again, and finds its outcomes up to and including that one in
     the memo.  What no lane gave (a diverged lane, a slice too narrow to
-    integrate) ``run_session`` integrates one by one, raising its errors.
+    integrate) the session integrates one by one, raising its errors.
     A noisy block's outcomes leave the memo once its sessions have run.  No
     log depends on a prediction."""
     document = config_to_dict(base)  # the sessions' documents differ only in seed
@@ -621,13 +617,13 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> Iterator[SessionRun]:
             lanes = {key: lane[:3] for listed in block.values()
                      for key, lane in listed.items()}
         for s in seeds[done:position + 1]:
-            yield run_session(replace(base, seed=s), memo, document)
+            yield _session(replace(base, seed=s), memo, document)
         done = position + 1
         if noisy:  # no later session meets these RNG states
             memo.clear()
         block, lanes = {}, {}
     for s in seeds[done:]:
-        yield run_session(replace(base, seed=s), memo, document)
+        yield _session(replace(base, seed=s), memo, document)
 
 
 _BOOL = ("false", "true")  # a bool's JSON, indexed by the bool

@@ -359,12 +359,14 @@ class TestSimulate:
         argv = ["simulate", "--config", config_path, "--sessions", "3", "--out"]
         assert main([*argv, str(plain)]) == 0
 
+        alone = session._session
+
         def observed(config, *args):
             assert sorted(tmp_path.iterdir()) == [tmp_path / "config.json", out, plain]
             (staging,) = out.iterdir()
             staged.append((staging.name[0], {p.name: p.read_bytes() for p in staging.iterdir()}))
-            return run_session(config, *args)
-        monkeypatch.setattr("stifflab.session.run_session", observed)
+            return alone(config, *args)
+        monkeypatch.setattr("stifflab.session._session", observed)
         assert main([*argv, str(out)]) == 0
         logs = {p.name: p.read_bytes() for p in sorted(plain.glob("*.jsonl"))}
         first, second, _ = logs
@@ -402,8 +404,9 @@ class TestSimulate:
                                 if name.endswith("2.jsonl") else open(name, *a, **k),
                                 raising=False)
         else:
-            monkeypatch.setattr("stifflab.session.run_session", lambda c, *a: fail()
-                                if c.seed == 2 else run_session(c, *a))
+            alone = session._session
+            monkeypatch.setattr("stifflab.session._session", lambda c, *a: fail()
+                                if c.seed == 2 else alone(c, *a))
         argv = ["simulate", "--config", config_path, "--sessions", "3", "--out", str(out),
                 "--force"]
         if failure == "interrupt":
@@ -529,7 +532,7 @@ class TestSimulate:
         writer.writeheader()
         for seed in range(raw["seed"], raw["seed"] + sessions):
             config = config_from_dict({**raw, "seed": seed})
-            run = run_session(config, {})
+            run = run_session(config)
             name = f"session_{seed:08d}"
             assert (out / f"{name}.jsonl").read_bytes() == run.log_text.encode()
             writer.writerows(summary_rows(name, seed, run.result))
@@ -586,12 +589,15 @@ class TestSimulate:
         monkeypatch.setattr("stifflab.session.simulate_exploration",
                             lambda *a: scalar.append(a) or simulate_exploration(*a))
 
+        alone = session._session
+
         def counted(config, *args):
             before = len(scalar)
-            run = run_session(config, *args)
-            reached[config.seed] = len(scalar) - before
+            run = alone(config, *args)
+            # the batch's session, not the run_session it is compared with
+            reached.setdefault(config.seed, len(scalar) - before)
             return run
-        monkeypatch.setattr("stifflab.session.run_session", counted)
+        monkeypatch.setattr("stifflab.session._session", counted)
         monkeypatch.setattr("stifflab.plant.LANE_BYTES", 48 * 8 * 2 * 2668)
         monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 4)
         monkeypatch.delenv("STIFFLAB_THREADS", raising=False)

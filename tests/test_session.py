@@ -1365,26 +1365,46 @@ class TestExplorationMemo:
         assert len(scalar) >= plant.MIN_LANES
 
     def test_noisy_session_adds_nothing_to_the_memo(self, monkeypatch):
-        # a memo shared with a noise-free session: the noisy one finds none of
-        # its explorations there, integrates each itself and stores none
-        memo = {}
-        run_session(full_config(seed=1, **self.SHORT), memo)
-        held = dict(memo)
+        # a noisy session run alone integrates each of its explorations
+        # itself and leaves its own memo empty
+        memos, drawn = [], session._Drawn
+        monkeypatch.setattr("stifflab.session._Drawn",
+                            lambda config, memo, *a: memos.append(memo)
+                            or drawn(config, memo, *a))
         calls = []
         monkeypatch.setattr("stifflab.session.simulate_exploration",
                             lambda *a: calls.append(a[0]) or simulate_exploration(*a))
-        run = run_session(noisy_config(seed=1, **self.SHORT), memo)
-        assert held and memo == held
+        run = run_session(noisy_config(seed=1, **self.SHORT))
+        assert memos == [{}]
         assert len(calls) == _explorations(run.log_text)
         assert any(e.kind == "ExplorationRejected" for e in parse_log(run.log_text))
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_a_memo_key_is_k_and_plan_and_the_noisy_rng_state(self, monkeypatch, noisy):
+        # a memo serves one config, so a key holds only what varies within
+        # it; past the speculated session, scalar misses enter the memo too
+        monkeypatch.setattr("stifflab.session.PRESIMULATED_SESSIONS", 1)
+        memos, keys, drawn = [], set(), session._Drawn
+
+        def watched(config, memo, *args):
+            memos.append(memo)
+            keys.update(memo)  # a noisy block's memo is emptied once it has run
+            return drawn(config, memo, *args)
+        monkeypatch.setattr("stifflab.session._Drawn", watched)
+        config = noisy_config(**self.SHORT) if noisy else full_config()
+        list(run_sessions(config, [0, 1, 2]))
+        for memo in memos:
+            keys.update(memo)
+        assert keys and {tuple(map(type, key)) for key in keys} == \
+            {(float, plant.TrajectoryPlan, str) if noisy else (float, plant.TrajectoryPlan)}
 
     def test_noisy_batch_empties_the_memo_per_block(self, monkeypatch):
         # the lanes' outcomes are in the memo while the block's sessions run,
         # and gone once they have
-        memos = []
-        monkeypatch.setattr("stifflab.session.run_session",
+        memos, alone = [], session._session
+        monkeypatch.setattr("stifflab.session._session",
                             lambda c, memo, *a: memos.append((memo, len(memo)))
-                            or run_session(c, memo, *a))
+                            or alone(c, memo, *a))
         list(run_sessions(noisy_config(**self.SHORT), [0, 1, 2]))
         (memo, _), *others = memos
         assert len(others) == 2 and all(other is memo for other, _ in others)
