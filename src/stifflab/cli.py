@@ -51,10 +51,11 @@ EXIT_USAGE = 2
 
 def _check_overwrite(paths, force: bool) -> None:
     for path in map(Path, paths):
-        if path.is_dir():  # --force replaces files, never a directory
-            raise IsADirectoryError(f"{path} is a directory; it is not overwritten")
-        if path.exists() and not force:
-            raise FileExistsError(f"{path} exists; pass --force to overwrite")
+        if path.exists():  # one stat for a new path
+            if path.is_dir():  # --force replaces files, never a directory
+                raise IsADirectoryError(f"{path} is a directory; it is not overwritten")
+            if not force:
+                raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
 def _load_config(path: str, seed: int | None) -> SessionConfig:

@@ -629,6 +629,20 @@ def run_sessions(base: SessionConfig, seeds: list[int]) -> Iterator[SessionRun]:
 _BOOL = ("false", "true")  # a bool's JSON, indexed by the bool
 _RESPONSES = ("same", "different")
 _DIRECTIONS = ("up", "down")
+_SPELLINGS_MAX = 4096  # ~0.5 MB; a session spells ~640 floats, ~180 distinct
+
+
+class _Spellings(dict):
+    def __missing__(self, x: float) -> str:
+        spelled = repr(x)
+        if x:  # 0.0 == -0.0 as keys: one would spell the other
+            if len(self) >= _SPELLINGS_MAX:
+                self.clear()
+            self[x] = spelled
+        return spelled
+
+
+_SPELLINGS = _Spellings()
 
 
 def serialize_log(events: list[tuple]) -> str:
@@ -641,11 +655,14 @@ def serialize_log(events: list[tuple]) -> str:
     writes as json does: an exact int, bool, or finite float (``repr``), a
     response or direction word, digests of ASCII letters and digits.  Any
     other event goes through json's encoder, ``_encode``.  The guards stay
-    inline: a helper call per value costs as much as the encoder.
+    inline: a helper call per value costs as much as the encoder.  A float
+    that passed its guard (``1 == True == 1.0`` hash alike) is spelled from
+    ``_SPELLINGS``, a memo of ``repr`` cleared at ``_SPELLINGS_MAX``
+    entries; it never holds zero, since ``0.0 == -0.0`` as keys.
     """
     lines = []
     line = lines.append
-    isfinite = math.isfinite
+    isfinite, spell = math.isfinite, _SPELLINGS
     for seq, kind, t_wall, p in events:
         if type(kind) is str and type(p) is dict and type(seq) is int \
                 and type(t_wall) is float and isfinite(t_wall):
@@ -657,9 +674,9 @@ def serialize_log(events: list[tuple]) -> str:
                         and type(level) is float and type(k1) is float and type(k2) is float \
                         and isfinite(level) and isfinite(k1) and isfinite(k2):
                     line(f'{{"kind": "Presented", "payload": {{"catch": {_BOOL[catch]}, '
-                         f'"k_first": {k1!r}, "k_second": {k2!r}, "level": {level!r}, '
-                         f'"reference_first": {_BOOL[first]}, "trial": {trial}}}, '
-                         f'"seq": {seq}, "t_wall": {t_wall!r}}}')
+                         f'"k_first": {spell[k1]}, "k_second": {spell[k2]}, '
+                         f'"level": {spell[level]}, "reference_first": {_BOOL[first]}, '
+                         f'"trial": {trial}}}, "seq": {seq}, "t_wall": {spell[t_wall]}}}')
                     continue
             elif kind == "Responded" and n == 5:
                 catch, correct, trial = p.get("catch"), p.get("correct"), p.get("trial")
@@ -673,7 +690,7 @@ def serialize_log(events: list[tuple]) -> str:
                         line(f'{{"kind": "Responded", "payload": {{"catch": {_BOOL[catch]}, '
                              f'"correct": {_BOOL[correct]}, "recording_digests": '
                              f'["{a}", "{b}"], "response": "{response}", "trial": {trial}}}, '
-                             f'"seq": {seq}, "t_wall": {t_wall!r}}}')
+                             f'"seq": {seq}, "t_wall": {spell[t_wall]}}}')
                         continue
             elif kind == "StaircaseMoved" and n == 4:
                 direction, trial = p.get("direction"), p.get("trial")
@@ -682,9 +699,9 @@ def serialize_log(events: list[tuple]) -> str:
                         and type(trial) is int and type(before) is float \
                         and type(after) is float and isfinite(before) and isfinite(after):
                     line(f'{{"kind": "StaircaseMoved", "payload": {{"direction": '
-                         f'"{direction}", "level_after": {after!r}, "level_before": '
-                         f'{before!r}, "trial": {trial}}}, "seq": {seq}, '
-                         f'"t_wall": {t_wall!r}}}')
+                         f'"{direction}", "level_after": {spell[after]}, "level_before": '
+                         f'{spell[before]}, "trial": {trial}}}, "seq": {seq}, '
+                         f'"t_wall": {spell[t_wall]}}}')
                     continue
             elif kind == "Reversal" and n == 4:
                 index, level = p.get("index"), p.get("level")
@@ -693,8 +710,8 @@ def serialize_log(events: list[tuple]) -> str:
                         and isfinite(level) \
                         and type(direction) is str and direction in _DIRECTIONS:
                     line(f'{{"kind": "Reversal", "payload": {{"index": {index}, '
-                         f'"level": {level!r}, "new_direction": "{direction}", '
-                         f'"trial": {trial}}}, "seq": {seq}, "t_wall": {t_wall!r}}}')
+                         f'"level": {spell[level]}, "new_direction": "{direction}", '
+                         f'"trial": {trial}}}, "seq": {seq}, "t_wall": {spell[t_wall]}}}')
                     continue
         line(_encode({"kind": kind, "payload": p, "seq": seq, "t_wall": t_wall}))
     return "\n".join(lines) + "\n"

@@ -350,6 +350,18 @@ class TestSimulate:
                                           out / "summary.csv"]
         assert (out / "session_00000001.jsonl").read_text() == "kept"
 
+    def test_a_directory_target_is_refused_as_one_without_force(self, tmp_path, config_path,
+                                                                capsys):
+        # refused as a directory, not as an existing file to pass --force for
+        out = tmp_path / "o"
+        (out / "session_00000000.jsonl").mkdir(parents=True)
+        (out / "summary.csv").write_text("kept")
+        assert main(["simulate", "--config", config_path, "--seed", "0",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {out / 'session_00000000.jsonl'} is a directory; it is not overwritten\n"
+        assert (out / "summary.csv").read_text() == "kept"
+
     def test_files_are_staged_inside_out(self, tmp_path, config_path, monkeypatch):
         # when a session starts, the log of each one before it is already in
         # the one hidden directory inside --out (the first finds the empty

@@ -1210,6 +1210,59 @@ class TestLogEncoding:
         run = run_session(noisy_config(seed=1, staircase=SHORT_STAIRCASE))
         assert run.log_text == _reference_serialize_log(parse_log(run.log_text))
 
+    @pytest.mark.parametrize("make,seeds", [
+        (ideal_config, range(200)),
+        (noisy_config, range(3)),
+    ])
+    def test_batch_logs_match_the_json_encoder(self, make, seeds):
+        # later sessions are written from spellings the earlier ones left
+        for run in run_sessions(make(), list(seeds)):
+            assert run.log_text == _reference_serialize_log(parse_log(run.log_text))
+
+    @pytest.mark.parametrize("first,second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zeros_keep_their_sign(self, first, second):
+        # 0.0 == -0.0 as keys, so a memo holding one would spell the other
+        def events(zero):
+            for kind, payload in _VALID_PAYLOADS.items():
+                for key, value in payload.items():
+                    if type(value) is float:
+                        yield (7, kind, 120.0, {**payload, key: zero})
+                yield (7, kind, zero, payload)
+
+        once = [*events(first), *events(second)]
+        assert serialize_log(once) == _reference_serialize_log(once)
+        for zero in (first, second):
+            apart = list(events(zero))
+            assert serialize_log(apart) == _reference_serialize_log(apart)
+        assert not any(x == 0 for x in session._SPELLINGS)
+
+    def test_a_spelled_float_leaves_equal_values_of_other_types_to_json(self):
+        ones = [(7, kind, 1.0, {k: 1.0 if type(v) is float else v for k, v in payload.items()})
+                for kind, payload in _VALID_PAYLOADS.items()]
+        assert serialize_log(ones) == _reference_serialize_log(ones)
+        assert session._SPELLINGS.get(1.0) == "1.0"
+        odd = [(7, kind, t_wall, {**payload, key: value})
+               for _, kind, t_wall, payload in ones
+               for key in [k for k, v in payload.items() if type(v) is float]
+               for value in (1, True, _Float(1.0))]
+        odd += [(7, kind, value, payload) for _, kind, _, payload in ones
+                for value in (1, True, _Float(1.0))]
+        encoded, encode = [], session._encode
+        with mock.patch.object(session, "_encode",
+                               lambda obj: encoded.append(obj) or encode(obj)):
+            assert serialize_log(odd) == _reference_serialize_log(odd)
+        assert len(encoded) == len(odd)
+
+    def test_the_memo_is_cleared_when_full(self):
+        floats = [(i + 1) * 0.1 for i in range(session._SPELLINGS_MAX + 100)]
+        events = [(i, "Reversal", x, {"index": 1, "level": x, "new_direction": "up",
+                                      "trial": i}) for i, x in enumerate(floats)]
+        with mock.patch.object(session, "_SPELLINGS", session._Spellings()) as memo:
+            assert serialize_log(events) == _reference_serialize_log(events)
+            assert len(memo) == 100 and floats[0] not in memo
+            assert serialize_log(events[:200]) == _reference_serialize_log(events[:200])
+            assert memo.get(floats[0]) == repr(floats[0]) and len(memo) == 300
+
     @settings(max_examples=50, deadline=None)
     @given(target=st.integers(0, 20), update=_PAYLOADS)
     def test_amendment_line_matches_the_json_encoder(self, target, update):
