@@ -594,27 +594,16 @@ def _lane_slice(explorations: list, limb: LimbConfig, device: DeviceConfig,
             yield j, outcome
 
 
-@functools.lru_cache(maxsize=4)  # a run explores one plan throughout
-def _held_torque(plan: TrajectoryPlan, limb: LimbConfig):
-    """``(size, free, per_k)``: the ``size``-point rffts of the loop's noise-free
-    held torque (Nm), affine in the spring's k: its part at k = 0, and per unit k."""
-    ref = _plan_reference(plan)[0]
-    size = 1 << (3 * len(ref.time) // 2).bit_length()
-    with np.errstate(all="ignore"):  # as in _feedforward
-        free = _feedforward(ref, limb, SpringParam(k=0.0)) + _DEG * (
-            limb.tracking_stiffness_gain * ref.angle + limb.tracking_damping_gain * ref.velocity)
-        return size, np.fft.rfft(free, size), np.fft.rfft(ref.angle * _MNM, size)
-
-
 @functools.lru_cache(maxsize=4)  # a trial explores two springs, often again
-def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
+def _noise_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
     """simulate_exploration's loop as a linear map, the spring ``k`` rendered
-    unquantised and unsaturated: ``(size, response, steady)``, the ``size``-
-    point rffts of the angle's response to standard normal noise (deg per
-    draw), cut to ``size`` - n + 1 taps so that a circular convolution's first
-    n samples are exact, and of the angle without motor noise."""
+    unquantised and unsaturated: ``(size, response)``, the angle's transfer
+    function from standard normal noise (deg per draw) on the ``size``-point
+    rfft grid.  Its circular convolution with n draws gives their response's
+    first n samples, plus what of each draw's ringing the loop has not damped
+    ``size`` - n samples on, which the grid wraps round into them."""
     n, dt, deg = len(_plan_reference(plan)[0].time), 1.0 / plan.sample_rate, _DEG
-    size, free, per_k = _held_torque(plan, limb)
+    size = 1 << (3 * n // 2).bit_length()
     stiffness = limb.tracking_stiffness_gain * deg + k * _MNM  # Nm/deg
 
     def step(theta, omega, tau):  # the loop's RK4 step
@@ -625,32 +614,27 @@ def _linear_response(k: float, plan: TrajectoryPlan, limb: LimbConfig):
         return (theta + dt * omega + dt * dt / 6 * (d[1] + d[2] + d[3]),
                 omega + dt / 6 * (d[1] + 2 * d[2] + 2 * d[3] + d[4]))
 
-    (a, c), (b, d), held = step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
-    # [[a, b], [c, d]]^j held, j = 0, 1, ..., filled in doubling rounds
-    powers = np.empty((2, 1 << max(size - n - 1, 0).bit_length()))
-    powers[:, 0], filled = held, 1
-    with np.errstate(all="ignore"):  # an unstable loop overflows
-        while filled < powers.shape[1]:
-            p, q = powers[:, :filled]
-            powers[:, filled:2 * filled] = a * p + b * q, c * p + d * q
-            a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
-            filled *= 2
-        response = np.fft.rfft(np.append(0.0, powers[0, :size - n]), size)
-        return size, response * limb.motor_noise_std, response * (free + k * per_k)
+    # the step x' = [[a, b], [c, d]] x + (p, q) tau, whose angle's transfer
+    # function from tau is ((z - d) p + b q) / ((z - a)(z - d) - b c)
+    (a, c), (b, d), (p, q) = step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
+    z = np.exp(2j * np.pi * np.fft.rfftfreq(size))
+    with np.errstate(all="ignore"):  # as in _feedforward: an extreme limb overflows
+        return size, limb.motor_noise_std * ((z - d) * p + b * q) / ((z - a) * (z - d) - b * c)
 
 
 def predicted_velocity_ok(spring: SpringParam, plan: TrajectoryPlan, limb: LimbConfig,
                           rng: np.random.Generator, tolerance: float) -> bool:
     """A guess at ``achieved_velocity_ok`` of ``simulate_exploration(spring,
-    plan, limb, device, rng)``, from the loop's linear response to the same
-    motor noise (s x ``standard_normal()``, as ``normal(0, s)`` draws it),
-    leaving ``rng`` where that call leaves it.  The out stroke is a prefix of
-    the samples."""
+    plan, limb, device, rng)``: the reference angle (the feedforward is its
+    inverse dynamics, so the loop follows it without noise) plus the loop's
+    linear response to the same motor noise (s x ``standard_normal()``, as
+    ``normal(0, s)`` draws it), leaving ``rng`` where that call leaves it.
+    The out stroke is a prefix of the samples."""
     ref, _, _, out = _plan_reference(plan)
-    size, response, steady = _linear_response(spring.k, plan, limb)
+    size, response = _noise_response(spring.k, plan, limb)
     noise, stroke = rng.standard_normal(len(ref.time)), np.count_nonzero(out)
     with np.errstate(all="ignore"):
-        theta = np.fft.irfft(steady + response * np.fft.rfft(noise, size), size)[:len(noise)]
+        theta = ref.angle + np.fft.irfft(response * np.fft.rfft(noise, size), size)[:len(noise)]
         achieved = (np.abs(np.diff(theta)).sum() + abs(theta[0])) / ref.time[-1]
         return bool((np.abs(theta[:stroke] - plan.amplitude) < plan.led_window).any()
                     and (np.abs(theta[stroke:]) < plan.led_window).any()

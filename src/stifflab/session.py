@@ -58,6 +58,9 @@ RESPONSE_DURATION_S = 1.0
 # A config's runs end after at most this many reversals, ~5 trials each: a
 # limit of 10**9 would run for ever (the protocol's is 10).
 MAX_REVERSALS = 1000
+# An interval is explored at most this many times: a rejection the noise-free
+# plant repeats on every attempt adds an event each time (the protocol's is 5).
+MAX_ATTEMPTS = 1000
 
 
 class RepeatLimitError(RuntimeError):
@@ -118,8 +121,9 @@ class SessionConfig:
             raise ConfigError("velocity_tolerance must be nonnegative and finite")
         if self.plant_mode not in ("full", "ideal"):
             raise ConfigError(f"unknown plant_mode: {self.plant_mode!r}")
-        if self.repeat_cap < 1:
-            raise ConfigError("repeat_cap must be at least 1")
+        if not 1 <= self.repeat_cap <= MAX_ATTEMPTS:
+            raise ConfigError(f"repeat_cap must be from 1 to {MAX_ATTEMPTS:,}, "
+                              f"got {self.repeat_cap:.6g}")
 
 
 class Event(NamedTuple):

@@ -230,6 +230,9 @@ class TestSimulate:
         # a run that would never end
         (lambda r: r.update(staircase={"reversal_limit": 2**63}),
          "staircase.reversal_limit must be at most 1,000, got 9.22337e+18"),
+        # nor one whose rejected intervals repeat for ever, an event each
+        (lambda r: r.update(repeat_cap=10**9, velocity_tolerance=0),
+         "repeat_cap must be from 1 to 1,000, got 1e+09"),
     ])
     def test_invalid_config_exits_2(self, tmp_path, capsys, mutate, match):
         raw = default_config_dict(plant_mode="ideal")
@@ -1198,6 +1201,8 @@ class TestReplayInputs:
         ("ideal", lambda events: events[0]["payload"]["config"]["observer"].update(
             family="weibul"),
          "seq 0: SessionStarted config: observer: unknown observer family"),
+        ("full", lambda events: events[0]["payload"]["config"].update(repeat_cap=1001),
+         "seq 0: SessionStarted config: repeat_cap must be from 1 to 1,000, got 1001"),
     ])
     def test_mistyped_input_is_a_corrupt_log(self, tmp_path, capsys, plant_mode,
                                              damage, match):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import hashlib
 import warnings
 
@@ -502,75 +501,56 @@ class TestLanesMatchScalar:
             simulate_lanes(dict(enumerate(explorations)), limb, DeviceConfig())
 
 
-@functools.lru_cache(maxsize=4)
-def _reference_linear_response(k, plan, limb):
-    """_linear_response as first written: the noise-free angle by its own
-    rfft and irfft, and the response to held torque unscaled."""
-    ref = _plan_reference(plan)[0]
-    n, dt, deg = len(ref.time), 1.0 / plan.sample_rate, plant._DEG
-    stiffness = limb.tracking_stiffness_gain * deg + k * plant._MNM
-
-    def step(theta, omega, tau):
-        tau -= stiffness * theta + limb.tracking_damping_gain * deg * omega
-        d = [0.0]
-        for h in (0.0, dt / 2, dt / 2, dt):
-            d.append((tau - limb.damping * deg * (omega + h * d[-1])) / limb.inertia / deg)
-        return (theta + dt * omega + dt * dt / 6 * (d[1] + d[2] + d[3]),
-                omega + dt / 6 * (d[1] + 2 * d[2] + 2 * d[3] + d[4]))
-
-    (a, c), (b, d), held = step(1.0, 0.0, 0.0), step(0.0, 1.0, 0.0), step(0.0, 0.0, 1.0)
-    size = 1 << (3 * n // 2).bit_length()
-    powers = np.array(held)[:, None]
-    with np.errstate(all="ignore"):
-        while powers.shape[1] < size - n:
-            powers = np.hstack([powers, [a * powers[0] + b * powers[1],
-                                         c * powers[0] + d * powers[1]]])
-            a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
-        response = np.fft.rfft(np.append(0.0, powers[0, :size - n]), size)
-        steady = (plant._feedforward(ref, limb, SpringParam(k=k)) + deg * (
-            limb.tracking_stiffness_gain * ref.angle + limb.tracking_damping_gain * ref.velocity))
-        return size, response, np.fft.irfft(response * np.fft.rfft(steady, size), size)[:n]
-
-
-def _reference_predicted_velocity_ok(spring, plan, limb, rng, tolerance):
-    """predicted_velocity_ok as first written: the noise drawn with normal(),
-    its response added to the noise-free angle, the LED masks over the
-    whole stroke pair."""
-    ref, _, _, out = _plan_reference(plan)
-    size, response, theta = _reference_linear_response(spring.k, plan, limb)
-    noise = rng.normal(0.0, limb.motor_noise_std, size=len(theta))
-    with np.errstate(all="ignore"):
-        theta = theta + np.fft.irfft(response * np.fft.rfft(noise, size), size)[:len(theta)]
-        near = np.where(out, np.abs(theta - plan.amplitude), np.abs(theta)) < plan.led_window
-        achieved = np.abs(np.diff(theta, prepend=0.0)).sum() / ref.time[-1]
-    return bool((near & out).any() and (near & ~out).any()
-                and abs(achieved - plan.mean_speed) <= tolerance)
+def _predictions(limb, bpm, tolerance, trials):
+    """predicted_velocity_ok and the simulated outcome of the staircase's
+    explorations: per trial the reference spring and a comparison from the
+    floor to the cap of the default levels, each drawing its noise where the
+    one before left the RNG.  The outcomes are simulate_lanes', bit for bit
+    simulate_exploration's, and each lane's RNG ends where its prediction
+    left the RNG."""
+    plan, staircase = plan_for_bpm(bpm), default_config(1.11)
+    levels = np.linspace(staircase.level_floor, staircase.level_cap, 25)
+    rng, explorations, guesses, after = np.random.default_rng(7), {}, [], []
+    for trial in range(trials):
+        for spring in (SpringParam(k=1.11), SpringParam(k=1.11 + levels[trial * 7 % 25])):
+            before = np.random.default_rng(0)
+            before.bit_generator.state = rng.bit_generator.state
+            explorations[len(guesses)] = spring, plan, before
+            guesses.append(predicted_velocity_ok(spring, plan, limb, rng, tolerance))
+            after.append(rng.bit_generator.state)
+    lanes = simulate_lanes(explorations, limb, DeviceConfig())
+    assert sorted(lanes) == list(explorations)
+    assert [rng.bit_generator.state for _, _, rng in explorations.values()] == after
+    return guesses, [lanes[i] is not None and achieved_velocity_ok(lanes[i], plan, tolerance)
+                     for i in range(len(guesses))]
 
 
 class TestPrediction:
     # each noise level with a velocity tolerance near its median miss of
-    # the pace, so that many predictions are close calls
+    # the pace, so that many predictions are close calls, 750 explorations
+    # a pace and noise level
     @pytest.mark.parametrize("sigma,tolerance", [(0.3, 3.0), (1.0, 20.0), (3.0, 125.0)])
     @pytest.mark.parametrize("bpm", [45.0, 75.0])
-    def test_prediction_agrees_with_the_reference(self, bpm, sigma, tolerance):
-        # the staircase's trials: the reference spring and a comparison from
-        # the floor to the cap of the default levels, 750 explorations a
-        # pace and noise level, 4,500 in all
-        limb, plan = LimbConfig(motor_noise_std=sigma), plan_for_bpm(bpm)
-        staircase = default_config(1.11)
-        levels = np.linspace(staircase.level_floor, staircase.level_cap, 25)
-        rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
-        guesses = []
-        for trial in range(375):
-            for k in (1.11, 1.11 + levels[trial * 7 % 25]):
-                guess = predicted_velocity_ok(SpringParam(k=k), plan, limb, rng, tolerance)
-                expected = _reference_predicted_velocity_ok(SpringParam(k=k), plan, limb,
-                                                            reference_rng, tolerance)
-                assert rng.bit_generator.state == reference_rng.bit_generator.state
-                guesses.append((guess, expected))
-        assert len(guesses) == 750
-        assert sum(guess != expected for guess, expected in guesses) <= 750 * 0.001
-        assert {expected for _, expected in guesses} == {True, False}
+    def test_prediction_agrees_with_the_plant(self, bpm, sigma, tolerance):
+        guesses, outcomes = _predictions(LimbConfig(motor_noise_std=sigma), bpm, tolerance, 375)
+        assert sum(guess != outcome for guess, outcome in zip(guesses, outcomes)) <= 1
+        assert set(outcomes) == {True, False}
+
+    # the noisy session's motor noise and velocity tolerance at the slower
+    # pace, 300 explorations each: a limb 5 x heavier than the default, whose
+    # loop rings long and which accepts every one, and weak tracking gains,
+    # whose angle the unsaturated, unquantised model misses by up to 0.6 deg
+    # and whose ringing the 4,096-point grid wraps into the samples, so that
+    # 3 close calls tip over
+    @pytest.mark.parametrize("limb,wrong,outcomes", [
+        (LimbConfig(inertia=0.02, motor_noise_std=0.3), 0, {True}),
+        (LimbConfig(tracking_stiffness_gain=1.0, tracking_damping_gain=0.01,
+                    motor_noise_std=0.3), 3, {True, False}),
+    ], ids=["heavy", "weak_gains"])
+    def test_prediction_follows_other_limbs(self, limb, wrong, outcomes):
+        guesses, simulated = _predictions(limb, 45.0, 5.0, 150)
+        assert sum(guess != outcome for guess, outcome in zip(guesses, simulated)) <= wrong
+        assert set(simulated) == outcomes
 
     def test_prediction_draws_the_noise_of_the_exploration(self):
         limb = LimbConfig(motor_noise_std=0.3)

@@ -175,6 +175,8 @@ class TestConfig:
          "staircase: need 1 <= reversals_averaged <= reversal_limit"),
         (lambda r: r.update(velocities=[{"bpm": 1e308}]),  # deg_s = 90 * bpm / 60
          r"velocities\[0\]: deg_s must be finite, got inf"),
+        (lambda r: r.update(repeat_cap=0), "repeat_cap must be from 1 to 1,000, got 0"),
+        (lambda r: r.update(repeat_cap=1001), "repeat_cap must be from 1 to 1,000, got 1001"),
     ])
     def test_sub_object_errors_are_config_errors(self, mutate, match):
         raw = default_config_dict()
@@ -1384,6 +1386,21 @@ class TestExplorationMemo:
                          for seed in range(10, 13)]
         # each pass knows one exploration more of each session at least
         assert len(lanes) > 1 and sum(lanes) >= sum(map(_explorations, batch))
+
+    def test_heavier_limb_runs_in_lanes(self, monkeypatch):
+        # a noisy session on a limb 5 x heavier than the default: the
+        # predictions follow the plant, so the lanes integrate every
+        # exploration and none is left to the scalar loop
+        lanes, scalar = [], []
+        monkeypatch.setattr("stifflab.session.simulate_lanes",
+                            lambda e, *a: lanes.append(len(e)) or plant.simulate_lanes(e, *a))
+        monkeypatch.setattr("stifflab.session.simulate_exploration",
+                            lambda *a: scalar.append(a) or simulate_exploration(*a))
+        config = full_config(limb={"motor_noise_std": 0.3, "inertia": 0.02},
+                             catch_trial_rate=0.1)
+        [run] = run_sessions(config, [0])
+        assert scalar == []
+        assert sum(lanes) == _explorations(run.log_text) == 210
 
     def test_diverging_noisy_lanes_raise_the_scalar_error(self, monkeypatch):
         # tracking gains that diverge: every lane is left out, and each
