@@ -24,8 +24,9 @@ class EmgSignal:
     samples: np.ndarray  # mV
 
     def __post_init__(self):
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate {self.sample_rate} Hz must be finite "
+                             "and positive")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
@@ -92,6 +93,8 @@ def design_butterworth_lowpass(cutoff: float, sample_rate: float) -> FilterSpec:
     ``cutoff``.  Returned as one biquad plus one first-order section, each
     normalized to unit DC gain.
     """
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise ValueError(f"sample_rate {sample_rate} Hz must be finite and positive")
     if not 0 < cutoff < sample_rate / 2:
         raise ValueError(
             f"cutoff {cutoff} Hz must lie in (0, {sample_rate / 2}) Hz"
@@ -128,17 +131,35 @@ def frequency_response(spec: FilterSpec, freqs: np.ndarray) -> np.ndarray:
 
 
 def _sos_forward(samples: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Causal DF2T section cascade, each section in place over one copy.
+    """Causal DF2T section cascade, two sections per pass over one copy.
 
     The recurrence runs on Python floats (the same IEEE doubles, in the same
     operation order, as NumPy scalars) one chunk of ``_CHUNK`` samples at a
-    time, so the float lists never hold more than one chunk; ``z1``/``z2``
-    carry over from one chunk to the next.
+    time, so the float lists never hold more than one chunk; the state
+    carries over between chunks.  A pass feeds each sample through section
+    i and then i + 1, each doing the float operations of a pass of its own;
+    an odd last section runs alone.
     """
     y = np.array(samples, dtype=np.float64, copy=True)
-    for b0, b1, b2, _, a1, a2 in spec.sections:
-        z1 = 0.0
-        z2 = 0.0
+    sections = spec.sections
+    for i in range(0, len(sections) - 1, 2):
+        (b0, b1, b2, _, a1, a2), (c0, c1, c2, _, d1, d2) = sections[i:i + 2]
+        z1 = z2 = w1 = w2 = 0.0
+        for start in range(0, y.size, _CHUNK):
+            chunk = y[start:start + _CHUNK]
+            out = []
+            for x in chunk.tolist():
+                v = b0 * x + z1
+                z1 = b1 * x - a1 * v + z2
+                z2 = b2 * x - a2 * v
+                u = c0 * v + w1
+                w1 = c1 * v - d1 * u + w2
+                w2 = c2 * v - d2 * u
+                out.append(u)
+            chunk[:] = out
+    if len(sections) % 2:
+        b0, b1, b2, _, a1, a2 = sections[-1]
+        z1 = z2 = 0.0
         for start in range(0, y.size, _CHUNK):
             chunk = y[start:start + _CHUNK]
             out = []
@@ -162,6 +183,9 @@ def apply_filter(
     """
     if mode not in ("forward", "forward_backward"):
         raise ValueError(f"unknown filter mode: {mode!r}")
+    if spec.sample_rate != signal.sample_rate:
+        raise ValueError(f"filter designed for {spec.sample_rate:g} Hz, "
+                         f"signal sampled at {signal.sample_rate:g} Hz")
     y = _sos_forward(signal.samples, spec)
     if mode == "forward_backward":
         y = _sos_forward(y[::-1], spec)[::-1]

@@ -5,6 +5,8 @@ from scipy import signal as sps
 from stifflab.emg import (
     _CHUNK,
     EmgSignal,
+    FilterSpec,
+    _sos_forward,
     apply_filter,
     design_butterworth_lowpass,
     frequency_response,
@@ -82,6 +84,11 @@ class TestFilterDesign:
         with pytest.raises(ValueError, match=f"cutoff {fc} Hz must lie in"):
             design_butterworth_lowpass(fc, FS)
 
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), 0.0, -2000.0])
+    def test_invalid_sample_rate(self, fs):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            design_butterworth_lowpass(FC, fs)
+
 
 class TestApplyFilter:
     def test_zero_in_zero_out(self, spec):
@@ -118,6 +125,16 @@ class TestApplyFilter:
         with pytest.raises(ValueError):
             apply_filter(EmgSignal(FS, np.zeros(4)), spec, mode="backward")
 
+    @pytest.mark.parametrize("fs", [float("nan"), float("inf"), 0.0, -FS])
+    def test_invalid_signal_sample_rate(self, fs):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            EmgSignal(fs, np.zeros(4))
+
+    def test_filter_for_another_sample_rate(self, spec):
+        # a 2 kHz design run over a 1 kHz record would put its cutoff at 2.75 Hz
+        with pytest.raises(ValueError, match="2000 Hz.*1000 Hz"):
+            apply_filter(EmgSignal(1000.0, np.zeros(4)), spec)
+
     def test_deterministic(self, spec):
         x = np.sin(np.linspace(0, 10, 5000))
         a = apply_filter(EmgSignal(FS, x), spec).samples
@@ -142,6 +159,15 @@ def _reference_sos_forward(samples, spec):
     return y
 
 
+def _assert_matches_reference(samples, spec):
+    """apply_filter in both modes, byte for byte against the reference."""
+    forward = _reference_sos_forward(samples, spec)
+    both = _reference_sos_forward(forward[::-1], spec)[::-1]
+    for mode, expected in (("forward", forward), ("forward_backward", both)):
+        got = apply_filter(EmgSignal(spec.sample_rate, samples), spec, mode=mode)
+        assert got.samples.tobytes() == expected.tobytes(), mode
+
+
 class TestBitExactRecurrence:
     @pytest.mark.parametrize("fs,fc", [(2000.0, 5.5), (48000.0, 1.0), (48.0, 23.0)])
     @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 120000])
@@ -150,11 +176,25 @@ class TestBitExactRecurrence:
         x = np.random.default_rng(n).standard_normal(n) + 0.3
         # raw noise and a rectified, reversed (negative-stride) view of it
         for samples in (x, np.abs(x)[::-1]):
-            forward = _reference_sos_forward(samples, spec)
-            both = _reference_sos_forward(forward[::-1], spec)[::-1]
-            for mode, expected in (("forward", forward), ("forward_backward", both)):
-                got = apply_filter(EmgSignal(fs, samples), spec, mode=mode).samples
-                assert got.tobytes() == expected.tobytes(), mode
+            _assert_matches_reference(samples, spec)
+
+    @pytest.mark.parametrize("layout", ["bq", "fo", "bq fo bq", "fo bq fo bq"])
+    @pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK + 1, 20011])
+    def test_odd_and_long_cascades(self, layout, n):
+        # sections run two per pass; an odd last one runs alone
+        bq, fo = design_butterworth_lowpass(FC, FS).sections
+        spec = FilterSpec(FS, tuple({"bq": bq, "fo": fo}[s] for s in layout.split()))
+        x = np.random.default_rng(n).standard_normal(n)
+        x[::7] = 0.0
+        x[3::11] = -0.0
+        for samples in (x, np.abs(x)[::-1], np.zeros(9), -np.zeros(9)):
+            _assert_matches_reference(samples, spec)
+        # EmgSignal refuses inf, but the recurrence must carry it as the
+        # reference does: a spare identity section would turn it into NaN
+        head = np.array([np.inf, 1.0, -0.0, 2.0])
+        with np.errstate(invalid="ignore"):
+            expected = _reference_sos_forward(head, spec)
+        assert _sos_forward(head, spec).tobytes() == expected.tobytes()
 
 
 class TestStages:
